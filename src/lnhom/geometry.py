@@ -15,7 +15,7 @@ no sub-pixel averaging); index values come from the Sellmeier models in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,15 +125,10 @@ class IndexMap:
     polarization: str = "te"
     symmetry_x_nm: float | None = None
     substrate_index: float | None = None
-    legend: dict = field(default_factory=lambda: dict(REGION_NAMES))
 
     @property
     def shape(self):
         return self.index.shape
-
-    def mirrored(self):
-        """The map flipped about its symmetry plane (x -> -x)."""
-        return self.index[:, ::-1]
 
 
 def _symmetric_x_grid(half_width_nm, pitch_nm):

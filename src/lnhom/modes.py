@@ -7,12 +7,14 @@ the scalar Helmholtz equation
 
 is discretised with the standard 5-point stencil on the uniform
 :class:`~lnhom.geometry.IndexMap` grid and solved as a sparse symmetric
-eigenproblem.  Guided modes cluster just below the film index, so ARPACK
-runs in shift-invert mode with the target placed slightly below the
-largest index on the map.  Boundaries are zero-field by default
-(guided modes decay exponentially into the padding); a reflecting
-("neumann") variant exists for homogeneous-medium and slab checks where
-the field does not decay in one direction.
+eigenproblem by shift-invert ARPACK.  The shift sits just above the largest
+effective index of any single grid column, an upper bound on every mode
+because d2/dx2 is negative semi-definite.  A map with a mirror plane on its
+centre column is solved on its right half twice, with a reflecting centre
+for symmetric modes and a zero-field centre for antisymmetric ones, so the
+boundary condition fixes the parity.  Outer boundaries are zero-field by
+default (guided modes decay into the padding); a reflecting ("neumann")
+variant exists for homogeneous-medium and slab checks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, DecoupledWaveguidesError
 from .geometry import build_cross_section
@@ -30,6 +32,12 @@ from .geometry import build_cross_section
 PARITY_SYMMETRIC = "symmetric"
 PARITY_ANTISYMMETRIC = "antisymmetric"
 PARITY_NONE = "none"
+
+# effective-index gap between the column bound and the shift
+SHIFT_MARGIN = 1e-3
+# eigenpairs converged beyond the wanted ones, so no wanted mode is the edge
+# of the converged set; ARPACK builds 20 Lanczos vectors either way
+GUARD_MODES = 2
 
 
 @dataclass
@@ -55,24 +63,54 @@ def _second_difference(n, h, boundary):
     return sp.diags([off, main, off], [-1, 0, 1]) / h**2
 
 
-def _helmholtz_operator(index_map, k0, boundary):
-    ny, nx = index_map.shape
-    dxx = _second_difference(nx, index_map.dx_nm, boundary)
-    dyy = _second_difference(ny, index_map.dy_nm, boundary)
+def _helmholtz_operator(index, dx, dy, k0, boundary, parity):
+    """5-point operator on ``index``; for a parity other than none, ``index``
+    is the half map to the right of the mirror plane, with the centre column
+    first for symmetric modes and without it for antisymmetric ones."""
+    ny, nx = index.shape
+    dxx = _second_difference(nx, dx, boundary).tolil()
+    if parity == PARITY_SYMMETRIC:
+        # the mirror f[c-1] = f[c+1] doubles the centre-to-neighbour
+        # coupling; solving for f[c] / sqrt(2) keeps the operator symmetric
+        dxx[0, 1] = dxx[1, 0] = np.sqrt(2.0) / dx**2
+    dyy = _second_difference(ny, dy, boundary)
     lap = sp.kron(sp.identity(ny), dxx) + sp.kron(dyy, sp.identity(nx))
-    return (lap + sp.diags(k0**2 * index_map.index.ravel() ** 2)).tocsc()
+    return (lap + sp.diags(k0**2 * index.ravel() ** 2)).tocsc()
 
 
-def _classify_parity(field, index_map):
-    if index_map.symmetry_x_nm is None:
-        return PARITY_NONE
-    mirrored = field[:, ::-1]
-    overlap = float(np.sum(field * mirrored) / np.sum(field * field))
-    if overlap > 0.5:
-        return PARITY_SYMMETRIC
-    if overlap < -0.5:
-        return PARITY_ANTISYMMETRIC
-    return PARITY_NONE
+def _shift_invert(op, k, sigma, max_iterations, tol):
+    """The ``k`` eigenpairs of ``op`` nearest ``sigma``, from one factorisation
+    of ``op - sigma I``."""
+    lu = splu((op - sigma * sp.identity(op.shape[0])).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
+    inverse = LinearOperator(op.shape, matvec=lu.solve, dtype=float)
+    try:
+        return eigsh(op, k=k, sigma=sigma, which="LM", OPinv=inverse,
+                     maxiter=max_iterations, tol=tol)
+    except ArpackNoConvergence as exc:
+        residual = None
+        if len(exc.eigenvalues):
+            v = exc.eigenvectors[:, -1]
+            residual = float(np.linalg.norm(op @ v - exc.eigenvalues[-1] * v))
+        raise ConvergenceError(f"eigen-solver did not converge within {max_iterations} "
+                               "iterations", residual_norm=residual) from exc
+
+
+def _mode_shift(index, dy, wavelength, boundary):
+    """Shift-invert target (beta^2) just above every eigenvalue of the map."""
+    n_top = max(_profile_effective_index(column, dy, wavelength, boundary)
+                for column in np.unique(index, axis=1).T)
+    return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
+
+
+def _full_field(half, parity):
+    """Mirror a half-domain eigenvector back onto the full grid."""
+    if parity == PARITY_SYMMETRIC:
+        right = np.hstack([np.sqrt(2.0) * half[:, :1], half[:, 1:]])
+        return np.hstack([right[:, :0:-1], right])
+    if parity == PARITY_ANTISYMMETRIC:
+        return np.hstack([-half[:, ::-1], np.zeros((half.shape[0], 1)), half])
+    return half
 
 
 def solve_modes(index_map, n_modes=1, *, wavelength_nm=None, boundary="dirichlet",
@@ -93,59 +131,33 @@ def solve_modes(index_map, n_modes=1, *, wavelength_nm=None, boundary="dirichlet
             cutoff_index = float(index_map.index.min())
 
     k0 = 2.0 * np.pi / wavelength
-    op = _helmholtz_operator(index_map, k0, boundary)
-    n_max = float(index_map.index.max())
-    n_cells = op.shape[0]
-    k = min(n_modes + 4, n_cells - 2)
-
-    # target just below the film index, nudging upward if the factorisation
-    # happens to land on an eigenvalue
-    last_error = None
-    for shift in (n_max - 1e-3, n_max + 1e-3, n_max + 1e-2):
-        try:
-            vals, vecs = eigsh(op, k=k, sigma=(k0 * shift) ** 2, which="LM",
-                               maxiter=max_iterations, tol=tol)
-            break
-        except ArpackNoConvergence as exc:
-            residual = None
-            if len(exc.eigenvalues):
-                v = exc.eigenvectors[:, -1]
-                residual = float(np.linalg.norm(op @ v - exc.eigenvalues[-1] * v))
-            raise ConvergenceError(
-                f"eigen-solver did not converge within {max_iterations} iterations",
-                residual_norm=residual,
-            ) from exc
-        except RuntimeError as exc:  # singular shift factorisation
-            last_error = exc
+    index, dx, dy = index_map.index, index_map.dx_nm, index_map.dy_nm
+    if index_map.symmetry_x_nm is None:
+        halves = [(PARITY_NONE, index)]
     else:
-        raise ConvergenceError(f"shift-invert factorisation failed: {last_error}")
-
-    order = np.argsort(vals)[::-1]
-    cell_area = index_map.dx_nm * index_map.dy_nm
+        c = index.shape[1] // 2
+        if index.shape[1] % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
+            raise ValueError("map is not mirror-symmetric about its centre column")
+        halves = [(PARITY_SYMMETRIC, index[:, c:]),
+                  (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
+    sigma = _mode_shift(index, dy, wavelength, boundary)
     solutions = []
-    for idx in order:
-        if vals[idx] <= 0:
-            continue
-        n_eff = float(np.sqrt(vals[idx]) / k0)
-        if n_eff <= cutoff_index:
-            continue
-        field = vecs[:, idx].reshape(index_map.shape)
-        field = field / np.sqrt(np.sum(field**2) * cell_area)
-        if field.ravel()[np.abs(field).argmax()] < 0:
-            field = -field
-        solutions.append(
-            ModeSolution(
-                n_eff=n_eff,
-                field=field,
-                parity=_classify_parity(field, index_map),
-                wavelength_nm=wavelength,
-                x_nm=index_map.x_nm,
-                y_nm=index_map.y_nm,
-            )
-        )
-        if len(solutions) == n_modes:
-            break
-    return solutions
+    for parity, half in halves:
+        op = _helmholtz_operator(half, dx, dy, k0, boundary, parity)
+        k = min(n_modes + GUARD_MODES, op.shape[0] - 1)
+        vals, vecs = _shift_invert(op, k, sigma, max_iterations, tol)
+        for val, vec in zip(vals, vecs.T):
+            n_eff = float(np.sqrt(max(val, 0.0)) / k0)
+            if n_eff <= cutoff_index:
+                continue
+            field = _full_field(vec.reshape(half.shape), parity)
+            field = field / np.sqrt(np.sum(field**2) * dx * dy)
+            if field.ravel()[np.abs(field).argmax()] < 0:
+                field = -field
+            solutions.append(ModeSolution(n_eff, field, parity, wavelength,
+                                          index_map.x_nm, index_map.y_nm))
+    solutions.sort(key=lambda mode: mode.n_eff, reverse=True)
+    return solutions[:n_modes]
 
 
 def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):
@@ -161,9 +173,9 @@ def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
                               degeneracy_tol=1e-9):
     """Coupling length (um) of a two-rib coupler from its supermode splitting.
 
-    Solves the two lowest supermodes, checks their mirror parity, and raises
-    :class:`DecoupledWaveguidesError` when the splitting is degenerate within
-    ``degeneracy_tol`` (effectively decoupled waveguides).
+    Solves the strongest symmetric and antisymmetric supermodes and raises
+    :class:`DecoupledWaveguidesError` when either is missing or the splitting
+    is degenerate within ``degeneracy_tol`` (effectively decoupled waveguides).
     """
     if geometry.gap_um is None:
         raise ValueError("geometry has no gap: not a two-waveguide coupler")
@@ -171,37 +183,26 @@ def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
                                     grid_pitch_nm=grid_pitch_nm,
                                     padding_um=padding_um,
                                     polarization=polarization)
-    modes = solve_modes(index_map, 2, wavelength_nm=wavelength_nm)
-    if len(modes) < 2:
-        raise DecoupledWaveguidesError(
-            "fewer than two guided supermodes found; waveguides are effectively "
-            "decoupled at this gap"
-        )
-    sym, anti = modes[0], modes[1]
-    delta_n = sym.n_eff - anti.n_eff
-    # degeneracy first: an exactly degenerate pair may come back as arbitrary
-    # left/right mixtures with no definite parity
-    if delta_n < degeneracy_tol:
-        raise DecoupledWaveguidesError(
-            f"supermode splitting {delta_n:.3e} below tolerance {degeneracy_tol:.0e}"
-        )
-    if (sym.parity, anti.parity) != (PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC):
-        raise RuntimeError(
-            "lowest two modes are not a symmetric/antisymmetric supermode pair "
-            f"(got {sym.parity!r}, {anti.parity!r})"
-        )
-    return coupling_length_from_indices(sym.n_eff, anti.n_eff, wavelength_nm)
+    n_eff = {}
+    for mode in solve_modes(index_map, 2, wavelength_nm=wavelength_nm):
+        n_eff.setdefault(mode.parity, mode.n_eff)
+    if len(n_eff) < 2:
+        raise DecoupledWaveguidesError("fewer than two guided supermodes found; waveguides "
+                                       "are effectively decoupled at this gap")
+    sym, anti = n_eff[PARITY_SYMMETRIC], n_eff[PARITY_ANTISYMMETRIC]
+    if sym - anti < degeneracy_tol:
+        raise DecoupledWaveguidesError(f"supermode splitting {sym - anti:.3e} below "
+                                       f"tolerance {degeneracy_tol:.0e}")
+    return coupling_length_from_indices(sym, anti, wavelength_nm)
 
 
-def _profile_effective_indices(profile, pitch_nm, wavelength_nm, count=3):
-    """Largest effective indices of a 1D layered index profile (zero-field ends)."""
+def _profile_effective_index(profile, pitch_nm, wavelength_nm, boundary="dirichlet"):
+    """Largest effective index of a 1D layered index profile (0 if unbound)."""
     k0 = 2.0 * np.pi / wavelength_nm
-    diag = -2.0 / pitch_nm**2 + k0**2 * profile**2
-    off = np.full(profile.size - 1, 1.0 / pitch_nm**2)
-    vals = eigh_tridiagonal(diag, off, select="i",
-                            select_range=(profile.size - count, profile.size - 1))[0]
-    vals = vals[vals > 0]
-    return np.sqrt(vals[::-1]) / k0
+    d2 = _second_difference(profile.size, pitch_nm, boundary)
+    top = eigh_tridiagonal(d2.diagonal() + k0**2 * profile**2, d2.diagonal(1),
+                           select="i", select_range=(profile.size - 1,) * 2)[0][0]
+    return float(np.sqrt(max(top, 0.0)) / k0)
 
 
 def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
@@ -214,17 +215,14 @@ def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
     that cutoff is computed from the 1D layer profile far from the rib, with
     ``margin`` as the separation required above it.
     """
-    single = geometry if geometry.gap_um is None else None
-    if single is None:
+    if geometry.gap_um is not None:
         raise ValueError("single-waveguide geometry required")
     index_map = build_cross_section(geometry, wavelength_nm,
                                     grid_pitch_nm=grid_pitch_nm,
                                     padding_um=padding_um,
                                     polarization=polarization)
-    edge_profile = index_map.index[:, 0]
-    slab = _profile_effective_indices(edge_profile, index_map.dy_nm, wavelength_nm)
-    cutoff = float(slab[0]) if slab.size else float(index_map.substrate_index)
-    cutoff = max(cutoff, float(index_map.substrate_index))
+    slab = _profile_effective_index(index_map.index[:, 0], index_map.dy_nm, wavelength_nm)
+    cutoff = max(slab, float(index_map.substrate_index))
     modes = solve_modes(index_map, max_candidates, wavelength_nm=wavelength_nm,
                         cutoff_index=cutoff + margin)
     return len(modes)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
-trapezoid quadrature, few-photon amplitudes by matrix permanents, and
-uncertainties by quadrature or direct sampling.  Tests freeze the numbers
-these produce; the package must then reproduce them.
+trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
+on the full grid with scipy's own shift-invert, and uncertainties by
+quadrature or direct sampling.  Tests freeze the numbers these produce;
+the package must then reproduce them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -61,6 +64,28 @@ def slab_guided_mode_count(n_core, n_clad, thickness_nm, wavelength_nm):
     v = (2.0 * math.pi / wavelength_nm) * thickness_nm \
         * math.sqrt(n_core**2 - n_clad**2)
     return 1 + int(v / math.pi)
+
+
+# --- 2D scalar Helmholtz modes on the full grid, plain scipy --------------
+
+def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
+    """Largest effective indices of the 5-point scalar Helmholtz operator on
+    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges,
+    assembled from its five diagonals and solved by scipy's default
+    shift-invert aimed at the largest index (no symmetry used)."""
+    ny, nx = index.shape
+    cells = ny * nx
+    k0 = 2.0 * math.pi / wavelength_nm
+    link = 1.0 / pitch_nm**2
+    row = np.full(cells - 1, link)
+    row[np.arange(1, cells) % nx == 0] = 0.0  # no coupling across grid rows
+    column = np.full(cells - nx, link)
+    centre = -4.0 * link + (k0 * index.ravel()) ** 2
+    operator = sp.diags([column, row, centre, row, column], [-nx, -1, 0, 1, nx],
+                        format="csc")
+    vals = eigsh(operator, k=count, sigma=(k0 * index.max()) ** 2,
+                 return_eigenvectors=False)
+    return np.sort(np.sqrt(vals) / k0)[::-1]
 
 
 # --- Gaussian two-photon overlap by trapezoid quadrature ------------------

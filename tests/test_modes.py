@@ -9,8 +9,9 @@ from lnhom.errors import ConvergenceError, DecoupledWaveguidesError
 from lnhom.geometry import (IndexMap, WaveguideGeometry, build_cross_section,
                             reference_geometry)
 from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_NONE, PARITY_SYMMETRIC,
-                         coupling_length_from_indices, guided_mode_count,
-                         solve_modes, supermode_coupling_length)
+                         _mode_shift, coupling_length_from_indices,
+                         guided_mode_count, solve_modes,
+                         supermode_coupling_length)
 
 # analytic slab effective indices for a 600 nm LN film in silica at 1550 nm,
 # frozen from the bisection oracle
@@ -101,6 +102,57 @@ def test_supermode_mirror_symmetry(supermodes_20nm):
         diff = solution.field - sign * solution.field[:, ::-1]
         rel = np.sqrt(np.mean(diff**2)) / np.sqrt(np.mean(solution.field**2))
         assert rel < 1e-6
+
+
+@pytest.fixture(scope="module")
+def coupler_40nm():
+    map_ = build_cross_section(reference_geometry(gap_um=2.3), 1550.0,
+                               grid_pitch_nm=40.0)
+    return map_, solve_modes(map_, 2)
+
+
+def test_half_domain_matches_full_grid_oracle(coupler_40nm):
+    map_, (sym, anti) = coupler_40nm
+    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0)
+    assert (sym.parity, anti.parity) == (PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC)
+    assert abs(sym.n_eff - full[0]) <= 1e-10 * full[0]
+    assert abs(anti.n_eff - full[1]) <= 1e-10 * full[1]
+
+
+def test_half_domain_fields_mirror_exactly(coupler_40nm):
+    map_, (sym, anti) = coupler_40nm
+    assert np.array_equal(sym.field, sym.field[:, ::-1])
+    assert np.array_equal(anti.field, -anti.field[:, ::-1])
+    assert not np.any(anti.field[:, map_.shape[1] // 2])
+    for solution in (sym, anti):
+        assert solution.field.shape == map_.shape
+        power = float(np.sum(solution.field**2)) * map_.dx_nm * map_.dy_nm
+        assert power == pytest.approx(1.0, abs=1e-12)
+
+
+def test_asymmetric_map_with_mirror_plane_rejected():
+    map_ = _uniform_map()
+    map_.index[0, 0] = 2.1
+    map_.symmetry_x_nm = 250.0
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        solve_modes(map_, 1)
+
+
+@pytest.mark.parametrize("case", ["slab", "single rib", "coupler"])
+def test_shift_lies_above_every_mode(case):
+    if case == "slab":
+        map_, boundary = _slab_map(), "neumann"
+    else:
+        gap = 2.3 if case == "coupler" else None
+        map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
+                                   grid_pitch_nm=40.0)
+        boundary = "dirichlet"
+    sigma = _mode_shift(map_.index, map_.dy_nm, 1550.0, boundary)
+    k0 = 2.0 * np.pi / 1550.0
+    sols = solve_modes(map_, 4, boundary=boundary, cutoff_index=1.0)
+    assert sols
+    for solution in sols:
+        assert (k0 * solution.n_eff) ** 2 < sigma
 
 
 def test_single_mode_reference_geometry():
