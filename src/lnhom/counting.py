@@ -1,13 +1,18 @@
 """Monte Carlo photon counting for pulsed two-photon interference scans.
 
-Each delay point simulates a train of pump pulses: a pair number is drawn
-per pulse from the source statistics, photons are routed to the two output
-arms (exact few-photon interference law for up to two pairs, classical
-binomial routing for the rare three-plus tail), and detection applies
-per-channel efficiency, dark counts and a non-paralyzable dead time across
-the pulse train.  Every delay point owns an independent child stream of
-the master seed, so points can be evaluated in any order, or in parallel,
-and still reproduce bit-for-bit.
+Each delay point simulates a train of pump pulses but draws random numbers
+only for the pulses that can click.  The pulses carrying at least one pair
+are an exact Bernoulli process: their number is binomial, their positions
+a sorted uniform subset of the train.  Each such pulse then gets a pair
+number from the conditional source statistics, and its photons are routed
+to the two output arms (exact few-photon interference law for up to two
+pairs, classical binomial routing for the rare three-plus tail).  Per arm,
+photon clicks follow the detection efficiency on those pulses, dark clicks
+are a second sorted Bernoulli process over the whole train, and the merged
+click indices pass a non-paralyzable dead time.  Coincidences are the
+counted indices both arms share.  Every delay point owns an independent
+child stream of the master seed, so points can be evaluated in any order,
+or in parallel, and still reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -74,18 +79,38 @@ def _sample_pattern_counts(rng, distribution, size):
     return arr[idx, 0], arr[idx, 1]
 
 
-def _apply_dead_time(raw_clicks, blind_step):
-    """Non-paralyzable veto: after a counted click, the channel stays blind
-    for the next blind_step - 1 pulses."""
+def _sorted_bernoulli_positions(rng, n_pulses, probability):
+    """Sorted indices of the pulses where an independent per-pulse event of
+    the given probability occurs: a binomial count, then a uniform subset of
+    that size drawn without replacement."""
+    size = rng.binomial(n_pulses, probability)
+    positions = rng.choice(n_pulses, size, replace=False, shuffle=False)
+    positions.sort()
+    return positions
+
+
+def _merge_sorted(a, b):
+    """Sorted union of two sorted index arrays, duplicates dropped."""
+    merged = np.concatenate((a, b))
+    merged.sort()
+    first = np.ones(merged.size, dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    return merged[first]
+
+
+def _apply_dead_time(clicks, blind_step):
+    """Non-paralyzable veto on sorted click indices: after a counted click,
+    the channel stays blind for the next blind_step - 1 pulses.  Returns the
+    indices of the counted clicks."""
     if blind_step <= 1:
-        return raw_clicks
-    counted = np.zeros_like(raw_clicks)
+        return clicks
+    counted = []
     next_free = 0
-    for i in np.flatnonzero(raw_clicks):
+    for i in clicks.tolist():
         if i >= next_free:
-            counted[i] = True
+            counted.append(i)
             next_free = i + blind_step
-    return counted
+    return np.array(counted, dtype=np.int64)
 
 
 def simulate_counts(state, eta, source, detectors, delays_ps,
@@ -108,7 +133,10 @@ def simulate_counts(state, eta, source, detectors, delays_ps,
     mu = source.mean_pairs_per_pulse
     class_probs = pair_number_probabilities(mu, source.statistics,
                                             MAX_ENUMERATED_PAIRS)
-    class_edges = np.cumsum(class_probs)  # tail class sits beyond the last edge
+    p_active = 1.0 - class_probs[0]
+    # an active pulse's class: u * p_active below the first edge is one pair,
+    # below the second two pairs, the tail beyond the last edge
+    class_edges = np.cumsum(class_probs[1:])
 
     blind_step = max(1, math.ceil(detectors.dead_time_ns
                                   / source.repetition_period_ns))
@@ -121,10 +149,11 @@ def simulate_counts(state, eta, source, detectors, delays_ps,
         rng = np.random.default_rng(child)
         overlap = spectral_overlap(state, float(delays[point]))
 
-        pulse_class = np.searchsorted(class_edges, rng.random(n_pulses),
-                                      side="right")
-        n_arm1 = np.zeros(n_pulses, dtype=np.int16)
-        n_arm2 = np.zeros(n_pulses, dtype=np.int16)
+        active = _sorted_bernoulli_positions(rng, n_pulses, p_active)
+        pulse_class = 1 + np.searchsorted(
+            class_edges, rng.random(active.size) * p_active, side="right")
+        n_arm1 = np.zeros(active.size, dtype=np.int16)
+        n_arm2 = np.zeros(active.size, dtype=np.int16)
         for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1):
             mask = pulse_class == n_pairs
             if mask.any():
@@ -142,13 +171,14 @@ def simulate_counts(state, eta, source, detectors, delays_ps,
             n_arm1[tail] = stay + cross
             n_arm2[tail] = 2 * _TAIL_PAIRS - stay - cross
 
-        raw = []
+        counted = []
         for occupation in (n_arm1, n_arm2):
             p_click = 1.0 - (1.0 - eff) ** occupation.astype(float)
-            p_click = 1.0 - (1.0 - p_click) * (1.0 - dark)
-            raw.append(rng.random(n_pulses) < p_click)
-        clicks1 = _apply_dead_time(raw[0], blind_step)
-        clicks2 = _apply_dead_time(raw[1], blind_step)
-        counts[point] = np.count_nonzero(clicks1 & clicks2)
+            photon = active[rng.random(active.size) < p_click]
+            dark_clicks = _sorted_bernoulli_positions(rng, n_pulses, dark)
+            counted.append(_apply_dead_time(_merge_sorted(photon, dark_clicks),
+                                            blind_step))
+        counts[point] = np.intersect1d(counted[0], counted[1],
+                                       assume_unique=True).size
 
     return DelayScan(delay_ps=delays, values=counts, normalized=False)

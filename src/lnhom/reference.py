@@ -46,10 +46,6 @@ SPLITTER_LIMITED_VISIBILITY = 0.9832
 EXPECTED_VISIBILITY = 0.9636
 MEASURED_RAW_VISIBILITY = 0.935
 MEASURED_RAW_VISIBILITY_UNCERTAINTY = 0.007
-# decay coefficient of the published Gaussian dip fit; its delay units were
-# never stated, so it is kept as a unit-agnostic constant and not used in
-# any delay-axis computation
-DIP_FIT_DECAY_COEFFICIENT = 0.143
 
 GAP_UM = 2.3
 

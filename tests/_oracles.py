@@ -275,3 +275,76 @@ def fp_contrast(facet_reflectivity, alpha_db_per_cm, length_cm):
     with R~ = R * 10^(-alpha L / 10)."""
     rt = facet_reflectivity * 10.0 ** (-alpha_db_per_cm * length_cm / 10.0)
     return 2.0 * rt / (1.0 + rt * rt)
+
+
+# --- detector dead time and per-pulse coincidence probability ------------
+
+def dense_dead_time(raw_clicks, blind_step):
+    """Non-paralyzable dead time walked pulse by pulse over a boolean click
+    train: a counted click blinds the channel for the next blind_step - 1
+    pulses.  Returns the boolean train of counted clicks."""
+    counted = np.zeros(len(raw_clicks), dtype=bool)
+    blind = 0
+    for i, click in enumerate(raw_clicks):
+        if blind:
+            blind -= 1
+        elif click:
+            counted[i] = True
+            blind = blind_step - 1
+    return counted
+
+
+def _pair_weights(mu, statistics, max_pairs):
+    if statistics == "poissonian-pairs":
+        return [math.exp(-mu) * mu**n / math.factorial(n)
+                for n in range(max_pairs + 1)]
+    if statistics == "thermal-pairs":
+        return [mu**n / (1.0 + mu) ** (n + 1) for n in range(max_pairs + 1)]
+    raise ValueError(statistics)
+
+
+def _arm_distribution_permanent(n_pairs, indistinguishability, eta):
+    arms = {}
+    for (n0, n1, n2, n3), p in splitter_distribution_permanent(
+            n_pairs, indistinguishability, eta).items():
+        arms[(n0 + n1, n2 + n3)] = arms.get((n0 + n1, n2 + n3), 0.0) + p
+    return arms
+
+
+def _arm_distribution_classical(n_pairs, eta):
+    """Independent routing: each signal photon keeps arm 1 with probability
+    1 - eta, each idler photon crosses into arm 1 with probability eta."""
+    arms = {}
+    for stay in range(n_pairs + 1):
+        p_stay = math.comb(n_pairs, stay) * (1.0 - eta) ** stay \
+            * eta ** (n_pairs - stay)
+        for cross in range(n_pairs + 1):
+            p_cross = math.comb(n_pairs, cross) * eta**cross \
+                * (1.0 - eta) ** (n_pairs - cross)
+            key = (stay + cross, 2 * n_pairs - stay - cross)
+            arms[key] = arms.get(key, 0.0) + p_stay * p_cross
+    return arms
+
+
+def pulse_coincidence_probability(mu, statistics, indistinguishability, eta,
+                                  efficiency, dark, max_pairs=2):
+    """Per-pulse probability that both threshold detectors click, without
+    dead time: up to max_pairs pairs interfere (permanent amplitudes), the
+    remaining pair-number mass is routed classically as max_pairs + 1 pairs,
+    and each arm clicks unless every photon is missed and no dark count
+    fires."""
+    weights = _pair_weights(mu, statistics, max_pairs)
+
+    def click(photons):
+        return 1.0 - (1.0 - efficiency) ** photons * (1.0 - dark)
+
+    def both_click(arms):
+        return sum(p * click(a) * click(b) for (a, b), p in arms.items())
+
+    total = weights[0] * dark * dark
+    for n in range(1, max_pairs + 1):
+        total += weights[n] * both_click(
+            _arm_distribution_permanent(n, indistinguishability, eta))
+    tail = 1.0 - sum(weights)
+    return total + tail * both_click(
+        _arm_distribution_classical(max_pairs + 1, eta))

@@ -4,16 +4,28 @@ probabilities, and the detector imperfections."""
 import numpy as np
 import pytest
 
-from lnhom.counting import DetectorModel, SourceModel, simulate_counts
+import _oracles as oracle
+from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
+                            simulate_counts)
 from lnhom.fock import pair_number_probabilities, threshold_coincidence_probability
 from lnhom.hom import TwoPhotonState, spectral_overlap
 
 STATE = TwoPhotonState.degenerate(1550.0, 6.0)
 IDEAL = DetectorModel()
+# dark counts and a dead time of six 13.1 ns pulse periods
+BRIGHT_DETECTORS = DetectorModel(efficiency=0.9, dead_time_ns=70.0,
+                                 dark_count_probability=0.01)
 
 
 def _source(mu, pulses=100_000):
     return SourceModel(mean_pairs_per_pulse=mu, pulses_per_run=pulses)
+
+
+def _bright_source(pulses=50_000):
+    """High-gain regime: a third of the pulses carry pairs, and 3.7 % carry
+    three or more."""
+    return SourceModel(mean_pairs_per_pulse=0.5, pulses_per_run=pulses,
+                       statistics="thermal-pairs")
 
 
 def _expected_probability(mu, overlap, eta):
@@ -52,6 +64,34 @@ def test_delay_points_own_independent_streams():
     np.testing.assert_array_equal(short_scan.values, long_scan.values[:4])
 
 
+def test_bright_scan_reproduces_bit_for_bit():
+    delays = np.linspace(-3.0, 3.0, 7)
+    first = simulate_counts(STATE, 0.5, _bright_source(), BRIGHT_DETECTORS,
+                            delays, seed=42)
+    second = simulate_counts(STATE, 0.5, _bright_source(), BRIGHT_DETECTORS,
+                             delays, seed=42)
+    np.testing.assert_array_equal(first.values, second.values)
+
+
+def test_bright_scan_keeps_the_prefix_property():
+    long_axis = np.linspace(-3.0, 3.0, 7)
+    long_scan = simulate_counts(STATE, 0.5, _bright_source(), BRIGHT_DETECTORS,
+                                long_axis, seed=7)
+    short_scan = simulate_counts(STATE, 0.5, _bright_source(),
+                                 BRIGHT_DETECTORS, long_axis[:4], seed=7)
+    np.testing.assert_array_equal(short_scan.values, long_scan.values[:4])
+
+
+def test_pulses_per_point_overrides_the_source_run_length():
+    delays = [-2.0, 0.0, 2.0]
+    from_source = simulate_counts(STATE, 0.5, _bright_source(20_000),
+                                  BRIGHT_DETECTORS, delays, seed=13)
+    overridden = simulate_counts(STATE, 0.5, _bright_source(50_000),
+                                 BRIGHT_DETECTORS, delays,
+                                 pulses_per_point=20_000, seed=13)
+    np.testing.assert_array_equal(overridden.values, from_source.values)
+
+
 def test_seed_is_mandatory():
     with pytest.raises(ValueError):
         simulate_counts(STATE, 0.5, _source(0.01), IDEAL, [0.0, 1.0])
@@ -79,6 +119,19 @@ def test_dip_floor_is_nearly_dark():
                            seed=3)
     wings = 0.5 * (scan.values[0] + scan.values[-1])
     assert scan.values[1] < 0.1 * wings
+
+
+@pytest.mark.parametrize("tau", [50.0, 0.0], ids=["wing", "zero delay"])
+def test_bright_counts_track_the_analytic_rate(tau):
+    pulses = 200_000
+    detectors = DetectorModel(efficiency=0.9, dark_count_probability=0.01)
+    scan = simulate_counts(STATE, 0.5, _bright_source(pulses), detectors,
+                           [tau], seed=20261018)
+    p = oracle.pulse_coincidence_probability(
+        0.5, "thermal-pairs", spectral_overlap(STATE, tau), 0.5,
+        efficiency=0.9, dark=0.01)
+    sigma_count = np.sqrt(pulses * p * (1.0 - p))
+    assert abs(scan.values[0] - pulses * p) < 4.0 * sigma_count
 
 
 # --- detector imperfections ------------------------------------------------
@@ -124,6 +177,35 @@ def test_dead_time_beyond_one_period_suppresses_counts():
         STATE, 0.5, _source(0.0, 1),
         DetectorModel(dark_count_probability=0.3, dead_time_ns=40.0), **kwargs)
     assert vetoed.values[0] < 0.7 * free.values[0]
+
+
+def test_dead_time_oracle_counts_a_long_run_once_per_window():
+    run = np.zeros(20, dtype=bool)
+    run[:14] = True
+    np.testing.assert_array_equal(
+        np.flatnonzero(oracle.dense_dead_time(run, 6)), [0, 6, 12])
+
+
+def _click_train(kind):
+    """A random train at the given click density, or a hand-made one with
+    clicks on the first and last pulse and back-to-back runs longer than
+    the blind window."""
+    if kind != "edges":
+        return np.random.default_rng(17).random(20_000) < kind
+    raw = np.zeros(60, dtype=bool)
+    raw[[0, 20, 59]] = True
+    raw[3:17] = True
+    raw[25:40] = True
+    return raw
+
+
+@pytest.mark.parametrize("blind_step", [1, 2, 6])
+@pytest.mark.parametrize("train", [0.001, 0.3, 1.0, "edges"])
+def test_dead_time_matches_the_dense_oracle(train, blind_step):
+    raw = _click_train(train)
+    expected = np.flatnonzero(oracle.dense_dead_time(raw, blind_step))
+    np.testing.assert_array_equal(
+        _apply_dead_time(np.flatnonzero(raw), blind_step), expected)
 
 
 # --- model validation ------------------------------------------------------
