@@ -37,7 +37,7 @@ def main():
     io.write_index_map_csv(OUT / "index_map.csv", index_map)
 
     start = time.perf_counter()
-    sym, anti = solve_modes(index_map, 2, wavelength_nm=WAVELENGTH_NM)
+    sym, anti = solve_modes(index_map, 2)
     elapsed = time.perf_counter() - start
     for name, mode in (("symmetric", sym), ("antisymmetric", anti)):
         print(f"{name}: n_eff = {mode.n_eff:.6f} ({mode.parity})")

@@ -137,7 +137,6 @@ SCENARIO_SCHEMAS = {
     ),
     "fit-coupling": _schema(
         ConfigKey("input_csv", "str", help="CSV with header length_um,ratio"),
-        ConfigKey("input_port", "str", "a", "port label", ("a", "b")),
     ),
     "fit-dip": _schema(
         ConfigKey("input_csv", "str",
@@ -279,7 +278,7 @@ def _run_modes(params, out):
                                     padding_um=params["padding_um"],
                                     polarization=params["polarization"])
     modes = solve_modes(index_map, params["n_modes"])
-    report = [f"guided_modes = {len(modes)}"]
+    report = [f"modes_above_substrate = {len(modes)}"]
     for i, mode in enumerate(modes):
         report.append(f"mode_{i}_n_eff = {mode.n_eff!r}")
         report.append(f"mode_{i}_parity = {mode.parity}")
@@ -379,8 +378,7 @@ def _input_path(params):
 
 
 def _run_fit_coupling(params, out):
-    series = lio.read_power_ratio_csv(_input_path(params),
-                                      params["input_port"])
+    series = lio.read_power_ratio_csv(_input_path(params))
     fit = fit_coupling_sinusoid(series)
     lio.write_fit_report(out / "fit_report.txt", fit)
     lio.write_residuals_csv(out / "residuals.csv", "length_um",

@@ -9,8 +9,8 @@ coupling phase
 
 with the cross-port power fraction eta = sin^2(theta).  ``kappa0`` comes
 from the beat length at the reference wavelength, kappa0 = pi / (2 L_c).
-The linear kappa slope can be supplied directly, derived from a slope of
-the supermode index splitting, or calibrated from two mode-solver runs.
+The linear kappa slope can be supplied directly or derived from a slope of
+the supermode index splitting.
 Cross coupling carries the -i quadrature phase of the symmetric coupler
 convention; two-photon coincidence rates do not depend on that choice.
 """
@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UnreachableTargetError
-from .modes import supermode_coupling_length
 
 
 @dataclass(frozen=True)
@@ -64,23 +63,6 @@ class CouplerDevice:
         slope = (1000.0 * math.pi * delta_n_slope_per_nm - kappa0) \
             / reference_wavelength_nm
         return cls(coupling_length_um, reference_wavelength_nm, slope, **lengths)
-
-    @classmethod
-    def from_mode_solver(cls, geometry, reference_wavelength_nm=1550.0,
-                         probe_offset_nm=10.0, interaction_length_um=0.0,
-                         bend_offset_um=0.0, **solver_kwargs):
-        """Calibrate kappa0 and its slope from two supermode solves at
-        lambda0 +/- probe_offset_nm."""
-        kappa = []
-        for wl in (reference_wavelength_nm - probe_offset_nm,
-                   reference_wavelength_nm + probe_offset_nm):
-            lc = supermode_coupling_length(geometry, wl, **solver_kwargs)
-            kappa.append(math.pi / (2.0 * lc))
-        kappa0 = 0.5 * (kappa[0] + kappa[1])
-        slope = (kappa[1] - kappa[0]) / (2.0 * probe_offset_nm)
-        return cls(math.pi / (2.0 * kappa0), reference_wavelength_nm, slope,
-                   interaction_length_um=interaction_length_um,
-                   bend_offset_um=bend_offset_um)
 
     def coupling_rate_per_um(self, wavelength_nm):
         """kappa(lambda) in rad/um; positive within the supported band."""
@@ -185,25 +167,3 @@ def bandwidth_scan(device, wavelength_min_nm, wavelength_max_nm, step_nm=0.5):
     device.coupling_rate_per_um(wavelength_max_nm)
     theta = device.coupling_phase(wl)
     return SplittingCurve(wavelength_nm=wl, eta=np.sin(theta) ** 2)
-
-
-@dataclass(frozen=True)
-class SplitterSetting:
-    """Beam-splitter abstraction handed to the interference engine: a
-    reflectivity plus the fixed -i cross-coupling phase convention."""
-
-    reflectivity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-
-    @classmethod
-    def from_device(cls, device, wavelength_nm=None):
-        wl = device.reference_wavelength_nm if wavelength_nm is None else wavelength_nm
-        return cls(float(splitting_ratio(device, wl)))
-
-    def matrix(self):
-        t = math.sqrt(1.0 - self.reflectivity)
-        r = math.sqrt(self.reflectivity)
-        return np.array([[t, -1j * r], [-1j * r, t]])

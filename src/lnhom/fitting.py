@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, NegativeLossWarning, UnidentifiableDataError
+from .hom import DelayScan, hom_visibility_max
 
 MAX_ITERATIONS = 500
 STEP_TOLERANCE = 1e-10
@@ -37,7 +38,6 @@ class PowerRatioSeries:
 
     interaction_length_um: np.ndarray
     ratio: np.ndarray
-    input_port: str = "a"
 
     def __post_init__(self):
         object.__setattr__(self, "interaction_length_um",
@@ -131,19 +131,18 @@ def fit_coupling_sinusoid(series, initial_guess=None):
     x0 = list(initial_guess) if initial_guess is not None \
         else _sinusoid_initial_guess(lengths, ratios)
 
-    def model_terms(params):
-        coupling_length, offset, amplitude, _ = params
-        theta = 0.5 * math.pi * (lengths + offset) / coupling_length
-        return theta, amplitude * np.sin(2.0 * theta)
+    def phase(params):
+        coupling_length, offset, _, _ = params
+        return 0.5 * math.pi * (lengths + offset) / coupling_length
 
     def residual_fn(params):
-        coupling_length, offset, amplitude, baseline = params
-        theta = 0.5 * math.pi * (lengths + offset) / coupling_length
-        return baseline + amplitude * np.sin(theta) ** 2 - ratios
+        _, _, amplitude, baseline = params
+        return baseline + amplitude * np.sin(phase(params)) ** 2 - ratios
 
     def jacobian_fn(params):
-        coupling_length, offset, amplitude, _ = params
-        theta, swing = model_terms(params)
+        coupling_length, _, amplitude, _ = params
+        theta = phase(params)
+        swing = amplitude * np.sin(2.0 * theta)
         jac = np.empty((lengths.size, 4))
         jac[:, 0] = -swing * theta / coupling_length
         jac[:, 1] = swing * 0.5 * math.pi / coupling_length
@@ -222,8 +221,6 @@ def fit_gaussian_dip(scan, initial_guess=None):
 
 def normalized_scan(scan, fit_result):
     """Scan divided by the fitted baseline, so the wings sit at 1."""
-    from .hom import DelayScan
-
     baseline = fit_result.parameters["baseline"]
     return DelayScan(delay_ps=scan.delay_ps,
                      values=np.asarray(scan.values, dtype=float) / baseline,
@@ -298,8 +295,6 @@ def propagate_visibility_uncertainty(eta, sigma_eta, source_visibility=1.0,
 
     Returns (value, sigma).
     """
-    from .hom import hom_visibility_max
-
     if sigma_eta < 0 or sigma_source < 0:
         raise ValueError("uncertainties must be non-negative")
     vmax = hom_visibility_max(eta)

@@ -28,14 +28,6 @@ REGION_RIB = 2
 REGION_CLADDING = 3
 REGION_AIR = 4
 
-REGION_NAMES = {
-    REGION_SUBSTRATE: "substrate",
-    REGION_FILM: "film",
-    REGION_RIB: "rib",
-    REGION_CLADDING: "cladding",
-    REGION_AIR: "air",
-}
-
 WAVELENGTH_BAND_NM = (1300.0, 1700.0)
 MAX_GRID_PITCH_NM = 50.0
 AIR_INDEX = 1.0
@@ -55,7 +47,6 @@ class WaveguideGeometry:
     sidewall_angle_deg: float = 60.0
     cladding_thickness_nm: float = 700.0
     gap_um: float | None = None
-    crystal_cut: str = "x"
 
     def __post_init__(self):
         if self.film_thickness_nm <= 0:
@@ -75,8 +66,6 @@ class WaveguideGeometry:
                 "gap (centre to centre) must exceed the top width, "
                 f"got {self.gap_um} um vs {self.top_width_um} um"
             )
-        if self.crystal_cut.lower() != "x":
-            raise InvalidGeometryError(f"unsupported crystal cut {self.crystal_cut!r}")
 
     @property
     def base_width_um(self):

@@ -38,7 +38,6 @@ class PhotonWavepacket:
 
     center_wavelength_nm: float
     bandwidth_fwhm_nm: float
-    shape: str = "gaussian"
     delay_ps: float = 0.0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class PhotonWavepacket:
             raise ValueError("center_wavelength_nm must be positive")
         if self.bandwidth_fwhm_nm <= 0:
             raise ValueError("bandwidth_fwhm_nm must be positive")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported spectral shape {self.shape!r}")
 
     @property
     def center_angular_frequency_rad_per_ps(self):

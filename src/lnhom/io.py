@@ -1,7 +1,9 @@
 """CSV and report serialization.
 
-One dialect everywhere: comma separator, ``.`` decimal point, mandatory
-header row, UTF-8, LF line endings.  Formats:
+One dialect everywhere, written by a single column writer: comma
+separator, ``.`` decimal point, mandatory header row, UTF-8, LF line
+endings, floats as their shortest round-trip ``repr`` and integers as
+plain digits.  Formats:
 
   * field / index maps:   x_nm,y_nm,value
   * splitting curves:     wavelength_nm,eta
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coupler import SplittingCurve
 from .fitting import PowerRatioSeries
 from .hom import DelayScan
 
@@ -28,18 +31,29 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _write_columns(path, header, *columns):
+    """Write equal-length columns under a header row.
+
+    ``tolist()`` turns each column into Python floats, ints or strings, and
+    ``str`` of a Python float is its shortest round-trip ``repr``, so floats
+    read back exactly.
+    """
+    cells = [map(str, np.asarray(column).tolist()) for column in columns]
+    with _open_write(path) as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
 def write_field_csv(path, x_nm, y_nm, values):
     """Write a 2D field or index map sampled on the (y, x) grid."""
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     if values.shape != (len(y_nm), len(x_nm)):
         raise ValueError("values shape must be (len(y_nm), len(x_nm))")
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x_nm", "y_nm", "value"])
-        for iy, y in enumerate(y_nm):
-            for ix, x in enumerate(x_nm):
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 repr(float(values[iy, ix]))])
+    ny, nx = values.shape
+    _write_columns(path, ["x_nm", "y_nm", "value"],
+                   np.tile(np.asarray(x_nm, dtype=float), ny),
+                   np.repeat(np.asarray(y_nm, dtype=float), nx),
+                   values.ravel())
 
 
 def write_mode_field_csv(path, mode):
@@ -51,30 +65,24 @@ def write_index_map_csv(path, index_map):
 
 
 def write_splitting_curve_csv(path, curve):
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["wavelength_nm", "eta"])
-        for wl, eta in zip(curve.wavelength_nm, curve.eta):
-            writer.writerow([repr(float(wl)), repr(float(eta))])
+    _write_columns(path, ["wavelength_nm", "eta"],
+                   np.asarray(curve.wavelength_nm, dtype=float),
+                   np.asarray(curve.eta, dtype=float))
 
 
 def read_splitting_curve_csv(path):
-    from .coupler import SplittingCurve
-
     wl, eta = _read_columns(path, ["wavelength_nm", "eta"])
     return SplittingCurve(wavelength_nm=wl, eta=eta)
 
 
 def write_delay_scan_csv(path, scan):
     counts = np.asarray(scan.values)
-    integer_counts = np.issubdtype(counts.dtype, np.integer)
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["delay_ps", "stage_um", "coincidences"])
-        for i, delay in enumerate(scan.delay_ps):
-            stage = "" if scan.stage_um is None else repr(float(scan.stage_um[i]))
-            value = int(counts[i]) if integer_counts else repr(float(counts[i]))
-            writer.writerow([repr(float(delay)), stage, value])
+    if not np.issubdtype(counts.dtype, np.integer):
+        counts = counts.astype(float)
+    stage = [""] * len(scan.delay_ps) if scan.stage_um is None \
+        else np.asarray(scan.stage_um, dtype=float)
+    _write_columns(path, ["delay_ps", "stage_um", "coincidences"],
+                   np.asarray(scan.delay_ps, dtype=float), stage, counts)
 
 
 def read_delay_scan_csv(path):
@@ -95,17 +103,14 @@ def read_delay_scan_csv(path):
 
 
 def write_power_ratio_csv(path, series):
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["length_um", "ratio"])
-        for length, ratio in zip(series.interaction_length_um, series.ratio):
-            writer.writerow([repr(float(length)), repr(float(ratio))])
+    _write_columns(path, ["length_um", "ratio"],
+                   np.asarray(series.interaction_length_um, dtype=float),
+                   np.asarray(series.ratio, dtype=float))
 
 
-def read_power_ratio_csv(path, input_port="a"):
+def read_power_ratio_csv(path):
     lengths, ratios = _read_columns(path, ["length_um", "ratio"])
-    return PowerRatioSeries(interaction_length_um=lengths, ratio=ratios,
-                            input_port=input_port)
+    return PowerRatioSeries(interaction_length_um=lengths, ratio=ratios)
 
 
 def write_fit_report(path, result, extra=None):
@@ -123,11 +128,9 @@ def write_fit_report(path, result, extra=None):
 
 
 def write_residuals_csv(path, axis_name, axis_values, residuals):
-    with _open_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([axis_name, "residual"])
-        for x, r in zip(axis_values, residuals):
-            writer.writerow([repr(float(x)), repr(float(r))])
+    _write_columns(path, [axis_name, "residual"],
+                   np.asarray(axis_values, dtype=float),
+                   np.asarray(residuals, dtype=float))
 
 
 def _is_integer_literal(text):

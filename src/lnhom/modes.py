@@ -113,9 +113,10 @@ def _full_field(half, parity):
     return half
 
 
-def solve_modes(index_map, n_modes=1, *, wavelength_nm=None, boundary="dirichlet",
-                cutoff_index=None, max_iterations=10_000, tol=1e-10):
-    """Guided modes of an index map, sorted by descending effective index.
+def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None,
+                max_iterations=10_000, tol=1e-10):
+    """Guided modes of an index map at its own wavelength, sorted by
+    descending effective index.
 
     Modes with n_eff at or below ``cutoff_index`` (default: the map's
     substrate index) are discarded, so fewer than ``n_modes`` solutions may
@@ -124,7 +125,7 @@ def solve_modes(index_map, n_modes=1, *, wavelength_nm=None, boundary="dirichlet
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    wavelength = wavelength_nm if wavelength_nm is not None else index_map.wavelength_nm
+    wavelength = index_map.wavelength_nm
     if cutoff_index is None:
         cutoff_index = index_map.substrate_index
         if cutoff_index is None:
@@ -184,7 +185,7 @@ def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
                                     padding_um=padding_um,
                                     polarization=polarization)
     n_eff = {}
-    for mode in solve_modes(index_map, 2, wavelength_nm=wavelength_nm):
+    for mode in solve_modes(index_map, 2):
         n_eff.setdefault(mode.parity, mode.n_eff)
     if len(n_eff) < 2:
         raise DecoupledWaveguidesError("fewer than two guided supermodes found; waveguides "
@@ -223,6 +224,5 @@ def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
                                     polarization=polarization)
     slab = _profile_effective_index(index_map.index[:, 0], index_map.dy_nm, wavelength_nm)
     cutoff = max(slab, float(index_map.substrate_index))
-    modes = solve_modes(index_map, max_candidates, wavelength_nm=wavelength_nm,
-                        cutoff_index=cutoff + margin)
+    modes = solve_modes(index_map, max_candidates, cutoff_index=cutoff + margin)
     return len(modes)

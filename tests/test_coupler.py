@@ -7,9 +7,9 @@ import pytest
 
 import _oracles as oracle
 from lnhom import reference as ref
-from lnhom.coupler import (CouplerDevice, SplitterSetting, bandwidth_scan,
-                           length_for_ratio, offset_for_ratio, splitting_ratio,
-                           transfer_matrix, with_interaction_length)
+from lnhom.coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
+                           offset_for_ratio, splitting_ratio, transfer_matrix,
+                           with_interaction_length)
 from lnhom.errors import UnreachableTargetError
 from lnhom.geometry import reference_geometry
 from lnhom.modes import supermode_coupling_length
@@ -252,17 +252,3 @@ def test_coupling_rate_positive_domain():
     with pytest.raises(ValueError):
         device.coupling_rate_per_um(1680.0)
 
-
-def test_splitter_setting_matrix():
-    setting = SplitterSetting(0.546)
-    u = setting.matrix()
-    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-    assert abs(u[0, 1]) ** 2 == pytest.approx(0.546, abs=1e-12)
-    with pytest.raises(ValueError):
-        SplitterSetting(1.2)
-
-
-def test_splitter_setting_from_device():
-    device = ref.reference_device()
-    setting = SplitterSetting.from_device(device)
-    assert setting.reflectivity == pytest.approx(0.546, abs=1e-9)

@@ -32,7 +32,6 @@ def test_defaults_are_the_fabricated_device():
         {"cladding_thickness_nm": -1.0},
         {"gap_um": 0.5},
         {"gap_um": 1.0},
-        {"crystal_cut": "z"},
     ],
 )
 def test_invariant_violations_raise(kwargs):

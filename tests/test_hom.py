@@ -303,8 +303,6 @@ def test_wavepacket_and_state_validation():
         PhotonWavepacket(-1550.0, 6.0)
     with pytest.raises(ValueError):
         PhotonWavepacket(1550.0, 0.0)
-    with pytest.raises(ValueError):
-        PhotonWavepacket(1550.0, 6.0, shape="lorentzian")
     packet = PhotonWavepacket(1550.0, 6.0)
     with pytest.raises(ValueError):
         TwoPhotonState(packet, packet, mode_overlap=1.2)

@@ -66,16 +66,15 @@ def test_delay_scan_roundtrip_keeps_stage_positions(tmp_path):
     np.testing.assert_array_equal(back.delay_ps, scan.delay_ps)
 
 
-def test_power_ratio_roundtrip_and_port_label(tmp_path):
+def test_power_ratio_roundtrip_is_exact(tmp_path):
     series = PowerRatioSeries(np.linspace(0.0, 300.0, 7),
                               np.linspace(0.0, 1.0, 7))
     path = tmp_path / "ratios.csv"
     write_power_ratio_csv(path, series)
-    back = read_power_ratio_csv(path, input_port="b")
+    back = read_power_ratio_csv(path)
     np.testing.assert_array_equal(back.interaction_length_um,
                                   series.interaction_length_um)
     np.testing.assert_array_equal(back.ratio, series.ratio)
-    assert back.input_port == "b"
 
 
 def test_written_files_are_utf8_with_lf_endings(tmp_path):
@@ -147,6 +146,36 @@ def test_field_csv_layout_and_validation(tmp_path):
     assert [float(v) for v in rows[-1]] == [40.0, 20.0, 5.0]
     with pytest.raises(ValueError):
         write_field_csv(tmp_path / "bad.csv", x, y, np.ones((3, 2)))
+
+
+def test_written_text_is_exact(tmp_path):
+    # floats as their shortest repr (int axes too), integer counts as
+    # digits, an absent stage column as empty cells
+    write_field_csv(tmp_path / "field.csv", [0, 20, 40], [0, 20],
+                    np.array([[0.1, 1e-05, 1e16], [-0.0, 5e-324, 2.0]]))
+    write_delay_scan_csv(tmp_path / "scan.csv",
+                         DelayScan(np.array([-1.0, 0.0, 1.0]),
+                                   np.array([40, 3, 41], dtype=np.int64)))
+    write_residuals_csv(tmp_path / "residuals.csv", "length_um", [0, 10, 20],
+                        [0.5, -0.25, 1e-17])
+    assert (tmp_path / "field.csv").read_bytes() == (
+        b"x_nm,y_nm,value\n"
+        b"0.0,0.0,0.1\n"
+        b"20.0,0.0,1e-05\n"
+        b"40.0,0.0,1e+16\n"
+        b"0.0,20.0,-0.0\n"
+        b"20.0,20.0,5e-324\n"
+        b"40.0,20.0,2.0\n")
+    assert (tmp_path / "scan.csv").read_bytes() == (
+        b"delay_ps,stage_um,coincidences\n"
+        b"-1.0,,40\n"
+        b"0.0,,3\n"
+        b"1.0,,41\n")
+    assert (tmp_path / "residuals.csv").read_bytes() == (
+        b"length_um,residual\n"
+        b"0.0,0.5\n"
+        b"10.0,-0.25\n"
+        b"20.0,1e-17\n")
 
 
 def test_fit_report_is_flat_key_value_text(tmp_path):
