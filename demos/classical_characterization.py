@@ -73,7 +73,7 @@ def main():
     fringes = fabry_perot_fringes(
         phase, reference.PROPAGATION_LOSS_DB_PER_CM, 1.0, reflectivity)
     with open(OUT / "fringes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["phase_rad", "transmission"])
         writer.writerows(zip(phase.tolist(), fringes.tolist()))
     contrast = fringe_contrast(fringes)

@@ -1,18 +1,21 @@
 """Monte Carlo photon counting for pulsed two-photon interference scans.
 
 Each delay point simulates a train of pump pulses but draws random numbers
-only for the pulses that can click.  The pulses carrying at least one pair
-are an exact Bernoulli process: their number is binomial, their positions
-a sorted uniform subset of the train.  Each such pulse then gets a pair
-number from the conditional source statistics, and its photons are routed
-to the two output arms (exact few-photon interference law for up to two
-pairs, classical binomial routing for the rare three-plus tail).  Per arm,
-photon clicks follow the detection efficiency on those pulses, dark clicks
-are a second sorted Bernoulli process over the whole train, and the merged
-click indices pass a non-paralyzable dead time.  Coincidences are the
-counted indices both arms share.  Every delay point owns an independent
-child stream of the master seed, so points can be evaluated in any order,
-or in parallel, and still reproduce bit-for-bit.
+only for the pulses that click.  The point first computes, from photons
+alone, the per-pulse probabilities that only arm 1, only arm 2 or both
+arms click: the source's pair-number statistics weight the exact
+few-photon interference law for up to two pairs and classical binomial
+routing for the three-plus tail, and an arm holding n photons clicks with
+probability 1 - (1 - efficiency)^n.  The pulses with any photon click are
+then an exact Bernoulli process: their number is binomial, their positions
+a sorted uniform subset of the train, and one uniform per pulse picks its
+click pattern.  Per arm, dark clicks are a second sorted Bernoulli process
+over the whole train, and the merged click indices pass a non-paralyzable
+dead time, walked as a path through the clicks in compiled code.  The cost
+of a point thus scales with its clicks, not its pulses.  Coincidences are
+the counted indices both arms share.  Every delay point owns an
+independent child stream of the master seed, so points can be evaluated
+in any order, or in parallel, and still reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
@@ -41,14 +46,15 @@ class SourceModel:
     repetition_period_ns: float = DEFAULT_REPETITION_PERIOD_NS
 
     def __post_init__(self):
-        if self.mean_pairs_per_pulse < 0:
-            raise ValueError("mean_pairs_per_pulse must be non-negative")
+        if not 0.0 <= self.mean_pairs_per_pulse < math.inf:
+            raise ValueError("mean_pairs_per_pulse must be finite and "
+                             "non-negative")
         if self.pulses_per_run < 1:
             raise ValueError("pulses_per_run must be at least 1")
         if self.statistics not in PAIR_STATISTICS:
             raise ValueError(f"unknown pair statistics {self.statistics!r}")
-        if self.repetition_period_ns <= 0:
-            raise ValueError("repetition_period_ns must be positive")
+        if not 0.0 < self.repetition_period_ns < math.inf:
+            raise ValueError("repetition_period_ns must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -62,21 +68,46 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.dead_time_ns < 0:
-            raise ValueError("dead_time_ns must be non-negative")
+        if not 0.0 <= self.dead_time_ns < math.inf:
+            raise ValueError("dead_time_ns must be finite and non-negative")
         if not 0.0 <= self.dark_count_probability <= 1.0:
             raise ValueError("dark_count_probability must lie in [0, 1]")
 
 
-def _sample_pattern_counts(rng, distribution, size):
-    """Draw (n_arm1, n_arm2) occupation pairs from a pattern distribution."""
-    patterns = list(distribution.keys())
-    probs = np.array([distribution[p] for p in patterns])
-    edges = np.cumsum(probs)
-    idx = np.searchsorted(edges, rng.random(size) * edges[-1], side="right")
-    idx = np.minimum(idx, len(patterns) - 1)
-    arr = np.array(patterns, dtype=np.int16)
-    return arr[idx, 0], arr[idx, 1]
+def _click_pattern_probabilities(mu, statistics, overlap, eta, efficiency):
+    """Per-pulse probabilities that photons alone click only arm 1, both
+    arms, and only arm 2: [P1, P12, P2].
+
+    Up to two pairs interfere exactly; the rest of the pair-number mass is
+    routed classically as three pairs, interference neglected.  An arm
+    holding n photons clicks with probability 1 - (1 - efficiency)^n.
+    """
+    pair_probs = pair_number_probabilities(mu, statistics,
+                                           MAX_ENUMERATED_PAIRS)
+    weights, arm1, arm2 = [], [], []
+    for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1):
+        for (n1, n2), probability in arm_occupation_distribution(
+                n_pairs, overlap, eta).items():
+            weights.append(pair_probs[n_pairs] * probability)
+            arm1.append(n1)
+            arm2.append(n2)
+    # tail: the signal photons keeping arm 1 (each with probability
+    # 1 - eta) and the idler photons crossing into it (each with
+    # probability eta) are independent binomials; arm 1 holds their sum
+    k = np.arange(_TAIL_PAIRS + 1)
+    keep = np.array([math.comb(_TAIL_PAIRS, i) for i in k]) \
+        * (1.0 - eta) ** k * eta ** (_TAIL_PAIRS - k)
+    tail = np.convolve(keep, keep[::-1])
+    weights.extend((1.0 - pair_probs.sum()) * tail)
+    arm1.extend(range(tail.size))
+    arm2.extend(range(tail.size - 1, -1, -1))
+
+    weights = np.array(weights)
+    click1 = 1.0 - (1.0 - efficiency) ** np.array(arm1)
+    click2 = 1.0 - (1.0 - efficiency) ** np.array(arm2)
+    return np.array([weights @ (click1 * (1.0 - click2)),
+                     weights @ (click1 * click2),
+                     weights @ ((1.0 - click1) * click2)])
 
 
 def _sorted_bernoulli_positions(rng, n_pulses, probability):
@@ -92,7 +123,8 @@ def _sorted_bernoulli_positions(rng, n_pulses, probability):
 def _merge_sorted(a, b):
     """Sorted union of two sorted index arrays, duplicates dropped."""
     merged = np.concatenate((a, b))
-    merged.sort()
+    # timsort finds the two sorted runs and merges them in linear time
+    merged.sort(kind="stable")
     first = np.ones(merged.size, dtype=bool)
     first[1:] = merged[1:] != merged[:-1]
     return merged[first]
@@ -101,16 +133,24 @@ def _merge_sorted(a, b):
 def _apply_dead_time(clicks, blind_step):
     """Non-paralyzable veto on sorted click indices: after a counted click,
     the channel stays blind for the next blind_step - 1 pulses.  Returns the
-    indices of the counted clicks."""
-    if blind_step <= 1:
+    indices of the counted clicks.
+
+    Each click points to the first click outside its blind window (node
+    ``clicks.size`` stands for past the end); the counted clicks are the
+    path from the first click, walked in compiled code.
+    """
+    if blind_step <= 1 or clicks.size == 0:
         return clicks
-    counted = []
-    next_free = 0
-    for i in clicks.tolist():
-        if i >= next_free:
-            counted.append(i)
-            next_free = i + blind_step
-    return np.array(counted, dtype=np.int64)
+    # a window reaching past the last click counts only the first one;
+    # the clamp keeps clicks + blind_step inside int64
+    blind_step = min(blind_step, int(clicks[-1]) + 1)
+    size = clicks.size
+    following = np.searchsorted(clicks, clicks + blind_step)
+    graph = csr_matrix((np.ones(size), following,
+                        np.append(np.arange(size + 1), size)),
+                       shape=(size + 1, size + 1))
+    path = breadth_first_order(graph, 0, return_predecessors=False)
+    return clicks[path[:-1]]
 
 
 def simulate_counts(state, eta, source, detectors, delays_ps,
@@ -130,51 +170,28 @@ def simulate_counts(state, eta, source, detectors, delays_ps,
     if n_pulses < 1:
         raise ValueError("pulses_per_point must be at least 1")
 
-    mu = source.mean_pairs_per_pulse
-    class_probs = pair_number_probabilities(mu, source.statistics,
-                                            MAX_ENUMERATED_PAIRS)
-    p_active = 1.0 - class_probs[0]
-    # an active pulse's class: u * p_active below the first edge is one pair,
-    # below the second two pairs, the tail beyond the last edge
-    class_edges = np.cumsum(class_probs[1:])
-
     blind_step = max(1, math.ceil(detectors.dead_time_ns
                                   / source.repetition_period_ns))
-    eff = detectors.efficiency
     dark = detectors.dark_count_probability
 
     streams = np.random.SeedSequence(seed).spawn(delays.size)
     counts = np.zeros(delays.size, dtype=np.int64)
     for point, child in enumerate(streams):
         rng = np.random.default_rng(child)
-        overlap = spectral_overlap(state, float(delays[point]))
-
-        active = _sorted_bernoulli_positions(rng, n_pulses, p_active)
-        pulse_class = 1 + np.searchsorted(
-            class_edges, rng.random(active.size) * p_active, side="right")
-        n_arm1 = np.zeros(active.size, dtype=np.int16)
-        n_arm2 = np.zeros(active.size, dtype=np.int16)
-        for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1):
-            mask = pulse_class == n_pairs
-            if mask.any():
-                dist = arm_occupation_distribution(n_pairs, overlap, eta)
-                a1, a2 = _sample_pattern_counts(rng, dist, int(mask.sum()))
-                n_arm1[mask] = a1
-                n_arm2[mask] = a2
-        tail = pulse_class > MAX_ENUMERATED_PAIRS
-        if tail.any():
-            # rare >=3-pair pulses: interference neglected, photons routed
-            # independently (signal keeps the bar port with prob 1 - eta)
-            size = int(tail.sum())
-            stay = rng.binomial(_TAIL_PAIRS, 1.0 - eta, size)
-            cross = rng.binomial(_TAIL_PAIRS, eta, size)
-            n_arm1[tail] = stay + cross
-            n_arm2[tail] = 2 * _TAIL_PAIRS - stay - cross
-
+        edges = np.cumsum(_click_pattern_probabilities(
+            source.mean_pairs_per_pulse, source.statistics,
+            spectral_overlap(state, float(delays[point])), eta,
+            detectors.efficiency))
+        # the pulses where any photon clicks, each with one uniform u:
+        # u * P(any) below the second edge clicks arm 1, at or above the
+        # first edge arm 2, so both arms click between the two edges;
+        # rounding can lift P(any) above 1 when every pulse clicks
+        clicking = _sorted_bernoulli_positions(rng, n_pulses,
+                                               min(edges[-1], 1.0))
+        pattern = rng.random(clicking.size) * edges[-1]
         counted = []
-        for occupation in (n_arm1, n_arm2):
-            p_click = 1.0 - (1.0 - eff) ** occupation.astype(float)
-            photon = active[rng.random(active.size) < p_click]
+        for photon in (clicking[pattern < edges[1]],
+                       clicking[pattern >= edges[0]]):
             dark_clicks = _sorted_bernoulli_positions(rng, n_pulses, dark)
             counted.append(_apply_dead_time(_merge_sorted(photon, dark_clicks),
                                             blind_step))

@@ -84,9 +84,11 @@ def _shift_invert(op, k, sigma, max_iterations, tol):
     lu = splu((op - sigma * sp.identity(op.shape[0])).tocsc(),
               permc_spec="MMD_AT_PLUS_A")
     inverse = LinearOperator(op.shape, matvec=lu.solve, dtype=float)
+    # a fixed start vector makes every solve bit-reproducible
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, op.shape[0])
     try:
         return eigsh(op, k=k, sigma=sigma, which="LM", OPinv=inverse,
-                     maxiter=max_iterations, tol=tol)
+                     v0=start, maxiter=max_iterations, tol=tol)
     except ArpackNoConvergence as exc:
         residual = None
         if len(exc.eigenvalues):

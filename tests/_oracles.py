@@ -326,25 +326,50 @@ def _arm_distribution_classical(n_pairs, eta):
     return arms
 
 
-def pulse_coincidence_probability(mu, statistics, indistinguishability, eta,
-                                  efficiency, dark, max_pairs=2):
-    """Per-pulse probability that both threshold detectors click, without
-    dead time: up to max_pairs pairs interfere (permanent amplitudes), the
-    remaining pair-number mass is routed classically as max_pairs + 1 pairs,
-    and each arm clicks unless every photon is missed and no dark count
-    fires."""
+def _pulse_event_probability(event, mu, statistics, indistinguishability,
+                             eta, efficiency, dark, max_pairs):
+    """Per-pulse probability of ``event(click1, click2)``, a function of
+    the two arms' click probabilities, without dead time: up to max_pairs
+    pairs interfere (permanent amplitudes), the remaining pair-number mass
+    is routed classically as max_pairs + 1 pairs, and each arm clicks
+    unless every photon is missed and no dark count fires."""
     weights = _pair_weights(mu, statistics, max_pairs)
 
     def click(photons):
         return 1.0 - (1.0 - efficiency) ** photons * (1.0 - dark)
 
-    def both_click(arms):
-        return sum(p * click(a) * click(b) for (a, b), p in arms.items())
+    def expected(arms):
+        return sum(p * event(click(a), click(b)) for (a, b), p in arms.items())
 
-    total = weights[0] * dark * dark
+    total = weights[0] * event(dark, dark)
     for n in range(1, max_pairs + 1):
-        total += weights[n] * both_click(
+        total += weights[n] * expected(
             _arm_distribution_permanent(n, indistinguishability, eta))
     tail = 1.0 - sum(weights)
-    return total + tail * both_click(
+    return total + tail * expected(
         _arm_distribution_classical(max_pairs + 1, eta))
+
+
+def pulse_coincidence_probability(mu, statistics, indistinguishability, eta,
+                                  efficiency, dark, max_pairs=2):
+    """Per-pulse probability that both threshold detectors click."""
+    return _pulse_event_probability(
+        lambda click1, click2: click1 * click2, mu, statistics,
+        indistinguishability, eta, efficiency, dark, max_pairs)
+
+
+def pulse_single_click_probability(mu, statistics, indistinguishability, eta,
+                                   efficiency, dark, arm, max_pairs=2):
+    """Per-pulse probability that the detector on ``arm`` (1 or 2) clicks
+    and the other one does not."""
+    if arm == 1:
+        def event(click1, click2):
+            return click1 * (1.0 - click2)
+    elif arm == 2:
+        def event(click1, click2):
+            return (1.0 - click1) * click2
+    else:
+        raise ValueError(arm)
+    return _pulse_event_probability(event, mu, statistics,
+                                    indistinguishability, eta, efficiency,
+                                    dark, max_pairs)

@@ -173,6 +173,23 @@ def test_simulate_counts_writes_stage_positions(tmp_path):
     assert "fitted_visibility" in _report(out)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mean_pairs_per_pulse", "inf"),
+    ("repetition_period_ns", "nan"),
+    ("dead_time_ns", "inf"),
+    ("dead_time_ns", "nan"),
+])
+def test_non_finite_counting_values_are_config_errors(tmp_path, capsys, key,
+                                                      value):
+    settings = {"mean_pairs_per_pulse": "0.01", "delay_points": "3",
+                "pulses_per_point": "1000", key: value}
+    config = _write(tmp_path, "c.cfg", "".join(
+        f"{name} = {literal}\n" for name, literal in settings.items()))
+    assert main(["simulate-counts", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_seed_flag_is_rejected_where_meaningless(tmp_path, capsys):
     assert main(["hom-dip", "--seed", "4", "--out", str(tmp_path / "out")]) == 2
     assert "seed" in capsys.readouterr().err

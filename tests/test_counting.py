@@ -1,12 +1,14 @@
 """Monte Carlo counting: determinism, agreement with the enumeration
 probabilities, and the detector imperfections."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import _oracles as oracle
 from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
-                            simulate_counts)
+                            _click_pattern_probabilities, simulate_counts)
 from lnhom.fock import pair_number_probabilities, threshold_coincidence_probability
 from lnhom.hom import TwoPhotonState, spectral_overlap
 
@@ -134,6 +136,24 @@ def test_bright_counts_track_the_analytic_rate(tau):
     assert abs(scan.values[0] - pulses * p) < 4.0 * sigma_count
 
 
+@pytest.mark.parametrize("statistics", ["poissonian-pairs", "thermal-pairs"])
+@pytest.mark.parametrize("mu", [0.009, 0.5, 2.0])
+def test_click_pattern_table_matches_the_permanent_oracle(mu, statistics):
+    for overlap, efficiency in itertools.product((0.0, 0.5, 0.98),
+                                                 (0.5, 0.9, 1.0)):
+        args = (mu, statistics, overlap, 0.546, efficiency)
+        only1, both, only2 = _click_pattern_probabilities(*args)
+        assert both == pytest.approx(
+            oracle.pulse_coincidence_probability(*args, dark=0.0),
+            rel=0.0, abs=1e-12)
+        assert only1 == pytest.approx(
+            oracle.pulse_single_click_probability(*args, dark=0.0, arm=1),
+            rel=0.0, abs=1e-12)
+        assert only2 == pytest.approx(
+            oracle.pulse_single_click_probability(*args, dark=0.0, arm=2),
+            rel=0.0, abs=1e-12)
+
+
 # --- detector imperfections ------------------------------------------------
 
 def test_zero_efficiency_counts_nothing():
@@ -177,6 +197,22 @@ def test_dead_time_beyond_one_period_suppresses_counts():
         STATE, 0.5, _source(0.0, 1),
         DetectorModel(dark_count_probability=0.3, dead_time_ns=40.0), **kwargs)
     assert vetoed.values[0] < 0.7 * free.values[0]
+
+
+def test_dead_time_longer_than_the_run_counts_only_the_first_click():
+    clicks = np.flatnonzero(_click_train(0.3))
+    np.testing.assert_array_equal(_apply_dead_time(clicks, 10**30), clicks[:1])
+    delays = [-2.0, 0.0, 2.0]
+    forever = DetectorModel(efficiency=0.9, dead_time_ns=1e300,
+                            dark_count_probability=0.01)
+    scan = simulate_counts(STATE, 0.5, _bright_source(20_000), forever,
+                           delays, seed=21)
+    assert np.all(scan.values <= 1)
+    # every pulse clicks on both arms, so the first pulse is the one count
+    saturated = DetectorModel(dead_time_ns=1e300, dark_count_probability=1.0)
+    scan = simulate_counts(STATE, 0.5, _source(0.0), saturated, delays,
+                           pulses_per_point=5_000, seed=21)
+    np.testing.assert_array_equal(scan.values, [1, 1, 1])
 
 
 def test_dead_time_oracle_counts_a_long_run_once_per_window():
@@ -228,6 +264,18 @@ def test_detector_model_validation():
         DetectorModel(dead_time_ns=-1.0)
     with pytest.raises(ValueError):
         DetectorModel(dark_count_probability=1.5)
+
+
+@pytest.mark.parametrize("model, key", [
+    (SourceModel, "mean_pairs_per_pulse"),
+    (SourceModel, "repetition_period_ns"),
+    (DetectorModel, "dead_time_ns"),
+])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_model_values_are_rejected(model, key, value):
+    base = {"mean_pairs_per_pulse": 0.01} if model is SourceModel else {}
+    with pytest.raises(ValueError, match="finite"):
+        model(**{**base, key: value})
 
 
 def test_simulation_argument_validation():

@@ -1,5 +1,6 @@
 """The headless demos run to completion against the library as it stands,
-so removing or renaming API they call fails here."""
+so removing or renaming API they call fails here, and write their files
+with LF line endings."""
 
 import os
 import subprocess
@@ -22,3 +23,7 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    # every written file keeps the LF line endings of lnhom.io
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            assert b"\r\n" not in path.read_bytes(), path

@@ -130,6 +130,14 @@ def test_half_domain_fields_mirror_exactly(coupler_40nm):
         assert power == pytest.approx(1.0, abs=1e-12)
 
 
+def test_repeated_solves_are_bit_identical(coupler_40nm):
+    map_, first = coupler_40nm
+    second = solve_modes(map_, 2)
+    for a, b in zip(first, second):
+        assert a.n_eff == b.n_eff
+        assert np.array_equal(a.field, b.field)
+
+
 def test_asymmetric_map_with_mirror_plane_rejected():
     map_ = _uniform_map()
     map_.index[0, 0] = 2.1
