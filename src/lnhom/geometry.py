@@ -98,11 +98,8 @@ def reference_geometry(gap_um=None):
 
 @dataclass
 class IndexMap:
-    """Refractive-index samples on a uniform cell-centred grid.
-
-    ``index`` and ``region`` are indexed ``[iy, ix]``.  ``symmetry_x_nm``
-    is the mirror plane of a two-rib map (``None`` for a single rib).
-    """
+    """Refractive-index samples on a uniform cell-centred grid; ``index``
+    and ``region`` are indexed ``[iy, ix]``."""
 
     index: np.ndarray
     region: np.ndarray
@@ -111,8 +108,6 @@ class IndexMap:
     dx_nm: float
     dy_nm: float
     wavelength_nm: float
-    polarization: str = "te"
-    symmetry_x_nm: float | None = None
     substrate_index: float | None = None
 
     @property
@@ -193,7 +188,5 @@ def build_cross_section(geometry, wavelength_nm, grid_pitch_nm=10.0,
         dx_nm=grid_pitch_nm,
         dy_nm=grid_pitch_nm,
         wavelength_nm=wavelength_nm,
-        polarization=polarization,
-        symmetry_x_nm=0.0 if geometry.gap_um is not None else None,
         substrate_index=n_silica,
     )

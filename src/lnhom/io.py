@@ -113,7 +113,7 @@ def read_power_ratio_csv(path):
     return PowerRatioSeries(interaction_length_um=lengths, ratio=ratios)
 
 
-def write_fit_report(path, result, extra=None):
+def write_fit_report(path, result):
     """Flat key = value report of a fit: estimates, 1-sigma uncertainties,
     residual RMS and convergence status."""
     sigmas = result.uncertainties
@@ -123,8 +123,6 @@ def write_fit_report(path, result, extra=None):
             handle.write(f"{name}_sigma = {sigmas[name]!r}\n")
         handle.write(f"residual_rms = {result.residual_rms!r}\n")
         handle.write(f"converged = {str(result.converged).lower()}\n")
-        for key, value in (extra or {}).items():
-            handle.write(f"{key} = {value}\n")
 
 
 def write_residuals_csv(path, axis_name, axis_values, residuals):

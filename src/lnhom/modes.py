@@ -9,12 +9,13 @@ is discretised with the standard 5-point stencil on the uniform
 :class:`~lnhom.geometry.IndexMap` grid and solved as a sparse symmetric
 eigenproblem by shift-invert ARPACK.  The shift sits just above the largest
 effective index of any single grid column, an upper bound on every mode
-because d2/dx2 is negative semi-definite.  A map with a mirror plane on its
-centre column is solved on its right half twice, with a reflecting centre
-for symmetric modes and a zero-field centre for antisymmetric ones, so the
-boundary condition fixes the parity.  Outer boundaries are zero-field by
-default (guided modes decay into the padding); a reflecting ("neumann")
-variant exists for homogeneous-medium and slab checks.
+because d2/dx2 is negative semi-definite.  Every map is solved on half its
+width: it must be mirror-symmetric about an odd centre column, and its
+right half is solved twice, with a reflecting centre for symmetric modes
+and a zero-field centre for antisymmetric ones, so the boundary condition
+fixes the parity.  Outer boundaries are zero-field by default (guided modes
+decay into the padding); a reflecting ("neumann") variant exists for
+homogeneous-medium and slab checks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .geometry import build_cross_section
 
 PARITY_SYMMETRIC = "symmetric"
 PARITY_ANTISYMMETRIC = "antisymmetric"
-PARITY_NONE = "none"
 
 # effective-index gap between the column bound and the shift
 SHIFT_MARGIN = 1e-3
@@ -53,10 +53,15 @@ class ModeSolution:
     y_nm: np.ndarray
 
 
-def _second_difference(n, h, boundary):
+def _second_difference(n, h, boundary, mirror=False):
+    """1D second difference; with ``mirror`` the first point borders the
+    mirror plane, an interior point of the full map, so only the last one
+    takes the ``boundary`` rule."""
     main = np.full(n, -2.0)
     if boundary == "neumann":
-        main[0] = main[-1] = -1.0
+        main[-1] = -1.0
+        if not mirror:
+            main[0] = -1.0
     elif boundary != "dirichlet":
         raise ValueError(f"unknown boundary {boundary!r}")
     off = np.ones(n - 1)
@@ -64,11 +69,11 @@ def _second_difference(n, h, boundary):
 
 
 def _helmholtz_operator(index, dx, dy, k0, boundary, parity):
-    """5-point operator on ``index``; for a parity other than none, ``index``
-    is the half map to the right of the mirror plane, with the centre column
-    first for symmetric modes and without it for antisymmetric ones."""
+    """5-point operator on the half map ``index`` to the right of the mirror
+    plane, with the centre column first for symmetric modes and without it
+    for antisymmetric ones."""
     ny, nx = index.shape
-    dxx = _second_difference(nx, dx, boundary).tolil()
+    dxx = _second_difference(nx, dx, boundary, mirror=True).tolil()
     if parity == PARITY_SYMMETRIC:
         # the mirror f[c-1] = f[c+1] doubles the centre-to-neighbour
         # coupling; solving for f[c] / sqrt(2) keeps the operator symmetric
@@ -110,9 +115,7 @@ def _full_field(half, parity):
     if parity == PARITY_SYMMETRIC:
         right = np.hstack([np.sqrt(2.0) * half[:, :1], half[:, 1:]])
         return np.hstack([right[:, :0:-1], right])
-    if parity == PARITY_ANTISYMMETRIC:
-        return np.hstack([-half[:, ::-1], np.zeros((half.shape[0], 1)), half])
-    return half
+    return np.hstack([-half[:, ::-1], np.zeros((half.shape[0], 1)), half])
 
 
 def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None,
@@ -122,8 +125,9 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
 
     Modes with n_eff at or below ``cutoff_index`` (default: the map's
     substrate index) are discarded, so fewer than ``n_modes`` solutions may
-    come back.  Raises :class:`ConvergenceError` if ARPACK hits the
-    iteration cap.
+    come back.  Raises ``ValueError`` unless the map has an odd number of
+    columns, at least 3, and is mirror-symmetric about the centre one;
+    raises :class:`ConvergenceError` if ARPACK hits the iteration cap.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -135,14 +139,13 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
 
     k0 = 2.0 * np.pi / wavelength
     index, dx, dy = index_map.index, index_map.dx_nm, index_map.dy_nm
-    if index_map.symmetry_x_nm is None:
-        halves = [(PARITY_NONE, index)]
-    else:
-        c = index.shape[1] // 2
-        if index.shape[1] % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
-            raise ValueError("map is not mirror-symmetric about its centre column")
-        halves = [(PARITY_SYMMETRIC, index[:, c:]),
-                  (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
+    nx = index.shape[1]
+    if nx < 3 or nx % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
+        raise ValueError("map must be at least 3 columns wide and "
+                         "mirror-symmetric about its centre column")
+    c = nx // 2
+    halves = [(PARITY_SYMMETRIC, index[:, c:]),
+              (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
     sigma = _mode_shift(index, dy, wavelength, boundary)
     solutions = []
     for parity, half in halves:

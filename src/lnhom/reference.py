@@ -34,6 +34,8 @@ PROPAGATION_LOSS_UNCERTAINTY_DB_PER_CM = 0.95
 # photon-pair source and detection chain
 PHOTON_WAVELENGTH_NM = 1542.22
 PHOTON_BANDWIDTH_FWHM_NM = 1.8
+# off-chip HOM visibility of the source, from the paper's body; PAPER.md
+# (the abstract) does not quote it
 SOURCE_VISIBILITY = 0.9801
 SOURCE_VISIBILITY_UNCERTAINTY = 0.0024
 MAX_MEAN_PAIRS_PER_PULSE = 0.01      # operated "below 0.01 pairs per pulse"

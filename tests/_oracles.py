@@ -68,11 +68,12 @@ def slab_guided_mode_count(n_core, n_clad, thickness_nm, wavelength_nm):
 
 # --- 2D scalar Helmholtz modes on the full grid, plain scipy --------------
 
-def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
+def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4, reflecting=False):
     """Largest effective indices of the 5-point scalar Helmholtz operator on
-    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges,
-    assembled from its five diagonals and solved by scipy's default
-    shift-invert aimed at the largest index (no symmetry used)."""
+    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges (or
+    ``reflecting`` ones, whose ghost cell copies the edge cell), assembled
+    from its five diagonals and solved by scipy's default shift-invert
+    aimed at the largest index (no symmetry used)."""
     ny, nx = index.shape
     cells = ny * nx
     k0 = 2.0 * math.pi / wavelength_nm
@@ -81,6 +82,11 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
     row[np.arange(1, cells) % nx == 0] = 0.0  # no coupling across grid rows
     column = np.full(cells - nx, link)
     centre = -4.0 * link + (k0 * index.ravel()) ** 2
+    if reflecting:
+        ghosts = np.zeros((ny, nx))
+        ghosts[:, [0, -1]] += 1.0
+        ghosts[[0, -1], :] += 1.0
+        centre += link * ghosts.ravel()
     operator = sp.diags([column, row, centre, row, column], [-nx, -1, 0, 1, nx],
                         format="csc")
     vals = eigsh(operator, k=count, sigma=(k0 * index.max()) ** 2,

@@ -11,11 +11,6 @@ from lnhom.modes import solve_modes
 
 
 @pytest.fixture(scope="session")
-def single_geometry():
-    return reference_geometry()
-
-
-@pytest.fixture(scope="session")
 def pair_geometry():
     return reference_geometry(gap_um=2.3)
 

@@ -131,8 +131,7 @@ def test_acceptance_06_facet_fringe_loss_roundtrip():
     assert abs(recovered - 4.85) / 4.85 < 0.002
 
 
-def test_acceptance_07_mode_solver_oracle_and_device_geometry(
-        supermodes_20nm, pair_map_20nm):
+def test_acceptance_07_mode_solver_oracle_and_device_geometry(supermodes_20nm):
     start = time.monotonic()
     # analytic 1D slab check
     n_core = float(materials.lithium_niobate_extraordinary(1550.0))

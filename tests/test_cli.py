@@ -256,6 +256,7 @@ def test_modes_scenario_writes_fields_and_report(tmp_path):
     entries = _report(out)
     assert entries["modes_above_substrate"] == "1"
     assert 1.8 < float(entries["mode_0_n_eff"]) < 2.0
+    assert entries["mode_0_parity"] == "symmetric"
     assert (out / "mode_0_field.csv").is_file()
     assert (out / "index_map.csv").is_file()
 

@@ -81,7 +81,6 @@ def test_two_rib_centerline_separation():
 def test_two_rib_map_mirror_symmetric():
     m = build_cross_section(reference_geometry(gap_um=2.3), 1550.0,
                             grid_pitch_nm=20.0)
-    assert m.symmetry_x_nm == 0.0
     assert np.array_equal(m.index, m.index[:, ::-1])
 
 

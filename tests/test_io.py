@@ -183,14 +183,13 @@ def test_fit_report_is_flat_key_value_text(tmp_path):
                        covariance=np.array([[0.04]]),
                        residual_rms=0.015, converged=True)
     path = tmp_path / "report.txt"
-    write_fit_report(path, result, extra={"input_file": "ratios.csv"})
+    write_fit_report(path, result)
     lines = path.read_text(encoding="utf-8").splitlines()
     entries = dict(line.split(" = ", 1) for line in lines)
     assert float(entries["coupling_length_um"]) == 112.86
     assert float(entries["coupling_length_um_sigma"]) == pytest.approx(0.2)
     assert float(entries["residual_rms"]) == 0.015
     assert entries["converged"] == "true"
-    assert entries["input_file"] == "ratios.csv"
 
 
 def test_residuals_csv_layout(tmp_path):

@@ -8,10 +8,9 @@ from lnhom import materials
 from lnhom.errors import ConvergenceError, DecoupledWaveguidesError
 from lnhom.geometry import (IndexMap, WaveguideGeometry, build_cross_section,
                             reference_geometry)
-from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_NONE, PARITY_SYMMETRIC,
-                         _mode_shift, coupling_length_from_indices,
-                         guided_mode_count, solve_modes,
-                         supermode_coupling_length)
+from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_SYMMETRIC, _mode_shift,
+                         coupling_length_from_indices, guided_mode_count,
+                         solve_modes, supermode_coupling_length)
 
 # analytic slab effective indices for a 600 nm LN film in silica at 1550 nm,
 # frozen from the bisection oracle
@@ -119,6 +118,16 @@ def test_half_domain_matches_full_grid_oracle(coupler_40nm):
     assert abs(anti.n_eff - full[1]) <= 1e-10 * full[1]
 
 
+def test_reflecting_half_domain_matches_full_grid_oracle(coupler_40nm):
+    # the mirror column is interior, so only the outer edges reflect
+    map_, _ = coupler_40nm
+    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0,
+                                  reflecting=True)
+    sols = solve_modes(map_, 4, boundary="neumann", cutoff_index=1.0)
+    for solution, expected in zip(sols, full, strict=True):
+        assert abs(solution.n_eff - expected) <= 1e-10 * expected
+
+
 def test_half_domain_fields_mirror_exactly(coupler_40nm):
     map_, (sym, anti) = coupler_40nm
     assert np.array_equal(sym.field, sym.field[:, ::-1])
@@ -139,22 +148,25 @@ def test_repeated_solves_are_bit_identical(coupler_40nm):
 
 
 def test_asymmetric_map_with_mirror_plane_rejected():
-    map_ = _uniform_map()
-    map_.index[0, 0] = 2.1
-    map_.symmetry_x_nm = 250.0
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        solve_modes(map_, 1)
+    asymmetric = _uniform_map()
+    asymmetric.index[0, 0] = 2.1
+    even_width = _uniform_map()
+    even_width.index = even_width.index[:, 1:]
+    for map_ in (asymmetric, even_width, _uniform_map(cells=1)):
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            solve_modes(map_, 1)
 
 
-@pytest.mark.parametrize("case", ["slab", "single rib", "coupler"])
+@pytest.mark.parametrize("case", ["slab", "single rib", "coupler",
+                                  "coupler, neumann"])
 def test_shift_lies_above_every_mode(case):
     if case == "slab":
         map_, boundary = _slab_map(), "neumann"
     else:
-        gap = 2.3 if case == "coupler" else None
+        gap = None if case == "single rib" else 2.3
         map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
                                    grid_pitch_nm=40.0)
-        boundary = "dirichlet"
+        boundary = "neumann" if case.endswith("neumann") else "dirichlet"
     sigma = _mode_shift(map_.index, map_.dy_nm, 1550.0, boundary)
     k0 = 2.0 * np.pi / 1550.0
     sols = solve_modes(map_, 4, boundary=boundary, cutoff_index=1.0)
@@ -168,10 +180,12 @@ def test_single_mode_reference_geometry():
     assert count == 1
 
 
-def test_parity_none_for_single_guide_map():
-    map_ = build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
-    sols = solve_modes(map_, 1)
-    assert sols[0].parity == PARITY_NONE
+def test_single_rib_fundamental_matches_full_grid_oracle():
+    map_ = build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=40.0)
+    (fundamental,) = solve_modes(map_, 1)
+    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0)
+    assert fundamental.parity == PARITY_SYMMETRIC
+    assert abs(fundamental.n_eff - full[0]) <= 1e-10 * full[0]
 
 
 def test_coupling_length_synthetic_delta_n():
