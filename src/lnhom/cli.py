@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ from . import io as lio
 from . import reference as ref
 from .coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
                       splitting_ratio, with_interaction_length)
-from .counting import DetectorModel, SourceModel, simulate_counts
+from .counting import (DEFAULT_REPETITION_PERIOD_NS, DetectorModel,
+                       SourceModel, simulate_counts)
 from .errors import ConfigError
 from .fitting import (PowerRatioSeries, fabry_perot_loss,
                       fit_coupling_sinusoid, fit_gaussian_dip,
@@ -122,7 +123,8 @@ SCENARIO_SCHEMAS = {
                   ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE),
         ConfigKey("statistics", "str", "poissonian-pairs", "pair statistics",
                   ("poissonian-pairs", "thermal-pairs")),
-        ConfigKey("repetition_period_ns", "float", 13.1),
+        ConfigKey("repetition_period_ns", "float",
+                  DEFAULT_REPETITION_PERIOD_NS),
         ConfigKey("efficiency", "float", ref.DETECTOR_EFFICIENCY),
         ConfigKey("dead_time_ns", "float", ref.DETECTOR_DEAD_TIME_NS),
         ConfigKey("dark_count_probability", "float", 0.0),
@@ -358,8 +360,7 @@ def _run_simulate_counts(params, out):
     factor = STAGE_DOUBLE_PASS_PS_PER_UM \
         if params["stage_conversion"] == "double-pass" \
         else STAGE_SINGLE_PASS_PS_PER_UM
-    scan.stage_um = scan.delay_ps / factor
-    scan.stage_conversion_ps_per_um = factor
+    scan = replace(scan, stage_um=scan.delay_ps / factor)
     lio.write_delay_scan_csv(out / "counts.csv", scan)
     report = [f"seed = {params['seed']}",
               f"total_coincidences = {int(scan.values.sum())}"]

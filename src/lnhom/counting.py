@@ -153,22 +153,18 @@ def _apply_dead_time(clicks, blind_step):
     return clicks[path[:-1]]
 
 
-def simulate_counts(state, eta, source, detectors, delays_ps,
-                    pulses_per_point=None, seed=None):
+def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
     """Coincidence counts over a delay scan; returns a counts DelayScan.
 
+    Every delay point runs the source's ``pulses_per_run`` pulses.
     ``seed`` is mandatory: identical inputs and seed give identical counts.
-    ``pulses_per_point`` defaults to the source's pulses_per_run.
     """
     if seed is None:
         raise ValueError("seed is required for reproducible simulation")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     delays = np.asarray(delays_ps, dtype=float)
-    n_pulses = source.pulses_per_run if pulses_per_point is None \
-        else int(pulses_per_point)
-    if n_pulses < 1:
-        raise ValueError("pulses_per_point must be at least 1")
+    n_pulses = source.pulses_per_run
 
     blind_step = max(1, math.ceil(detectors.dead_time_ns
                                   / source.repetition_period_ns))
@@ -198,4 +194,4 @@ def simulate_counts(state, eta, source, detectors, delays_ps,
         counts[point] = np.intersect1d(counted[0], counted[1],
                                        assume_unique=True).size
 
-    return DelayScan(delay_ps=delays, values=counts, normalized=False)
+    return DelayScan(delay_ps=delays, values=counts)

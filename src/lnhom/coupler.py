@@ -126,22 +126,6 @@ def length_for_ratio(device, target_eta, order=0):
     return length
 
 
-def offset_for_ratio(device, target_eta, order):
-    """Bend offset (um) that makes the device's fixed interaction length hit
-    ``target_eta`` on the given branch at the reference wavelength."""
-    if not 0.0 <= target_eta <= 1.0:
-        raise ValueError("target_eta must lie in [0, 1]")
-    kappa0 = device.coupling_rate_per_um(device.reference_wavelength_nm)
-    offset = _branch_phase(target_eta, int(order)) / kappa0 \
-        - device.interaction_length_um
-    if offset < 0.0:
-        raise UnreachableTargetError(
-            f"target ratio {target_eta} on branch {order} lies before the "
-            f"fixed interaction length {device.interaction_length_um} um"
-        )
-    return offset
-
-
 def with_interaction_length(device, interaction_length_um):
     """Copy of ``device`` at a different interaction length."""
     return replace(device, interaction_length_um=interaction_length_um)

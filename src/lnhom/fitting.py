@@ -60,7 +60,6 @@ class FitResult:
     parameters: dict
     covariance: np.ndarray
     residual_rms: float
-    converged: bool
     residuals: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -90,7 +89,6 @@ def _run_fit(residual_fn, jacobian_fn, x0, names, data_sigma, n_points):
         parameters=dict(zip(names, (float(x) for x in result.x))),
         covariance=covariance,
         residual_rms=weighted_rms,
-        converged=True,
         residuals=result.fun,
     )
 
@@ -192,7 +190,7 @@ def fit_gaussian_dip(scan, initial_guess=None):
     names = ("visibility", "center_ps", "width_ps", "baseline")
     x0 = list(initial_guess) if initial_guess is not None \
         else _dip_initial_guess(delays, values)
-    poisson = np.issubdtype(scan.values.dtype, np.integer) and not scan.normalized
+    poisson = np.issubdtype(scan.values.dtype, np.integer)
     sigma = np.sqrt(np.maximum(values, 1.0)) if poisson else np.ones_like(values)
 
     def envelope(params):
@@ -224,8 +222,7 @@ def normalized_scan(scan, fit_result):
     baseline = fit_result.parameters["baseline"]
     return DelayScan(delay_ps=scan.delay_ps,
                      values=np.asarray(scan.values, dtype=float) / baseline,
-                     normalized=True, stage_um=scan.stage_um,
-                     stage_conversion_ps_per_um=scan.stage_conversion_ps_per_um)
+                     stage_um=scan.stage_um)
 
 
 def fresnel_reflectivity(n_eff):

@@ -139,37 +139,18 @@ def combined_visibility(source_visibility, eta):
     return source_visibility * hom_visibility_max(eta)
 
 
-def pair_pattern_probabilities(eta, indistinguishability):
-    """Probabilities of the four two-photon output patterns:
-    (both in arm 1, both in arm 2, coincidence ordering A, ordering B).
-
-    The two coincidence orderings are equal halves of P_cc.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if not 0.0 <= indistinguishability <= 1.0:
-        raise ValueError("indistinguishability must lie in [0, 1]")
-    product = eta * (1.0 - eta)
-    bunched = product * (1.0 + indistinguishability)
-    coincidence = eta**2 + (1.0 - eta) ** 2 \
-        - 2.0 * product * indistinguishability
-    return bunched, bunched, 0.5 * coincidence, 0.5 * coincidence
-
-
 @dataclass
 class DelayScan:
     """Coincidence data over a delay axis.
 
-    ``values`` holds probabilities (normalized or not) or integer counts.
-    When the scan came from an optical stage, the positions and their
-    declared position-to-delay conversion ride along.
+    ``values`` holds probabilities (normalized or not) or integer counts;
+    integer values are raw counts.  ``stage_um`` holds the optical-stage
+    positions when the scan has them.
     """
 
     delay_ps: np.ndarray
     values: np.ndarray
-    normalized: bool = False
     stage_um: np.ndarray | None = None
-    stage_conversion_ps_per_um: float | None = None
 
     def __post_init__(self):
         self.delay_ps = np.asarray(self.delay_ps, dtype=float)
@@ -182,15 +163,6 @@ class DelayScan:
             raise ValueError("values and delays must have matching shape")
         if np.any(self.values < 0):
             raise ValueError("coincidence values must be non-negative")
-
-    @classmethod
-    def from_stage_positions(cls, stage_um, values,
-                             conversion_ps_per_um=STAGE_DOUBLE_PASS_PS_PER_UM,
-                             normalized=False):
-        stage = np.asarray(stage_um, dtype=float)
-        return cls(delay_ps=stage * conversion_ps_per_um, values=values,
-                   normalized=normalized, stage_um=stage,
-                   stage_conversion_ps_per_um=conversion_ps_per_um)
 
 
 def coincidence_curve(state, eta, delays_ps, normalized=True):
@@ -208,4 +180,4 @@ def coincidence_curve(state, eta, delays_ps, normalized=True):
     values = baseline - 2.0 * eta * (1.0 - eta) * overlap
     if normalized:
         values = values / baseline
-    return DelayScan(delay_ps=delays, values=values, normalized=normalized)
+    return DelayScan(delay_ps=delays, values=values)

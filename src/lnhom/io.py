@@ -98,8 +98,7 @@ def read_delay_scan_csv(path):
     stage_um = None
     if all(s != "" for s in stages):
         stage_um = np.array([float(s) for s in stages])
-    return DelayScan(delay_ps=delays, values=values, normalized=False,
-                     stage_um=stage_um)
+    return DelayScan(delay_ps=delays, values=values, stage_um=stage_um)
 
 
 def write_power_ratio_csv(path, series):
@@ -114,15 +113,14 @@ def read_power_ratio_csv(path):
 
 
 def write_fit_report(path, result):
-    """Flat key = value report of a fit: estimates, 1-sigma uncertainties,
-    residual RMS and convergence status."""
+    """Flat key = value report of a fit: estimates, their 1-sigma
+    uncertainties and the residual RMS."""
     sigmas = result.uncertainties
     with _open_write(path) as handle:
         for name, value in result.parameters.items():
             handle.write(f"{name} = {value!r}\n")
             handle.write(f"{name}_sigma = {sigmas[name]!r}\n")
         handle.write(f"residual_rms = {result.residual_rms!r}\n")
-        handle.write(f"converged = {str(result.converged).lower()}\n")
 
 
 def write_residuals_csv(path, axis_name, axis_values, residuals):

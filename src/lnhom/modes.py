@@ -48,7 +48,6 @@ class ModeSolution:
     n_eff: float
     field: np.ndarray  # [iy, ix], same grid as the source IndexMap
     parity: str
-    wavelength_nm: float
     x_nm: np.ndarray
     y_nm: np.ndarray
 
@@ -160,7 +159,7 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
             field = field / np.sqrt(np.sum(field**2) * dx * dy)
             if field.ravel()[np.abs(field).argmax()] < 0:
                 field = -field
-            solutions.append(ModeSolution(n_eff, field, parity, wavelength,
+            solutions.append(ModeSolution(n_eff, field, parity,
                                           index_map.x_nm, index_map.y_nm))
     solutions.sort(key=lambda mode: mode.n_eff, reverse=True)
     return solutions[:n_modes]

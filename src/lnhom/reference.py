@@ -8,7 +8,9 @@ the regression tests.  Values are quoted as published; derived quantities
 
 from __future__ import annotations
 
-from .coupler import CouplerDevice, offset_for_ratio
+from dataclasses import replace
+
+from .coupler import CouplerDevice, length_for_ratio
 from .counting import DetectorModel, SourceModel
 from .geometry import reference_geometry
 from .hom import TwoPhotonState
@@ -67,20 +69,17 @@ def reference_device():
     is reconstructed so the 257 um device hits the measured ratio on its
     half-period branch.
     """
-    template = CouplerDevice.from_delta_n_slope(
+    device = CouplerDevice.from_delta_n_slope(
         COUPLING_LENGTH_UM,
         delta_n_slope_per_nm=0.0,
         reference_wavelength_nm=CHARACTERIZATION_WAVELENGTH_NM,
         interaction_length_um=INTERACTION_LENGTH_UM,
     )
-    offset = offset_for_ratio(template, SPLITTING_RATIO, COUPLING_BRANCH)
-    return CouplerDevice.from_delta_n_slope(
-        COUPLING_LENGTH_UM,
-        delta_n_slope_per_nm=0.0,
-        reference_wavelength_nm=CHARACTERIZATION_WAVELENGTH_NM,
-        interaction_length_um=INTERACTION_LENGTH_UM,
-        bend_offset_um=offset,
-    )
+    # with no bend offset yet, length_for_ratio gives the whole effective
+    # length the branch needs; the offset is its excess over the fixed length
+    offset = length_for_ratio(device, SPLITTING_RATIO, COUPLING_BRANCH) \
+        - INTERACTION_LENGTH_UM
+    return replace(device, bend_offset_um=offset)
 
 
 def reference_photon_pair():

@@ -121,8 +121,8 @@ def _bandwidth_checks():
 def _counting_check(seed, pulses_per_point, delay_points):
     scan = simulate_counts(
         ref.reference_photon_pair(), ref.SPLITTING_RATIO,
-        ref.reference_source(), ref.reference_detectors(),
-        np.linspace(-8.0, 8.0, delay_points), pulses_per_point, seed=seed)
+        ref.reference_source(pulses_per_point), ref.reference_detectors(),
+        np.linspace(-8.0, 8.0, delay_points), seed=seed)
     fit = fit_gaussian_dip(scan)
     yield _within("counting-simulation fitted visibility",
                   fit.parameters["visibility"], 0.93, 0.985)

@@ -22,8 +22,7 @@ from lnhom.fitting import (PowerRatioSeries, coupling_length_statistics,
                            fresnel_reflectivity, fringe_contrast)
 from lnhom.fock import multi_pair_visibility, splitter_output_distribution
 from lnhom.geometry import IndexMap, reference_geometry
-from lnhom.hom import (DelayScan, combined_visibility, hom_visibility_max,
-                       pair_pattern_probabilities)
+from lnhom.hom import DelayScan, combined_visibility, hom_visibility_max
 from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_SYMMETRIC,
                          guided_mode_count, solve_modes)
 
@@ -206,10 +205,6 @@ def test_acceptance_09_property_suites_and_measured_bracket(
     assert worst_unitarity < 1e-12
 
     worst_total = 0.0
-    for eta in np.linspace(0.0, 1.0, 21):
-        for overlap in (0.0, 0.5, 1.0):
-            worst_total = max(worst_total, abs(
-                sum(pair_pattern_probabilities(eta, overlap)) - 1.0))
     for n_pairs in (1, 2):
         for overlap in (0.0, 0.9801, 1.0):
             dist = splitter_output_distribution(n_pairs, overlap, 0.546)

@@ -6,6 +6,7 @@ import pytest
 
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.errors import ConfigError
+from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
 
 
 def _write(tmp_path, name, text):
@@ -162,15 +163,22 @@ def test_simulate_counts_is_seed_deterministic(tmp_path):
 
 
 def test_simulate_counts_writes_stage_positions(tmp_path):
-    config = _write(tmp_path, "c.cfg",
-                    "mean_pairs_per_pulse = 0.01\n"
-                    "delay_points = 11\npulses_per_point = 20000\n")
-    out = tmp_path / "out"
-    assert main(["simulate-counts", "--config", config, "--out", str(out)]) == 0
-    header, first = (out / "counts.csv").read_text().splitlines()[:2]
-    assert header == "delay_ps,stage_um,coincidences"
-    assert first.split(",")[1] != ""
-    assert "fitted_visibility" in _report(out)
+    for conversion, ps_per_um in (("single-pass", STAGE_SINGLE_PASS_PS_PER_UM),
+                                  ("double-pass", STAGE_DOUBLE_PASS_PS_PER_UM)):
+        config = _write(tmp_path, f"{conversion}.cfg",
+                        "mean_pairs_per_pulse = 0.01\n"
+                        "delay_points = 11\npulses_per_point = 20000\n"
+                        f"stage_conversion = {conversion}\n")
+        out = tmp_path / conversion
+        assert main(["simulate-counts", "--config", config,
+                     "--out", str(out)]) == 0
+        lines = (out / "counts.csv").read_text().splitlines()
+        assert lines[0] == "delay_ps,stage_um,coincidences"
+        delay, stage = np.array([[float(cell) for cell in line.split(",")[:2]]
+                                 for line in lines[1:]]).T
+        np.testing.assert_allclose(stage * ps_per_um, delay, rtol=1e-12,
+                                   atol=0.0)
+        assert "fitted_visibility" in _report(out)
 
 
 @pytest.mark.parametrize("key, value", [

