@@ -38,7 +38,7 @@ def one_percent_bandwidth_nm(curve):
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
 
-    template = CouplerDevice.from_delta_n_slope(
+    template = CouplerDevice(
         reference.COUPLING_LENGTH_UM,
         reference_wavelength_nm=reference.CHARACTERIZATION_WAVELENGTH_NM,
     )

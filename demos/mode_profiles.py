@@ -47,8 +47,7 @@ def main():
     print(f"beat length {beat:.1f} um from the supermode splitting "
           f"[{elapsed:.1f} s]")
 
-    device = CouplerDevice.from_delta_n_slope(
-        beat, reference_wavelength_nm=WAVELENGTH_NM)
+    device = CouplerDevice(beat, reference_wavelength_nm=WAVELENGTH_NM)
     print(f"coupler model built from the solver: kappa = "
           f"{device.coupling_rate_per_um(WAVELENGTH_NM):.5f} rad/um")
     print(f"wrote {len(list(OUT.iterdir()))} CSV files to {OUT}")

@@ -255,7 +255,7 @@ def _geometry_from(params):
 
 def _device_from(params, **lengths):
     return _as_config(
-        CouplerDevice.from_delta_n_slope,
+        CouplerDevice,
         params["coupling_length_um"],
         delta_n_slope_per_nm=params["delta_n_slope_per_nm"],
         reference_wavelength_nm=params["reference_wavelength_nm"],
@@ -329,11 +329,9 @@ def _run_hom_dip(params, out):
     state = _as_config(TwoPhotonState.degenerate,
                        params["center_wavelength_nm"],
                        params["bandwidth_fwhm_nm"], params["mode_overlap"])
-    if not 0.0 <= params["eta"] <= 1.0:
-        raise ConfigError("eta must lie in [0, 1]")
     delays = _delay_axis(params)
-    scan = coincidence_curve(state, params["eta"], delays,
-                             normalized=params["normalized"])
+    scan = _as_config(coincidence_curve, state, params["eta"], delays,
+                      normalized=params["normalized"])
     lio.write_delay_scan_csv(out / "dip_curve.csv", scan)
     vmax = hom_visibility_max(params["eta"])
     return [f"splitter_limited_visibility = {vmax!r}",
@@ -352,11 +350,9 @@ def _run_simulate_counts(params, out):
     detectors = _as_config(DetectorModel, params["efficiency"],
                            params["dead_time_ns"],
                            params["dark_count_probability"])
-    if not 0.0 <= params["eta"] <= 1.0:
-        raise ConfigError("eta must lie in [0, 1]")
     delays = _delay_axis(params)
-    scan = simulate_counts(state, params["eta"], source, detectors, delays,
-                           seed=params["seed"])
+    scan = _as_config(simulate_counts, state, params["eta"], source, detectors,
+                      delays, seed=params["seed"])
     factor = STAGE_DOUBLE_PASS_PS_PER_UM \
         if params["stage_conversion"] == "double-pass" \
         else STAGE_SINGLE_PASS_PS_PER_UM

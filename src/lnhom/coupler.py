@@ -9,8 +9,9 @@ coupling phase
 
 with the cross-port power fraction eta = sin^2(theta).  ``kappa0`` comes
 from the beat length at the reference wavelength, kappa0 = pi / (2 L_c).
-The linear kappa slope can be supplied directly or derived from a slope of
-the supermode index splitting.
+The kappa slope is the first-order expansion of kappa = pi delta_n / lambda
+around lambda0 for a supermode index splitting delta_n that varies linearly
+with slope s: slope = (1000 pi s - kappa0) / lambda0.
 Cross coupling carries the -i quadrature phase of the symmetric coupler
 convention; two-photon coincidence rates do not depend on that choice.
 """
@@ -29,14 +30,15 @@ from .errors import UnreachableTargetError
 class CouplerDevice:
     """Directional coupler with a linear-in-wavelength coupling rate.
 
-    ``dispersion_slope`` is d(kappa)/d(wavelength) in rad/(um nm); zero
-    makes the splitting ratio wavelength-independent.  Lengths are in um,
+    ``delta_n_slope_per_nm`` is the slope of the supermode index splitting,
+    d(delta_n)/d(wavelength) per nm.  A zero slope still leaves the chromatic
+    1/lambda dependence of kappa = pi delta_n / lambda.  Lengths are in um,
     wavelengths in nm.
     """
 
     coupling_length_um: float
     reference_wavelength_nm: float = 1550.0
-    dispersion_slope: float = 0.0
+    delta_n_slope_per_nm: float = 0.0
     interaction_length_um: float = 0.0
     bend_offset_um: float = 0.0
 
@@ -50,25 +52,12 @@ class CouplerDevice:
         if self.bend_offset_um < 0:
             raise ValueError("bend_offset_um must be non-negative")
 
-    @classmethod
-    def from_delta_n_slope(cls, coupling_length_um, delta_n_slope_per_nm=0.0,
-                           reference_wavelength_nm=1550.0, **lengths):
-        """Device whose supermode index splitting varies linearly:
-        delta_n(lambda) = delta_n0 + s (lambda - lambda0).
-
-        A zero index-splitting slope still leaves the chromatic 1/lambda
-        dependence of kappa = pi delta_n / lambda.
-        """
-        kappa0 = math.pi / (2.0 * coupling_length_um)
-        slope = (1000.0 * math.pi * delta_n_slope_per_nm - kappa0) \
-            / reference_wavelength_nm
-        return cls(coupling_length_um, reference_wavelength_nm, slope, **lengths)
-
     def coupling_rate_per_um(self, wavelength_nm):
         """kappa(lambda) in rad/um; positive within the supported band."""
         kappa0 = math.pi / (2.0 * self.coupling_length_um)
-        kappa = kappa0 + self.dispersion_slope \
-            * (np.asarray(wavelength_nm, dtype=float) - self.reference_wavelength_nm)
+        lambda0 = self.reference_wavelength_nm
+        slope = (1000.0 * math.pi * self.delta_n_slope_per_nm - kappa0) / lambda0
+        kappa = kappa0 + slope * (np.asarray(wavelength_nm, dtype=float) - lambda0)
         if np.any(kappa <= 0.0):
             raise ValueError(
                 "wavelength outside the supported band of the dispersion "

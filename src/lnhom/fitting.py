@@ -68,7 +68,7 @@ class FitResult:
         return dict(zip(self.parameters, (float(s) for s in sigmas)))
 
 
-def _run_fit(residual_fn, jacobian_fn, x0, names, data_sigma, n_points):
+def _run_fit(residual_fn, jacobian_fn, x0, names, rescale_by_chi_square):
     result = least_squares(residual_fn, x0, jac=jacobian_fn, method="lm",
                            xtol=STEP_TOLERANCE, max_nfev=MAX_ITERATIONS)
     if not result.success:
@@ -78,9 +78,10 @@ def _run_fit(residual_fn, jacobian_fn, x0, names, data_sigma, n_points):
             residual_norm=float(np.linalg.norm(result.fun)),
         )
     jac = result.jac
+    n_points = result.fun.size
     dof = max(n_points - len(x0), 1)
     gram_inv = np.linalg.pinv(jac.T @ jac)
-    if data_sigma is None:
+    if rescale_by_chi_square:
         # unknown uniform noise level: scale by reduced chi-square
         gram_inv = gram_inv * (2.0 * result.cost / dof)
     covariance = 0.5 * (gram_inv + gram_inv.T)
@@ -93,7 +94,7 @@ def _run_fit(residual_fn, jacobian_fn, x0, names, data_sigma, n_points):
     )
 
 
-def _sinusoid_initial_guess(lengths, ratios):
+def _sinusoid_guess(lengths, ratios):
     amplitude = float(np.ptp(ratios))
     baseline = float(ratios.min())
     # dominant period from an FFT on a resampled uniform grid
@@ -112,7 +113,7 @@ def _sinusoid_initial_guess(lengths, ratios):
     return [coupling_length, phase / omega, amplitude, baseline]
 
 
-def fit_coupling_sinusoid(series, initial_guess=None):
+def fit_coupling_sinusoid(series):
     """Fit the sin^2 power-exchange model; returns coupling_length_um,
     offset_um, amplitude and baseline.
 
@@ -126,8 +127,7 @@ def fit_coupling_sinusoid(series, initial_guess=None):
     if np.ptp(ratios) == 0.0:
         raise UnidentifiableDataError("constant power ratio carries no period")
     names = ("coupling_length_um", "offset_um", "amplitude", "baseline")
-    x0 = list(initial_guess) if initial_guess is not None \
-        else _sinusoid_initial_guess(lengths, ratios)
+    x0 = _sinusoid_guess(lengths, ratios)
 
     def phase(params):
         coupling_length, offset, _, _ = params
@@ -148,7 +148,7 @@ def fit_coupling_sinusoid(series, initial_guess=None):
         jac[:, 3] = 1.0
         return jac
 
-    return _run_fit(residual_fn, jacobian_fn, x0, names, None, lengths.size)
+    return _run_fit(residual_fn, jacobian_fn, x0, names, True)
 
 
 def coupling_length_statistics(fitted_lengths):
@@ -160,7 +160,7 @@ def coupling_length_statistics(fitted_lengths):
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def _dip_initial_guess(delays, values):
+def _dip_guess(delays, values):
     baseline = float(np.maximum(values[0], values[-1]))
     if baseline <= 0:
         baseline = max(float(values.max()), 1.0)
@@ -177,7 +177,7 @@ def _dip_initial_guess(delays, values):
     return [visibility, center, width, baseline]
 
 
-def fit_gaussian_dip(scan, initial_guess=None):
+def fit_gaussian_dip(scan):
     """Fit the Gaussian dip model to a DelayScan; returns visibility,
     center_ps, width_ps and baseline.
 
@@ -188,8 +188,7 @@ def fit_gaussian_dip(scan, initial_guess=None):
     if delays.size < 10:
         raise ValueError("need at least 10 points to fit the dip")
     names = ("visibility", "center_ps", "width_ps", "baseline")
-    x0 = list(initial_guess) if initial_guess is not None \
-        else _dip_initial_guess(delays, values)
+    x0 = _dip_guess(delays, values)
     poisson = np.issubdtype(scan.values.dtype, np.integer)
     sigma = np.sqrt(np.maximum(values, 1.0)) if poisson else np.ones_like(values)
 
@@ -213,8 +212,7 @@ def fit_gaussian_dip(scan, initial_guess=None):
         jac[:, 3] = 1.0 - visibility * shape
         return (jac.T / sigma).T
 
-    return _run_fit(residual_fn, jacobian_fn, x0, names,
-                    sigma if poisson else None, delays.size)
+    return _run_fit(residual_fn, jacobian_fn, x0, names, not poisson)
 
 
 def normalized_scan(scan, fit_result):

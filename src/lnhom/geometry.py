@@ -98,15 +98,15 @@ def reference_geometry(gap_um=None):
 
 @dataclass
 class IndexMap:
-    """Refractive-index samples on a uniform cell-centred grid; ``index``
-    and ``region`` are indexed ``[iy, ix]``."""
+    """Refractive-index samples on a uniform cell-centred grid of square
+    cells ``pitch_nm`` wide; ``index`` and ``region`` are indexed
+    ``[iy, ix]``."""
 
     index: np.ndarray
     region: np.ndarray
     x_nm: np.ndarray
     y_nm: np.ndarray
-    dx_nm: float
-    dy_nm: float
+    pitch_nm: float
     wavelength_nm: float
     substrate_index: float | None = None
 
@@ -185,8 +185,7 @@ def build_cross_section(geometry, wavelength_nm, grid_pitch_nm=10.0,
         region=region,
         x_nm=x,
         y_nm=y,
-        dx_nm=grid_pitch_nm,
-        dy_nm=grid_pitch_nm,
+        pitch_nm=grid_pitch_nm,
         wavelength_nm=wavelength_nm,
         substrate_index=n_silica,
     )

@@ -38,7 +38,6 @@ class PhotonWavepacket:
 
     center_wavelength_nm: float
     bandwidth_fwhm_nm: float
-    delay_ps: float = 0.0
 
     def __post_init__(self):
         if self.center_wavelength_nm <= 0:
@@ -56,16 +55,6 @@ class PhotonWavepacket:
         sigma_lambda = self.bandwidth_fwhm_nm / _FWHM_TO_SIGMA
         return 2.0 * math.pi * SPEED_OF_LIGHT_NM_PER_PS * sigma_lambda \
             / self.center_wavelength_nm**2
-
-    def spectral_amplitude(self, omega_rad_per_ps):
-        """Real envelope phi(w), normalized so integral |phi|^2 dw = 1."""
-        sigma = self.sigma_omega_rad_per_ps
-        centered = np.asarray(omega_rad_per_ps) - self.center_angular_frequency_rad_per_ps
-        return (2.0 * math.pi * sigma**2) ** -0.25 \
-            * np.exp(-(centered**2) / (4.0 * sigma**2))
-
-    def coherence_time_ps(self):
-        return 1.0 / self.sigma_omega_rad_per_ps
 
 
 @dataclass(frozen=True)
@@ -99,18 +88,17 @@ class TwoPhotonState:
 
 
 def spectral_overlap(state, delay_ps=0.0):
-    """Indistinguishability I(tau) of the two wavepackets, in [0, 1].
+    """Indistinguishability I(tau) of the two wavepackets, in [0, 1], at the
+    relative arrival delay ``delay_ps`` of signal and idler.
 
-    Closed form for Gaussians; per-packet arrival delays add to ``delay_ps``.
-    Accepts scalar or array delay.
+    Closed form for Gaussians.  Accepts scalar or array delay.
     """
     s1 = state.signal.sigma_omega_rad_per_ps
     s2 = state.idler.sigma_omega_rad_per_ps
     sum_var = s1**2 + s2**2
     delta_omega = state.signal.center_angular_frequency_rad_per_ps \
         - state.idler.center_angular_frequency_rad_per_ps
-    tau = np.asarray(delay_ps, dtype=float) \
-        + (state.signal.delay_ps - state.idler.delay_ps)
+    tau = np.asarray(delay_ps, dtype=float)
     shape_factor = 2.0 * s1 * s2 / sum_var \
         * math.exp(-delta_omega**2 / (2.0 * sum_var))
     overlap = state.mode_overlap**2 * shape_factor \
@@ -145,7 +133,7 @@ class DelayScan:
 
     ``values`` holds probabilities (normalized or not) or integer counts;
     integer values are raw counts.  ``stage_um`` holds the optical-stage
-    positions when the scan has them.
+    positions, one per delay, when the scan has them.
     """
 
     delay_ps: np.ndarray
@@ -161,6 +149,10 @@ class DelayScan:
             raise ValueError("delays must be strictly increasing")
         if self.values.shape != self.delay_ps.shape:
             raise ValueError("values and delays must have matching shape")
+        if self.stage_um is not None:
+            self.stage_um = np.asarray(self.stage_um, dtype=float)
+            if self.stage_um.shape != self.delay_ps.shape:
+                raise ValueError("stage positions and delays must have matching shape")
         if np.any(self.values < 0):
             raise ValueError("coincidence values must be non-negative")
 

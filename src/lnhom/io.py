@@ -41,7 +41,7 @@ def _write_columns(path, header, *columns):
     cells = [map(str, np.asarray(column).tolist()) for column in columns]
     with _open_write(path) as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_field_csv(path, x_nm, y_nm, values):
@@ -79,8 +79,7 @@ def write_delay_scan_csv(path, scan):
     counts = np.asarray(scan.values)
     if not np.issubdtype(counts.dtype, np.integer):
         counts = counts.astype(float)
-    stage = [""] * len(scan.delay_ps) if scan.stage_um is None \
-        else np.asarray(scan.stage_um, dtype=float)
+    stage = [""] * len(scan.delay_ps) if scan.stage_um is None else scan.stage_um
     _write_columns(path, ["delay_ps", "stage_um", "coincidences"],
                    np.asarray(scan.delay_ps, dtype=float), stage, counts)
 

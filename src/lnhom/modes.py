@@ -5,17 +5,17 @@ the scalar Helmholtz equation
 
     (d2/dx2 + d2/dy2) f + k0^2 n^2(x, y) f = beta^2 f
 
-is discretised with the standard 5-point stencil on the uniform
-:class:`~lnhom.geometry.IndexMap` grid and solved as a sparse symmetric
-eigenproblem by shift-invert ARPACK.  The shift sits just above the largest
-effective index of any single grid column, an upper bound on every mode
-because d2/dx2 is negative semi-definite.  Every map is solved on half its
-width: it must be mirror-symmetric about an odd centre column, and its
-right half is solved twice, with a reflecting centre for symmetric modes
-and a zero-field centre for antisymmetric ones, so the boundary condition
-fixes the parity.  Outer boundaries are zero-field by default (guided modes
-decay into the padding); a reflecting ("neumann") variant exists for
-homogeneous-medium and slab checks.
+is discretised with the standard 5-point stencil on the square cells (one
+pitch for x and y) of an :class:`~lnhom.geometry.IndexMap` and solved as a
+sparse symmetric eigenproblem by shift-invert ARPACK.  The shift sits just
+above the largest effective index of any single grid column, an upper bound
+on every mode because d2/dx2 is negative semi-definite.  Every map is solved
+on half its width: it must be mirror-symmetric about an odd centre column,
+and its right half is solved twice, with a reflecting centre for symmetric
+modes and a zero-field centre for antisymmetric ones, so the boundary
+condition fixes the parity.  Outer boundaries are zero-field by default
+(guided modes decay into the padding); a reflecting ("neumann") variant
+exists for homogeneous-medium and slab checks.
 """
 
 from __future__ import annotations
@@ -38,6 +38,15 @@ SHIFT_MARGIN = 1e-3
 # eigenpairs converged beyond the wanted ones, so no wanted mode is the edge
 # of the converged set; ARPACK builds 20 Lanczos vectors either way
 GUARD_MODES = 2
+# ARPACK iteration cap and relative eigenvalue accuracy
+MAX_ITERATIONS = 10_000
+EIGEN_TOLERANCE = 1e-10
+# supermode index splitting below which two ribs count as decoupled
+DEGENERACY_TOLERANCE = 1e-9
+# effective-index margin a rib mode needs above the slab cutoff, and the
+# most modes guided_mode_count looks for
+CUTOFF_MARGIN = 1e-3
+MAX_GUIDED_MODES = 4
 
 
 @dataclass
@@ -67,22 +76,22 @@ def _second_difference(n, h, boundary, mirror=False):
     return sp.diags([off, main, off], [-1, 0, 1]) / h**2
 
 
-def _helmholtz_operator(index, dx, dy, k0, boundary, parity):
+def _helmholtz_operator(index, pitch, k0, boundary, parity):
     """5-point operator on the half map ``index`` to the right of the mirror
     plane, with the centre column first for symmetric modes and without it
     for antisymmetric ones."""
     ny, nx = index.shape
-    dxx = _second_difference(nx, dx, boundary, mirror=True).tolil()
+    dxx = _second_difference(nx, pitch, boundary, mirror=True).tolil()
     if parity == PARITY_SYMMETRIC:
         # the mirror f[c-1] = f[c+1] doubles the centre-to-neighbour
         # coupling; solving for f[c] / sqrt(2) keeps the operator symmetric
-        dxx[0, 1] = dxx[1, 0] = np.sqrt(2.0) / dx**2
-    dyy = _second_difference(ny, dy, boundary)
+        dxx[0, 1] = dxx[1, 0] = np.sqrt(2.0) / pitch**2
+    dyy = _second_difference(ny, pitch, boundary)
     lap = sp.kron(sp.identity(ny), dxx) + sp.kron(dyy, sp.identity(nx))
     return (lap + sp.diags(k0**2 * index.ravel() ** 2)).tocsc()
 
 
-def _shift_invert(op, k, sigma, max_iterations, tol):
+def _shift_invert(op, k, sigma):
     """The ``k`` eigenpairs of ``op`` nearest ``sigma``, from one factorisation
     of ``op - sigma I``."""
     lu = splu((op - sigma * sp.identity(op.shape[0])).tocsc(),
@@ -92,19 +101,19 @@ def _shift_invert(op, k, sigma, max_iterations, tol):
     start = np.random.default_rng(0).uniform(-1.0, 1.0, op.shape[0])
     try:
         return eigsh(op, k=k, sigma=sigma, which="LM", OPinv=inverse,
-                     v0=start, maxiter=max_iterations, tol=tol)
+                     v0=start, maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
     except ArpackNoConvergence as exc:
         residual = None
         if len(exc.eigenvalues):
             v = exc.eigenvectors[:, -1]
             residual = float(np.linalg.norm(op @ v - exc.eigenvalues[-1] * v))
-        raise ConvergenceError(f"eigen-solver did not converge within {max_iterations} "
+        raise ConvergenceError(f"eigen-solver did not converge within {MAX_ITERATIONS} "
                                "iterations", residual_norm=residual) from exc
 
 
-def _mode_shift(index, dy, wavelength, boundary):
+def _mode_shift(index, pitch, wavelength, boundary):
     """Shift-invert target (beta^2) just above every eigenvalue of the map."""
-    n_top = max(_profile_effective_index(column, dy, wavelength, boundary)
+    n_top = max(_profile_effective_index(column, pitch, wavelength, boundary)
                 for column in np.unique(index, axis=1).T)
     return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
 
@@ -117,8 +126,7 @@ def _full_field(half, parity):
     return np.hstack([-half[:, ::-1], np.zeros((half.shape[0], 1)), half])
 
 
-def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None,
-                max_iterations=10_000, tol=1e-10):
+def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None):
     """Guided modes of an index map at its own wavelength, sorted by
     descending effective index.
 
@@ -126,7 +134,8 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
     substrate index) are discarded, so fewer than ``n_modes`` solutions may
     come back.  Raises ``ValueError`` unless the map has an odd number of
     columns, at least 3, and is mirror-symmetric about the centre one;
-    raises :class:`ConvergenceError` if ARPACK hits the iteration cap.
+    raises :class:`ConvergenceError` if ARPACK needs more than
+    ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -137,7 +146,7 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
             cutoff_index = float(index_map.index.min())
 
     k0 = 2.0 * np.pi / wavelength
-    index, dx, dy = index_map.index, index_map.dx_nm, index_map.dy_nm
+    index, pitch = index_map.index, index_map.pitch_nm
     nx = index.shape[1]
     if nx < 3 or nx % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
         raise ValueError("map must be at least 3 columns wide and "
@@ -145,18 +154,18 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
     c = nx // 2
     halves = [(PARITY_SYMMETRIC, index[:, c:]),
               (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
-    sigma = _mode_shift(index, dy, wavelength, boundary)
+    sigma = _mode_shift(index, pitch, wavelength, boundary)
     solutions = []
     for parity, half in halves:
-        op = _helmholtz_operator(half, dx, dy, k0, boundary, parity)
+        op = _helmholtz_operator(half, pitch, k0, boundary, parity)
         k = min(n_modes + GUARD_MODES, op.shape[0] - 1)
-        vals, vecs = _shift_invert(op, k, sigma, max_iterations, tol)
+        vals, vecs = _shift_invert(op, k, sigma)
         for val, vec in zip(vals, vecs.T):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
             if n_eff <= cutoff_index:
                 continue
             field = _full_field(vec.reshape(half.shape), parity)
-            field = field / np.sqrt(np.sum(field**2) * dx * dy)
+            field = field / np.sqrt(np.sum(field**2) * pitch * pitch)
             if field.ravel()[np.abs(field).argmax()] < 0:
                 field = -field
             solutions.append(ModeSolution(n_eff, field, parity,
@@ -173,21 +182,18 @@ def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):
     return (wavelength_nm / 1000.0) / (2.0 * delta_n)
 
 
-def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
-                              padding_um=2.0, polarization="te",
-                              degeneracy_tol=1e-9):
-    """Coupling length (um) of a two-rib coupler from its supermode splitting.
+def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0):
+    """Coupling length (um) of a two-rib coupler from its supermode splitting
+    on the default cross-section (TE core index, 2 um padding).
 
     Solves the strongest symmetric and antisymmetric supermodes and raises
     :class:`DecoupledWaveguidesError` when either is missing or the splitting
-    is degenerate within ``degeneracy_tol`` (effectively decoupled waveguides).
+    is below ``DEGENERACY_TOLERANCE`` (effectively decoupled waveguides).
     """
     if geometry.gap_um is None:
         raise ValueError("geometry has no gap: not a two-waveguide coupler")
     index_map = build_cross_section(geometry, wavelength_nm,
-                                    grid_pitch_nm=grid_pitch_nm,
-                                    padding_um=padding_um,
-                                    polarization=polarization)
+                                    grid_pitch_nm=grid_pitch_nm)
     n_eff = {}
     for mode in solve_modes(index_map, 2):
         n_eff.setdefault(mode.parity, mode.n_eff)
@@ -195,9 +201,9 @@ def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
         raise DecoupledWaveguidesError("fewer than two guided supermodes found; waveguides "
                                        "are effectively decoupled at this gap")
     sym, anti = n_eff[PARITY_SYMMETRIC], n_eff[PARITY_ANTISYMMETRIC]
-    if sym - anti < degeneracy_tol:
+    if sym - anti < DEGENERACY_TOLERANCE:
         raise DecoupledWaveguidesError(f"supermode splitting {sym - anti:.3e} below "
-                                       f"tolerance {degeneracy_tol:.0e}")
+                                       f"tolerance {DEGENERACY_TOLERANCE:.0e}")
     return coupling_length_from_indices(sym, anti, wavelength_nm)
 
 
@@ -210,23 +216,23 @@ def _profile_effective_index(profile, pitch_nm, wavelength_nm, boundary="dirichl
     return float(np.sqrt(max(top, 0.0)) / k0)
 
 
-def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0,
-                      padding_um=2.0, polarization="te", margin=1e-3,
-                      max_candidates=4):
-    """Number of laterally confined modes of a single rib.
+def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0):
+    """Number of laterally confined modes of a single rib on the default
+    cross-section (TE core index, 2 um padding), counted up to
+    ``MAX_GUIDED_MODES``.
 
     A rib mode only counts as guided when its effective index exceeds the
     etched-slab effective index (otherwise it leaks sideways into the slab);
     that cutoff is computed from the 1D layer profile far from the rib, with
-    ``margin`` as the separation required above it.
+    ``CUTOFF_MARGIN`` as the separation required above it.
     """
     if geometry.gap_um is not None:
         raise ValueError("single-waveguide geometry required")
     index_map = build_cross_section(geometry, wavelength_nm,
-                                    grid_pitch_nm=grid_pitch_nm,
-                                    padding_um=padding_um,
-                                    polarization=polarization)
-    slab = _profile_effective_index(index_map.index[:, 0], index_map.dy_nm, wavelength_nm)
+                                    grid_pitch_nm=grid_pitch_nm)
+    slab = _profile_effective_index(index_map.index[:, 0], index_map.pitch_nm,
+                                    wavelength_nm)
     cutoff = max(slab, float(index_map.substrate_index))
-    modes = solve_modes(index_map, max_candidates, cutoff_index=cutoff + margin)
+    modes = solve_modes(index_map, MAX_GUIDED_MODES,
+                        cutoff_index=cutoff + CUTOFF_MARGIN)
     return len(modes)

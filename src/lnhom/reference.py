@@ -69,9 +69,8 @@ def reference_device():
     is reconstructed so the 257 um device hits the measured ratio on its
     half-period branch.
     """
-    device = CouplerDevice.from_delta_n_slope(
+    device = CouplerDevice(
         COUPLING_LENGTH_UM,
-        delta_n_slope_per_nm=0.0,
         reference_wavelength_nm=CHARACTERIZATION_WAVELENGTH_NM,
         interaction_length_um=INTERACTION_LENGTH_UM,
     )

@@ -198,6 +198,14 @@ def test_non_finite_counting_values_are_config_errors(tmp_path, capsys, key,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["hom-dip", "simulate-counts"])
+def test_out_of_range_eta_is_a_config_error(tmp_path, capsys, scenario):
+    config = _write(tmp_path, "c.cfg", "eta = 1.5\ndelay_points = 3\n")
+    assert main([scenario, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "eta must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_seed_flag_is_rejected_where_meaningless(tmp_path, capsys):
     assert main(["hom-dip", "--seed", "4", "--out", str(tmp_path / "out")]) == 2
     assert "seed" in capsys.readouterr().err

@@ -16,11 +16,14 @@ from lnhom.modes import supermode_coupling_length
 
 
 def _device(length_um, coupling_length_um=112.86, offset_um=0.0, slope=0.0):
+    # ``slope`` is d(kappa)/d(lambda) at 1550 nm, converted to the matching
+    # slope of the supermode index splitting
     return CouplerDevice(
         coupling_length_um=coupling_length_um,
         interaction_length_um=length_um,
         bend_offset_um=offset_um,
-        dispersion_slope=slope,
+        delta_n_slope_per_nm=(slope * 1550.0 + math.pi / (2 * coupling_length_um))
+        / (1000 * math.pi),
     )
 
 
@@ -147,14 +150,12 @@ def test_offset_for_ratio_matches_brute_force():
 # --- dispersion and bandwidth ---------------------------------------------
 
 def test_zero_slope_keeps_ratio_constant():
-    device = CouplerDevice(coupling_length_um=112.86,
-                           interaction_length_um=56.43, dispersion_slope=0.0)
-    curve = bandwidth_scan(device, 1460.0, 1640.0, 2.0)
+    curve = bandwidth_scan(_device(56.43, slope=0.0), 1460.0, 1640.0, 2.0)
     assert np.ptp(curve.eta) < 1e-12
 
 
 def test_order0_flatness_within_one_percent():
-    template = CouplerDevice.from_delta_n_slope(112.86)
+    template = CouplerDevice(112.86)
     length = length_for_ratio(template, 0.5, 0)
     device = with_interaction_length(template, length)
     curve = bandwidth_scan(device, 1540.0, 1560.0, 0.25)
@@ -162,7 +163,7 @@ def test_order0_flatness_within_one_percent():
 
 
 def test_higher_order_narrows_bandwidth():
-    template = CouplerDevice.from_delta_n_slope(112.86)
+    template = CouplerDevice(112.86)
 
     def one_percent_bandwidth(order):
         device = with_interaction_length(
@@ -176,7 +177,7 @@ def test_higher_order_narrows_bandwidth():
 
 def test_deviation_slope_scales_with_order():
     # d(eta)/d(lambda) at the balanced point grows as (2m+1)
-    template = CouplerDevice.from_delta_n_slope(112.86)
+    template = CouplerDevice(112.86)
     slopes = []
     for order in (0, 1, 2):
         device = with_interaction_length(
@@ -201,7 +202,7 @@ def test_delta_n_slope_calibration():
     # a supplied supermode-splitting slope reproduces the implied phase change
     lam0, lc, length = 1550.0, 112.86, 100.0
     slope_per_nm = 2e-6  # d(delta n)/d(lambda)
-    device = CouplerDevice.from_delta_n_slope(
+    device = CouplerDevice(
         lc, delta_n_slope_per_nm=slope_per_nm, interaction_length_um=length)
     delta_n0 = (lam0 / 1000.0) / (2.0 * lc)
 
@@ -222,13 +223,25 @@ def test_delta_n_slope_calibration():
     assert model_slope == pytest.approx(exact_slope, rel=1e-6)
 
 
+@pytest.mark.parametrize("delta_n_slope", [0.0, -3e-6, 2e-6])
+@pytest.mark.parametrize("wavelength", [1500.0, 1542.22, 1550.0, 1600.0])
+def test_coupling_rate_matches_the_two_step_construction(delta_n_slope, wavelength):
+    # kappa0 and the kappa slope derived from the index-splitting slope first,
+    # then the linear rate: the rate must match bit for bit
+    lc, lam0 = 112.86, 1550.0
+    kappa0 = math.pi / (2.0 * lc)
+    kappa_slope = (1000.0 * math.pi * delta_n_slope - kappa0) / lam0
+    expected = kappa0 + kappa_slope * (np.asarray(wavelength, dtype=float) - lam0)
+    device = CouplerDevice(lc, lam0, delta_n_slope)
+    assert device.coupling_rate_per_um(wavelength) == float(expected)
+
+
 def test_consistency_with_mode_solver_phase():
     # device built from the simulated beat length: kappa-based phase equals
     # the supermode-splitting phase formula
     length = supermode_coupling_length(reference_geometry(gap_um=2.3), 1550.0,
                                        grid_pitch_nm=40.0)
-    device = CouplerDevice.from_delta_n_slope(length,
-                                              interaction_length_um=200.0)
+    device = CouplerDevice(length, interaction_length_um=200.0)
     delta_n = (1550.0 / 1000.0) / (2.0 * length)
     expected = math.pi * delta_n * 200.0 / (1550.0 / 1000.0)
     assert device.coupling_phase(1550.0) == pytest.approx(expected, abs=1e-9)
@@ -247,8 +260,7 @@ def test_device_validation():
 
 def test_coupling_rate_positive_domain():
     # strong negative dispersion drives kappa through zero out of band
-    device = CouplerDevice(coupling_length_um=112.86,
-                           dispersion_slope=-0.0139 / 10.0)
+    device = _device(0.0, slope=-0.0139 / 10.0)
     with pytest.raises(ValueError):
         device.coupling_rate_per_um(1680.0)
 

@@ -75,7 +75,7 @@ def test_two_rib_centerline_separation():
     right = m.x_nm[columns & (m.x_nm > 0)]
     separation = 0.5 * (right.min() + right.max()) \
         - 0.5 * (left.min() + left.max())
-    assert abs(separation - 2300.0) <= m.dx_nm
+    assert abs(separation - 2300.0) <= m.pitch_nm
 
 
 def test_two_rib_map_mirror_symmetric():
@@ -99,11 +99,11 @@ def test_padding_extends_beyond_structure():
     g = reference_geometry(gap_um=2.3)
     m = build_cross_section(g, 1550.0, grid_pitch_nm=20.0, padding_um=2.0)
     outer_nm = g.gap_um * 500.0 + g.base_width_um * 500.0
-    assert m.x_nm.min() <= -(outer_nm + 2000.0) + m.dx_nm
-    assert m.x_nm.max() >= outer_nm + 2000.0 - m.dx_nm
-    assert m.y_nm.min() <= -2000.0 + m.dy_nm
+    assert m.x_nm.min() <= -(outer_nm + 2000.0) + m.pitch_nm
+    assert m.x_nm.max() >= outer_nm + 2000.0 - m.pitch_nm
+    assert m.y_nm.min() <= -2000.0 + m.pitch_nm
     clad_top = g.film_thickness_nm + g.cladding_thickness_nm
-    assert m.y_nm.max() >= clad_top + 2000.0 - m.dy_nm
+    assert m.y_nm.max() >= clad_top + 2000.0 - m.pitch_nm
 
 
 def test_wavelength_band_enforced():

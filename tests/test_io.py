@@ -10,6 +10,7 @@ from lnhom.coupler import SplittingCurve
 from lnhom.fitting import FitResult, PowerRatioSeries
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, DelayScan
 from lnhom.io import (
+    _write_columns,
     read_delay_scan_csv,
     read_power_ratio_csv,
     read_splitting_curve_csv,
@@ -177,6 +178,12 @@ def test_written_text_is_exact(tmp_path):
         b"0.0,0.5\n"
         b"10.0,-0.25\n"
         b"20.0,1e-17\n")
+
+
+def test_unequal_columns_are_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        _write_columns(tmp_path / "bad.csv", ["a", "b"], [1.0, 2.0, 3.0],
+                       [1.0, 2.0])
 
 
 def test_fit_report_is_flat_key_value_text(tmp_path):

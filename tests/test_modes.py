@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from lnhom import materials
+from lnhom import materials, modes
 from lnhom.errors import ConvergenceError, DecoupledWaveguidesError
 from lnhom.geometry import (IndexMap, WaveguideGeometry, build_cross_section,
                             reference_geometry)
@@ -24,8 +24,7 @@ def _uniform_map(n=2.0, cells=11, pitch=50.0):
         region=np.zeros(shape, dtype=np.uint8),
         x_nm=np.arange(cells) * pitch,
         y_nm=np.arange(cells) * pitch,
-        dx_nm=pitch,
-        dy_nm=pitch,
+        pitch_nm=pitch,
         wavelength_nm=1550.0,
     )
 
@@ -42,8 +41,7 @@ def _slab_map(pad_nm=3000.0, pitch=10.0):
         region=np.zeros_like(index, dtype=np.uint8),
         x_nm=np.arange(5) * pitch,
         y_nm=y,
-        dx_nm=pitch,
-        dy_nm=pitch,
+        pitch_nm=pitch,
         wavelength_nm=1550.0,
     )
 
@@ -75,7 +73,7 @@ def test_slab_matches_transcendental_oracle():
 def test_unit_power_normalization():
     map_ = _slab_map()
     for solution in solve_modes(map_, 2, boundary="neumann"):
-        power = float(np.sum(solution.field**2)) * map_.dx_nm * map_.dy_nm
+        power = float(np.sum(solution.field**2)) * map_.pitch_nm**2
         assert power == pytest.approx(1.0, abs=1e-9)
 
 
@@ -112,7 +110,7 @@ def coupler_40nm():
 
 def test_half_domain_matches_full_grid_oracle(coupler_40nm):
     map_, (sym, anti) = coupler_40nm
-    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0)
+    full = oracle.full_grid_n_eff(map_.index, map_.pitch_nm, 1550.0)
     assert (sym.parity, anti.parity) == (PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC)
     assert abs(sym.n_eff - full[0]) <= 1e-10 * full[0]
     assert abs(anti.n_eff - full[1]) <= 1e-10 * full[1]
@@ -121,7 +119,7 @@ def test_half_domain_matches_full_grid_oracle(coupler_40nm):
 def test_reflecting_half_domain_matches_full_grid_oracle(coupler_40nm):
     # the mirror column is interior, so only the outer edges reflect
     map_, _ = coupler_40nm
-    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0,
+    full = oracle.full_grid_n_eff(map_.index, map_.pitch_nm, 1550.0,
                                   reflecting=True)
     sols = solve_modes(map_, 4, boundary="neumann", cutoff_index=1.0)
     for solution, expected in zip(sols, full, strict=True):
@@ -135,7 +133,7 @@ def test_half_domain_fields_mirror_exactly(coupler_40nm):
     assert not np.any(anti.field[:, map_.shape[1] // 2])
     for solution in (sym, anti):
         assert solution.field.shape == map_.shape
-        power = float(np.sum(solution.field**2)) * map_.dx_nm * map_.dy_nm
+        power = float(np.sum(solution.field**2)) * map_.pitch_nm**2
         assert power == pytest.approx(1.0, abs=1e-12)
 
 
@@ -167,7 +165,7 @@ def test_shift_lies_above_every_mode(case):
         map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
                                    grid_pitch_nm=40.0)
         boundary = "neumann" if case.endswith("neumann") else "dirichlet"
-    sigma = _mode_shift(map_.index, map_.dy_nm, 1550.0, boundary)
+    sigma = _mode_shift(map_.index, map_.pitch_nm, 1550.0, boundary)
     k0 = 2.0 * np.pi / 1550.0
     sols = solve_modes(map_, 4, boundary=boundary, cutoff_index=1.0)
     assert sols
@@ -183,7 +181,7 @@ def test_single_mode_reference_geometry():
 def test_single_rib_fundamental_matches_full_grid_oracle():
     map_ = build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=40.0)
     (fundamental,) = solve_modes(map_, 1)
-    full = oracle.full_grid_n_eff(map_.index, map_.dx_nm, 1550.0)
+    full = oracle.full_grid_n_eff(map_.index, map_.pitch_nm, 1550.0)
     assert fundamental.parity == PARITY_SYMMETRIC
     assert abs(fundamental.n_eff - full[0]) <= 1e-10 * full[0]
 
@@ -222,9 +220,10 @@ def test_supermode_requires_gap():
         supermode_coupling_length(reference_geometry(), 1550.0)
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(modes, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as info:
-        solve_modes(_slab_map(), 1, boundary="neumann", max_iterations=1)
+        solve_modes(_slab_map(), 1, boundary="neumann")
     assert hasattr(info.value, "residual_norm")
 
 

@@ -33,6 +33,11 @@ def test_bend_offset_sits_on_the_declared_branch():
     assert int(effective // ref.COUPLING_LENGTH_UM) == ref.COUPLING_BRANCH
 
 
+def test_bend_offset_is_pinned_bit_for_bit():
+    # the value every earlier construction of the reference device gave
+    assert ref.reference_device().bend_offset_um == 28.459729916782294
+
+
 def test_photon_pair_carries_the_source_visibility():
     state = ref.reference_photon_pair()
     assert state.signal == state.idler
