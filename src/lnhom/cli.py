@@ -4,7 +4,11 @@ Configs are flat ``key = value`` text (``#`` comments, blank lines allowed)
 validated against a per-scenario schema; unknown keys are rejected and all
 physical quantities carry their unit in the key name.  Exit codes: 0 on
 success (and all checks passing), 1 on runtime or check failure, 2 on
-config errors.
+config errors.  ``main`` alone maps exceptions to exit codes: a
+``ValueError`` raised while a scenario runs blames its config (exit 2),
+except in the scenarios that read a data file (``fit-coupling``,
+``fit-dip``), where only a ``ConfigError`` does and any other
+``ValueError`` rejects the data (exit 1).
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from . import io as lio
 from . import reference as ref
 from .coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
                       splitting_ratio, with_interaction_length)
-from .counting import (DEFAULT_REPETITION_PERIOD_NS, DetectorModel,
-                       SourceModel, simulate_counts)
+from .counting import DetectorModel, SourceModel, simulate_counts
 from .errors import ConfigError
 from .fitting import (PowerRatioSeries, fabry_perot_loss,
                       fit_coupling_sinusoid, fit_gaussian_dip,
                       fresnel_reflectivity, normalized_scan)
+from .fock import PAIR_STATISTICS
 from .geometry import WaveguideGeometry, build_cross_section
 from .hom import (STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM,
                   TwoPhotonState, coincidence_curve, hom_visibility_max)
@@ -55,23 +59,28 @@ def _schema(*keys):
     return {key.name: key for key in keys}
 
 
-_GEOMETRY_KEYS = (
-    ConfigKey("film_thickness_nm", "float", 600.0, "LN film thickness"),
-    ConfigKey("etch_depth_nm", "float", 150.0, "rib etch depth"),
-    ConfigKey("top_width_um", "float", 1.0, "rib top width"),
-    ConfigKey("sidewall_angle_deg", "float", 60.0, "sidewall angle"),
-    ConfigKey("cladding_thickness_nm", "float", 700.0, "SiO2 top cladding"),
-    ConfigKey("gap_um", "float", None, "rib gap; omit for a single guide"),
-)
+# keys named after a dataclass field default to that field's default
+_GEOMETRY_KEYS = tuple(
+    ConfigKey(name, "float", getattr(WaveguideGeometry, name), help_text)
+    for name, help_text in (
+        ("film_thickness_nm", "LN film thickness"),
+        ("etch_depth_nm", "rib etch depth"),
+        ("top_width_um", "rib top width"),
+        ("sidewall_angle_deg", "sidewall angle"),
+        ("cladding_thickness_nm", "SiO2 top cladding"),
+        ("gap_um", "rib gap; omit for a single guide"),
+    ))
 
 _DEVICE_KEYS = (
     ConfigKey("coupling_length_um", "float", ref.COUPLING_LENGTH_UM,
               "beat length at the reference wavelength"),
     ConfigKey("reference_wavelength_nm", "float",
               ref.CHARACTERIZATION_WAVELENGTH_NM, "calibration wavelength"),
-    ConfigKey("delta_n_slope_per_nm", "float", 0.0,
+    ConfigKey("delta_n_slope_per_nm", "float",
+              CouplerDevice.delta_n_slope_per_nm,
               "linear slope of the supermode index splitting"),
-    ConfigKey("bend_offset_um", "float", 0.0, "effective bend length"),
+    ConfigKey("bend_offset_um", "float", CouplerDevice.bend_offset_um,
+              "effective bend length"),
 )
 
 SCENARIO_SCHEMAS = {
@@ -106,7 +115,8 @@ SCENARIO_SCHEMAS = {
     "hom-dip": _schema(
         ConfigKey("center_wavelength_nm", "float", ref.PHOTON_WAVELENGTH_NM),
         ConfigKey("bandwidth_fwhm_nm", "float", ref.PHOTON_BANDWIDTH_FWHM_NM),
-        ConfigKey("mode_overlap", "float", 1.0, "indistinguishability factor M"),
+        ConfigKey("mode_overlap", "float", TwoPhotonState.mode_overlap,
+                  "indistinguishability factor M"),
         ConfigKey("eta", "float", 0.5, "splitter cross fraction"),
         ConfigKey("delay_min_ps", "float", -8.0),
         ConfigKey("delay_max_ps", "float", 8.0),
@@ -121,17 +131,18 @@ SCENARIO_SCHEMAS = {
         ConfigKey("eta", "float", ref.SPLITTING_RATIO),
         ConfigKey("mean_pairs_per_pulse", "float",
                   ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE),
-        ConfigKey("statistics", "str", "poissonian-pairs", "pair statistics",
-                  ("poissonian-pairs", "thermal-pairs")),
+        ConfigKey("statistics", "str", SourceModel.statistics,
+                  "pair statistics", PAIR_STATISTICS),
         ConfigKey("repetition_period_ns", "float",
-                  DEFAULT_REPETITION_PERIOD_NS),
+                  SourceModel.repetition_period_ns),
         ConfigKey("efficiency", "float", ref.DETECTOR_EFFICIENCY),
         ConfigKey("dead_time_ns", "float", ref.DETECTOR_DEAD_TIME_NS),
-        ConfigKey("dark_count_probability", "float", 0.0),
+        ConfigKey("dark_count_probability", "float",
+                  DetectorModel.dark_count_probability),
         ConfigKey("delay_min_ps", "float", -8.0),
         ConfigKey("delay_max_ps", "float", 8.0),
         ConfigKey("delay_points", "int", 50),
-        ConfigKey("pulses_per_point", "int", 1_000_000),
+        ConfigKey("pulses_per_point", "int", SourceModel.pulses_per_run),
         ConfigKey("stage_conversion", "str", "double-pass",
                   "stage position to delay conversion",
                   ("single-pass", "double-pass")),
@@ -156,7 +167,7 @@ SCENARIO_SCHEMAS = {
     ),
     "reproduce-paper": _schema(
         ConfigKey("seed", "int", 12345, "seed for the counting simulation"),
-        ConfigKey("pulses_per_point", "int", 1_000_000),
+        ConfigKey("pulses_per_point", "int", SourceModel.pulses_per_run),
         ConfigKey("delay_points", "int", 50),
         ConfigKey("grid_pitch_nm", "float", 20.0, "solver pitch for the checks"),
     ),
@@ -231,37 +242,9 @@ def format_schema(scenario):
     return "\n".join(lines)
 
 
-def _as_config(builder, *args, **kwargs):
-    """Build a domain object from config values; failures are config errors."""
-    try:
-        return builder(*args, **kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _geometry_from(params):
-    return _as_config(
-        WaveguideGeometry,
-        film_thickness_nm=params["film_thickness_nm"],
-        etch_depth_nm=params["etch_depth_nm"],
-        top_width_um=params["top_width_um"],
-        sidewall_angle_deg=params["sidewall_angle_deg"],
-        cladding_thickness_nm=params["cladding_thickness_nm"],
-        gap_um=params["gap_um"],
-    )
-
-
-def _device_from(params, **lengths):
-    return _as_config(
-        CouplerDevice,
-        params["coupling_length_um"],
-        delta_n_slope_per_nm=params["delta_n_slope_per_nm"],
-        reference_wavelength_nm=params["reference_wavelength_nm"],
-        bend_offset_um=params["bend_offset_um"],
-        **lengths,
-    )
+def _build(cls, keys, params):
+    """``cls`` built from the config values of its key tuple."""
+    return cls(**{key.name: params[key.name] for key in keys})
 
 
 def _delay_axis(params):
@@ -274,7 +257,7 @@ def _delay_axis(params):
 
 
 def _run_modes(params, out):
-    geometry = _geometry_from(params)
+    geometry = _build(WaveguideGeometry, _GEOMETRY_KEYS, params)
     index_map = build_cross_section(geometry, params["wavelength_nm"],
                                     grid_pitch_nm=params["grid_pitch_nm"],
                                     padding_um=params["padding_um"],
@@ -300,7 +283,7 @@ def _run_coupler_sweep(params, out):
                         params["length_step_um"])
     if lengths.size < 2:
         raise ConfigError("length sweep needs at least two points")
-    device = _device_from(params)
+    device = _build(CouplerDevice, _DEVICE_KEYS, params)
     ratios = [splitting_ratio(with_interaction_length(device, L),
                               params["wavelength_nm"]) for L in lengths]
     series = PowerRatioSeries(lengths, ratios)
@@ -310,15 +293,13 @@ def _run_coupler_sweep(params, out):
 
 
 def _run_bandwidth(params, out):
-    if params["interaction_length_um"] is None:
-        template = _device_from(params)
-        length = _as_config(length_for_ratio, template, 0.5,
-                            params["design_order"])
-    else:
-        length = params["interaction_length_um"]
-    device = _device_from(params, interaction_length_um=length)
-    curve = _as_config(bandwidth_scan, device, params["wavelength_min_nm"],
-                       params["wavelength_max_nm"], params["step_nm"])
+    device = _build(CouplerDevice, _DEVICE_KEYS, params)
+    length = params["interaction_length_um"]
+    if length is None:
+        length = length_for_ratio(device, 0.5, params["design_order"])
+    curve = bandwidth_scan(with_interaction_length(device, length),
+                           params["wavelength_min_nm"],
+                           params["wavelength_max_nm"], params["step_nm"])
     lio.write_splitting_curve_csv(out / "splitting_curve.csv", curve)
     deviation = float(np.max(np.abs(curve.eta - 0.5)))
     return [f"interaction_length_um = {length!r}",
@@ -326,12 +307,12 @@ def _run_bandwidth(params, out):
 
 
 def _run_hom_dip(params, out):
-    state = _as_config(TwoPhotonState.degenerate,
-                       params["center_wavelength_nm"],
-                       params["bandwidth_fwhm_nm"], params["mode_overlap"])
+    state = TwoPhotonState.degenerate(params["center_wavelength_nm"],
+                                      params["bandwidth_fwhm_nm"],
+                                      params["mode_overlap"])
     delays = _delay_axis(params)
-    scan = _as_config(coincidence_curve, state, params["eta"], delays,
-                      normalized=params["normalized"])
+    scan = coincidence_curve(state, params["eta"], delays,
+                             normalized=params["normalized"])
     lio.write_delay_scan_csv(out / "dip_curve.csv", scan)
     vmax = hom_visibility_max(params["eta"])
     return [f"splitter_limited_visibility = {vmax!r}",
@@ -339,20 +320,18 @@ def _run_hom_dip(params, out):
 
 
 def _run_simulate_counts(params, out):
-    state = _as_config(TwoPhotonState.from_source_visibility,
-                       params["source_visibility"],
-                       params["center_wavelength_nm"],
-                       params["bandwidth_fwhm_nm"])
-    source = _as_config(SourceModel, params["mean_pairs_per_pulse"],
-                        pulses_per_run=params["pulses_per_point"],
-                        statistics=params["statistics"],
-                        repetition_period_ns=params["repetition_period_ns"])
-    detectors = _as_config(DetectorModel, params["efficiency"],
-                           params["dead_time_ns"],
-                           params["dark_count_probability"])
+    state = TwoPhotonState.from_source_visibility(params["source_visibility"],
+                                                  params["center_wavelength_nm"],
+                                                  params["bandwidth_fwhm_nm"])
+    source = SourceModel(params["mean_pairs_per_pulse"],
+                         pulses_per_run=params["pulses_per_point"],
+                         statistics=params["statistics"],
+                         repetition_period_ns=params["repetition_period_ns"])
+    detectors = DetectorModel(params["efficiency"], params["dead_time_ns"],
+                              params["dark_count_probability"])
     delays = _delay_axis(params)
-    scan = _as_config(simulate_counts, state, params["eta"], source, detectors,
-                      delays, seed=params["seed"])
+    scan = simulate_counts(state, params["eta"], source, detectors, delays,
+                           seed=params["seed"])
     factor = STAGE_DOUBLE_PASS_PS_PER_UM \
         if params["stage_conversion"] == "double-pass" \
         else STAGE_SINGLE_PASS_PS_PER_UM
@@ -402,9 +381,9 @@ def _run_fp_loss(params, out):
             "give exactly one of facet_reflectivity or n_eff")
     reflectivity = params["facet_reflectivity"]
     if reflectivity is None:
-        reflectivity = _as_config(fresnel_reflectivity, params["n_eff"])
-    alpha = _as_config(fabry_perot_loss, params["contrast"], reflectivity,
-                       params["length_cm"])
+        reflectivity = fresnel_reflectivity(params["n_eff"])
+    alpha = fabry_perot_loss(params["contrast"], reflectivity,
+                             params["length_cm"])
     return [f"facet_reflectivity = {reflectivity!r}",
             f"loss_db_per_cm = {alpha!r}"]
 
@@ -477,12 +456,14 @@ def main(argv=None):
         out.mkdir(parents=True, exist_ok=True)
         log.info("running %s -> %s", args.scenario, out)
         report = _RUNNERS[args.scenario](params, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure inside a module
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        # a ValueError blames the config, unless the scenario read a data
+        # file: then only a ConfigError does, and the data are at fault
+        config_fault = isinstance(exc, ConfigError) or (
+            isinstance(exc, ValueError) and "input_csv" not in schema)
+        print(f"{'config error' if config_fault else 'error'}: {exc}",
+              file=sys.stderr)
+        return 2 if config_fault else 1
 
     report_path = out / "report.txt"
     with lio._open_write(report_path) as handle:

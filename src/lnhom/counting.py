@@ -31,7 +31,6 @@ from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
 from .hom import DelayScan, spectral_overlap
 
-DEFAULT_REPETITION_PERIOD_NS = 13.1
 _TAIL_PAIRS = MAX_ENUMERATED_PAIRS + 1
 
 
@@ -43,7 +42,7 @@ class SourceModel:
     mean_pairs_per_pulse: float
     pulses_per_run: int = 1_000_000
     statistics: str = "poissonian-pairs"
-    repetition_period_ns: float = DEFAULT_REPETITION_PERIOD_NS
+    repetition_period_ns: float = 13.1
 
     def __post_init__(self):
         if not 0.0 <= self.mean_pairs_per_pulse < math.inf:

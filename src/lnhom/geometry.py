@@ -37,8 +37,9 @@ AIR_INDEX = 1.0
 class WaveguideGeometry:
     """Cross-section parameters of a single rib or a two-rib coupler.
 
-    ``gap_um`` is the centre-to-centre distance between the two ribs;
-    leave it ``None`` for a single waveguide.
+    The defaults describe the fabricated device.  ``gap_um`` is the
+    centre-to-centre distance between the two ribs; leave it ``None`` for a
+    single waveguide.
     """
 
     film_thickness_nm: float = 600.0
@@ -84,16 +85,9 @@ class WaveguideGeometry:
 
 
 def reference_geometry(gap_um=None):
-    """The fabricated device cross-section used throughout the test suite:
-    600 nm film, 150 nm etch, 1 um top width, 60 degree sidewalls."""
-    return WaveguideGeometry(
-        film_thickness_nm=600.0,
-        etch_depth_nm=150.0,
-        top_width_um=1.0,
-        sidewall_angle_deg=60.0,
-        cladding_thickness_nm=700.0,
-        gap_um=gap_um,
-    )
+    """The fabricated device cross-section (the :class:`WaveguideGeometry`
+    defaults), single or with a rib gap."""
+    return WaveguideGeometry(gap_um=gap_um)
 
 
 @dataclass
@@ -127,14 +121,18 @@ def build_cross_section(geometry, wavelength_nm, grid_pitch_nm=10.0,
     """Discretise a geometry into an :class:`IndexMap` at one wavelength.
 
     The grid covers the structure plus ``padding_um`` of background on every
-    side.  Raises :class:`ResolutionError` when the pitch cannot resolve the
-    etch step with at least 3 cells.
+    side.  Raises :class:`ResolutionError` when the pitch is not positive,
+    exceeds ``MAX_GRID_PITCH_NM`` or cannot resolve the etch step with at
+    least 3 cells.
     """
-    if grid_pitch_nm > MAX_GRID_PITCH_NM:
+    if not 0 < grid_pitch_nm <= MAX_GRID_PITCH_NM:
         raise ResolutionError(
-            f"grid pitch {grid_pitch_nm} nm exceeds the supported maximum "
+            f"grid pitch {grid_pitch_nm} nm must be positive and at most "
             f"{MAX_GRID_PITCH_NM} nm"
         )
+    if not 0 <= padding_um < math.inf:
+        raise ValueError(f"padding {padding_um} um must be finite and "
+                         "non-negative")
     lo, hi = WAVELENGTH_BAND_NM
     if not lo <= wavelength_nm <= hi:
         raise ValueError(

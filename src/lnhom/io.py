@@ -32,16 +32,22 @@ def _open_write(path):
 
 
 def _write_columns(path, header, *columns):
-    """Write equal-length columns under a header row.
+    """Write equal-length columns under a header row; unequal columns raise
+    before the file is opened.
 
     ``tolist()`` turns each column into Python floats, ints or strings, and
     ``str`` of a Python float is its shortest round-trip ``repr``, so floats
     read back exactly.
     """
-    cells = [map(str, np.asarray(column).tolist()) for column in columns]
+    columns = [np.asarray(column).tolist() for column in columns]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns {','.join(header)} have unequal "
+                         f"lengths {lengths}")
     with _open_write(path) as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        handle.writelines(",".join(row) + "\n"
+                          for row in zip(*(map(str, c) for c in columns)))
 
 
 def write_field_csv(path, x_nm, y_nm, values):

@@ -88,7 +88,7 @@ def reference_photon_pair():
         SOURCE_VISIBILITY, PHOTON_WAVELENGTH_NM, PHOTON_BANDWIDTH_FWHM_NM)
 
 
-def reference_source(pulses_per_run=1_000_000):
+def reference_source(pulses_per_run=SourceModel.pulses_per_run):
     return SourceModel(REPRODUCTION_MEAN_PAIRS_PER_PULSE,
                        pulses_per_run=pulses_per_run)
 

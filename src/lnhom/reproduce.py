@@ -128,8 +128,7 @@ def _counting_check(seed, pulses_per_point, delay_points):
                   fit.parameters["visibility"], 0.93, 0.985)
 
 
-def run_reproduction(seed=12345, pulses_per_point=1_000_000, delay_points=50,
-                     grid_pitch_nm=20.0):
+def run_reproduction(seed, pulses_per_point, delay_points, grid_pitch_nm):
     """All reproduction checks in order; the solver pair dominates runtime."""
     results = []
     results.extend(_visibility_checks())

@@ -243,6 +243,38 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, settings", [
+    pytest.param("modes", "wavelength_nm = 1200\n", id="modes-wavelength"),
+    pytest.param("modes", "grid_pitch_nm = 40\nn_modes = 0\n",
+                 id="modes-n_modes"),
+    pytest.param("modes", "grid_pitch_nm = 60\n", id="modes-coarse-pitch"),
+    pytest.param("modes", "grid_pitch_nm = 0\n", id="modes-zero-pitch"),
+    pytest.param("modes", "grid_pitch_nm = nan\n", id="modes-nan-pitch"),
+    pytest.param("modes", "padding_um = -1\n", id="modes-negative-padding"),
+    pytest.param("reproduce-paper", "grid_pitch_nm = 60\n",
+                 id="reproduce-paper-coarse-pitch"),
+    pytest.param("simulate-counts",
+                 "delay_points = 5\npulses_per_point = 1000\n",
+                 id="simulate-counts-too-few-points-to-fit"),
+])
+def test_library_value_errors_in_config_only_scenarios_exit_two(
+        tmp_path, capsys, scenario, settings):
+    config = _write(tmp_path, "c.cfg", settings)
+    assert main([scenario, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_fit_dip_wrong_header_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "dip.csv"
+    csv.write_text("delay_ps,coincidences\n0.0,5\n", encoding="utf-8")
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    assert main(["fit-dip", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected header" in err
+
+
 def test_fit_dip_writes_normalized_scan(tmp_path):
     delays = np.linspace(-6.0, 6.0, 31)
     dip = 400.0 * (1.0 - 0.9 * np.exp(-(delays**2) / 2.0))

@@ -122,6 +122,19 @@ def test_pitch_limits_enforced():
         build_cross_section(shallow, 1550.0, grid_pitch_nm=40.0)
 
 
+@pytest.mark.parametrize("pitch", [0.0, -10.0, math.nan, math.inf])
+def test_pitch_must_be_positive_and_finite(pitch):
+    with pytest.raises(ResolutionError, match="positive"):
+        build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=pitch)
+
+
+@pytest.mark.parametrize("padding", [-1.0, math.nan, math.inf])
+def test_padding_must_be_non_negative_and_finite(padding):
+    with pytest.raises(ValueError, match="padding"):
+        build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=20.0,
+                            padding_um=padding)
+
+
 def test_region_stack_order():
     m = build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
     column = m.region[:, 0]  # far from the rib

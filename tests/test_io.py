@@ -181,9 +181,10 @@ def test_written_text_is_exact(tmp_path):
 
 
 def test_unequal_columns_are_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        _write_columns(tmp_path / "bad.csv", ["a", "b"], [1.0, 2.0, 3.0],
-                       [1.0, 2.0])
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="bad.csv"):
+        _write_columns(path, ["a", "b"], [1.0, 2.0, 3.0], [1.0, 2.0])
+    assert not path.exists()
 
 
 def test_fit_report_is_flat_key_value_text(tmp_path):
