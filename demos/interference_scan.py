@@ -21,7 +21,7 @@ from lnhom.hom import (TwoPhotonState, coincidence_curve, combined_visibility,
 
 OUT = pathlib.Path("demo-output/interference")
 SEED = 7
-DELAYS_PS = np.linspace(-8.0, 8.0, 50)
+DELAYS_PS = np.linspace(*reference.DELAY_RANGE_PS, 50)
 
 
 def main():

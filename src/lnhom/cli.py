@@ -27,13 +27,16 @@ from .coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
                       splitting_ratio, with_interaction_length)
 from .counting import DetectorModel, SourceModel, simulate_counts
 from .errors import ConfigError
-from .fitting import (PowerRatioSeries, fabry_perot_loss,
+from .fitting import (MIN_DIP_POINTS, PowerRatioSeries, fabry_perot_loss,
                       fit_coupling_sinusoid, fit_gaussian_dip,
                       fresnel_reflectivity, normalized_scan)
 from .fock import PAIR_STATISTICS
-from .geometry import WaveguideGeometry, build_cross_section
+from .geometry import (DEFAULT_GRID_PITCH_NM, DEFAULT_PADDING_UM,
+                       WaveguideGeometry, build_cross_section)
 from .hom import (STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM,
-                  TwoPhotonState, coincidence_curve, hom_visibility_max)
+                  TwoPhotonState, check_eta, coincidence_curve,
+                  hom_visibility_max)
+from .materials import DEFAULT_POLARIZATION, POLARIZATIONS
 from .modes import solve_modes
 from .reproduce import format_report, run_reproduction
 
@@ -87,9 +90,11 @@ SCENARIO_SCHEMAS = {
     "modes": _schema(
         *_GEOMETRY_KEYS,
         ConfigKey("wavelength_nm", "float", 1550.0, "vacuum wavelength"),
-        ConfigKey("grid_pitch_nm", "float", 10.0, "cell size"),
-        ConfigKey("padding_um", "float", 2.0, "cladding padding on each side"),
-        ConfigKey("polarization", "str", "te", "mode family", ("te", "tm")),
+        ConfigKey("grid_pitch_nm", "float", DEFAULT_GRID_PITCH_NM, "cell size"),
+        ConfigKey("padding_um", "float", DEFAULT_PADDING_UM,
+                  "cladding padding on each side"),
+        ConfigKey("polarization", "str", DEFAULT_POLARIZATION, "mode family",
+                  POLARIZATIONS),
         ConfigKey("n_modes", "int", 2, "guided modes requested"),
         ConfigKey("write_fields", "bool", True, "dump mode fields as CSV"),
         ConfigKey("write_index_map", "bool", False, "dump the index map"),
@@ -118,8 +123,8 @@ SCENARIO_SCHEMAS = {
         ConfigKey("mode_overlap", "float", TwoPhotonState.mode_overlap,
                   "indistinguishability factor M"),
         ConfigKey("eta", "float", 0.5, "splitter cross fraction"),
-        ConfigKey("delay_min_ps", "float", -8.0),
-        ConfigKey("delay_max_ps", "float", 8.0),
+        ConfigKey("delay_min_ps", "float", ref.DELAY_RANGE_PS[0]),
+        ConfigKey("delay_max_ps", "float", ref.DELAY_RANGE_PS[1]),
         ConfigKey("delay_points", "int", 81),
         ConfigKey("normalized", "bool", True, "divide by the far-delay baseline"),
     ),
@@ -139,8 +144,8 @@ SCENARIO_SCHEMAS = {
         ConfigKey("dead_time_ns", "float", ref.DETECTOR_DEAD_TIME_NS),
         ConfigKey("dark_count_probability", "float",
                   DetectorModel.dark_count_probability),
-        ConfigKey("delay_min_ps", "float", -8.0),
-        ConfigKey("delay_max_ps", "float", 8.0),
+        ConfigKey("delay_min_ps", "float", ref.DELAY_RANGE_PS[0]),
+        ConfigKey("delay_max_ps", "float", ref.DELAY_RANGE_PS[1]),
         ConfigKey("delay_points", "int", 50),
         ConfigKey("pulses_per_point", "int", SourceModel.pulses_per_run),
         ConfigKey("stage_conversion", "str", "double-pass",
@@ -247,9 +252,13 @@ def _build(cls, keys, params):
     return cls(**{key.name: params[key.name] for key in keys})
 
 
-def _delay_axis(params):
-    if params["delay_points"] < 2:
-        raise ConfigError("delay_points must be at least 2")
+def _check_delay_points(params, minimum):
+    if params["delay_points"] < minimum:
+        raise ConfigError(f"delay_points must be at least {minimum}")
+
+
+def _delay_axis(params, minimum):
+    _check_delay_points(params, minimum)
     if not params["delay_min_ps"] < params["delay_max_ps"]:
         raise ConfigError("delay_min_ps must be below delay_max_ps")
     return np.linspace(params["delay_min_ps"], params["delay_max_ps"],
@@ -310,7 +319,7 @@ def _run_hom_dip(params, out):
     state = TwoPhotonState.degenerate(params["center_wavelength_nm"],
                                       params["bandwidth_fwhm_nm"],
                                       params["mode_overlap"])
-    delays = _delay_axis(params)
+    delays = _delay_axis(params, 2)
     scan = coincidence_curve(state, params["eta"], delays,
                              normalized=params["normalized"])
     lio.write_delay_scan_csv(out / "dip_curve.csv", scan)
@@ -329,7 +338,9 @@ def _run_simulate_counts(params, out):
                          repetition_period_ns=params["repetition_period_ns"])
     detectors = DetectorModel(params["efficiency"], params["dead_time_ns"],
                               params["dark_count_probability"])
-    delays = _delay_axis(params)
+    check_eta(params["eta"])
+    # the scan is fitted below, so too few points fail before it is run
+    delays = _delay_axis(params, MIN_DIP_POINTS)
     scan = simulate_counts(state, params["eta"], source, detectors, delays,
                            seed=params["seed"])
     factor = STAGE_DOUBLE_PASS_PS_PER_UM \
@@ -389,6 +400,7 @@ def _run_fp_loss(params, out):
 
 
 def _run_reproduce(params, out):
+    _check_delay_points(params, MIN_DIP_POINTS)
     results = run_reproduction(seed=params["seed"],
                                pulses_per_point=params["pulses_per_point"],
                                delay_points=params["delay_points"],

@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
-from .hom import DelayScan, spectral_overlap
+from .hom import DelayScan, check_eta, spectral_overlap
 
 _TAIL_PAIRS = MAX_ENUMERATED_PAIRS + 1
 
@@ -160,8 +160,7 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
     """
     if seed is None:
         raise ValueError("seed is required for reproducible simulation")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_eta(eta)
     delays = np.asarray(delays_ps, dtype=float)
     n_pulses = source.pulses_per_run
 

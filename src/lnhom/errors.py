@@ -10,7 +10,9 @@ class ResolutionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver could not deliver a trustworthy result: an iterative solve
+    hit its iteration cap before reaching tolerance, or a factorisation
+    met a pivot it cannot use."""
 
     def __init__(self, message, residual_norm=None):
         super().__init__(message)

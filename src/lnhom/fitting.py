@@ -30,6 +30,8 @@ from .hom import DelayScan, hom_visibility_max
 
 MAX_ITERATIONS = 500
 STEP_TOLERANCE = 1e-10
+# fewest delay points fit_gaussian_dip accepts
+MIN_DIP_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ def fit_gaussian_dip(scan):
     """
     delays = scan.delay_ps
     values = np.asarray(scan.values, dtype=float)
-    if delays.size < 10:
-        raise ValueError("need at least 10 points to fit the dip")
+    if delays.size < MIN_DIP_POINTS:
+        raise ValueError(f"need at least {MIN_DIP_POINTS} points to fit the dip")
     names = ("visibility", "center_ps", "width_ps", "baseline")
     x0 = _dip_guess(delays, values)
     poisson = np.issubdtype(scan.values.dtype, np.integer)

@@ -30,6 +30,9 @@ REGION_AIR = 4
 
 WAVELENGTH_BAND_NM = (1300.0, 1700.0)
 MAX_GRID_PITCH_NM = 50.0
+# converged-pitch default of every cross-section, and its background padding
+DEFAULT_GRID_PITCH_NM = 10.0
+DEFAULT_PADDING_UM = 2.0
 AIR_INDEX = 1.0
 
 
@@ -116,8 +119,10 @@ def _symmetric_x_grid(half_width_nm, pitch_nm):
     return (np.arange(n) - (n - 1) / 2.0) * pitch_nm
 
 
-def build_cross_section(geometry, wavelength_nm, grid_pitch_nm=10.0,
-                        padding_um=2.0, polarization="te"):
+def build_cross_section(geometry, wavelength_nm,
+                        grid_pitch_nm=DEFAULT_GRID_PITCH_NM,
+                        padding_um=DEFAULT_PADDING_UM,
+                        polarization=materials.DEFAULT_POLARIZATION):
     """Discretise a geometry into an :class:`IndexMap` at one wavelength.
 
     The grid covers the structure plus ``padding_um`` of background on every

@@ -71,7 +71,8 @@ class TwoPhotonState:
             raise ValueError("mode_overlap must lie in [0, 1]")
 
     @classmethod
-    def degenerate(cls, center_wavelength_nm, bandwidth_fwhm_nm, mode_overlap=1.0):
+    def degenerate(cls, center_wavelength_nm, bandwidth_fwhm_nm,
+                   mode_overlap=mode_overlap):  # the field's default
         """Identical signal and idler wavepackets."""
         packet = PhotonWavepacket(center_wavelength_nm, bandwidth_fwhm_nm)
         return cls(packet, packet, mode_overlap)
@@ -106,14 +107,20 @@ def spectral_overlap(state, delay_ps=0.0):
     return overlap if np.ndim(delay_ps) else float(overlap)
 
 
+def check_eta(eta):
+    """Raise ``ValueError`` unless the splitter cross fraction eta lies in
+    [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+
+
 def hom_visibility_max(eta):
     """Best achievable dip visibility for a splitter with cross fraction eta.
 
     Computed from q = eta - 1/2 so the eta <-> 1-eta symmetry is exact in
     floating point.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_eta(eta)
     q = eta - 0.5
     product = 0.25 - q * q  # eta (1 - eta)
     return 2.0 * product / (1.0 - 2.0 * product)
@@ -164,8 +171,7 @@ def coincidence_curve(state, eta, delays_ps, normalized=True):
     the wings sit at 1 and the dip depth equals
     combined_visibility(I(0) at zero relative delay, eta).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_eta(eta)
     delays = np.asarray(delays_ps, dtype=float)
     overlap = spectral_overlap(state, delays)
     baseline = eta**2 + (1.0 - eta) ** 2

@@ -31,23 +31,37 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _cell_text(column):
+    """The text of every cell of a column.
+
+    ``tolist()`` turns the values into Python floats, ints or strings, and
+    ``str`` of a Python float is its shortest round-trip ``repr``, so floats
+    read back exactly.  A numeric column formats each distinct value once
+    (the axes of a field map repeat a few hundred values hundreds of
+    thousands of times); values are told apart by bit pattern, so ``-0.0``
+    and NaN keep their own text.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind not in "biuf":
+        return [str(value) for value in values.tolist()]
+    bits = np.ascontiguousarray(values).view(f"u{values.dtype.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array([str(value) for value in values[first].tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_columns(path, header, *columns):
     """Write equal-length columns under a header row; unequal columns raise
-    before the file is opened.
-
-    ``tolist()`` turns each column into Python floats, ints or strings, and
-    ``str`` of a Python float is its shortest round-trip ``repr``, so floats
-    read back exactly.
-    """
-    columns = [np.asarray(column).tolist() for column in columns]
+    before the file is opened."""
+    columns = [_cell_text(column) for column in columns]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns {','.join(header)} have unequal "
                          f"lengths {lengths}")
     with _open_write(path) as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n"
-                          for row in zip(*(map(str, c) for c in columns)))
+        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_field_csv(path, x_nm, y_nm, values):

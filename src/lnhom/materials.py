@@ -37,6 +37,9 @@ SILICA_SELLMEIER = (
     (0.4079426, 0.1162414**2),
     (0.8974794, 9.896161**2),
 )
+# polarization families of an X-cut film, the TE-like one by default
+POLARIZATIONS = ("te", "tm")
+DEFAULT_POLARIZATION = "te"
 
 
 def _sellmeier(wavelength_nm, terms):
@@ -60,7 +63,7 @@ def silica(wavelength_nm):
     return _sellmeier(wavelength_nm, SILICA_SELLMEIER)
 
 
-def core_index(wavelength_nm, polarization="te"):
+def core_index(wavelength_nm, polarization=DEFAULT_POLARIZATION):
     """LN index seen by the chosen polarization family in an X-cut film."""
     if polarization == "te":
         return lithium_niobate_extraordinary(wavelength_nm)

@@ -16,6 +16,12 @@ modes and a zero-field centre for antisymmetric ones, so the boundary
 condition fixes the parity.  Outer boundaries are zero-field by default
 (guided modes decay into the padding); a reflecting ("neumann") variant
 exists for homogeneous-medium and slab checks.
+
+Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
+(Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
+eigenvalues of the operator above tau equals the number of positive pivots
+of an LDL^T factorisation of (operator - tau I), so one sparse factorisation
+per mirror half counts every mode above the cutoff exactly, with no cap.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, DecoupledWaveguidesError
-from .geometry import build_cross_section
+from .geometry import DEFAULT_GRID_PITCH_NM, build_cross_section
 
 PARITY_SYMMETRIC = "symmetric"
 PARITY_ANTISYMMETRIC = "antisymmetric"
@@ -43,10 +49,8 @@ MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
 # supermode index splitting below which two ribs count as decoupled
 DEGENERACY_TOLERANCE = 1e-9
-# effective-index margin a rib mode needs above the slab cutoff, and the
-# most modes guided_mode_count looks for
+# effective-index margin a rib mode needs above the slab cutoff
 CUTOFF_MARGIN = 1e-3
-MAX_GUIDED_MODES = 4
 
 
 @dataclass
@@ -118,6 +122,54 @@ def _mode_shift(index, pitch, wavelength, boundary):
     return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
 
 
+def _mirror_halves(index):
+    """The half maps right of the mirror plane of ``index``, one per parity:
+    with the centre column for symmetric modes, without it for antisymmetric
+    ones.  Raises ``ValueError`` unless the map has an odd number of
+    columns, at least 3, and is mirror-symmetric about the centre one."""
+    nx = index.shape[1]
+    if nx < 3 or nx % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
+        raise ValueError("map must be at least 3 columns wide and "
+                         "mirror-symmetric about its centre column")
+    c = nx // 2
+    return [(PARITY_SYMMETRIC, index[:, c:]),
+            (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
+
+
+def _eigenvalues_above(op, tau):
+    """Number of eigenvalues of the symmetric ``op`` above ``tau``: the
+    positive pivots of one LDL^T factorisation of ``op - tau I`` (Sylvester's
+    law of inertia).
+
+    Raises :class:`ConvergenceError` when a pivot leaves the diagonal (the
+    factors are then no LDL^T) or is zero or not finite.
+    """
+    try:
+        lu = splu((op - tau * sp.identity(op.shape[0])).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise ConvergenceError(f"inertia count at {tau!r}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceError(f"inertia count at {tau!r}: off-diagonal pivot")
+    pivots = lu.U.diagonal()
+    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        raise ConvergenceError(f"inertia count at {tau!r}: zero or non-finite "
+                               "pivot")
+    return int(np.count_nonzero(pivots > 0.0))
+
+
+def _modes_above(index_map, tau):
+    """Number of modes (beta^2 eigenvalues) of the map above ``tau``, both
+    parities, under zero-field outer boundaries; each factorisation lives
+    only inside its :func:`_eigenvalues_above` call."""
+    k0 = 2.0 * np.pi / index_map.wavelength_nm
+    return sum(_eigenvalues_above(_helmholtz_operator(half, index_map.pitch_nm,
+                                                      k0, "dirichlet", parity),
+                                  tau)
+               for parity, half in _mirror_halves(index_map.index))
+
+
 def _full_field(half, parity):
     """Mirror a half-domain eigenvector back onto the full grid."""
     if parity == PARITY_SYMMETRIC:
@@ -147,13 +199,7 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
 
     k0 = 2.0 * np.pi / wavelength
     index, pitch = index_map.index, index_map.pitch_nm
-    nx = index.shape[1]
-    if nx < 3 or nx % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
-        raise ValueError("map must be at least 3 columns wide and "
-                         "mirror-symmetric about its centre column")
-    c = nx // 2
-    halves = [(PARITY_SYMMETRIC, index[:, c:]),
-              (PARITY_ANTISYMMETRIC, index[:, c + 1:])]
+    halves = _mirror_halves(index)
     sigma = _mode_shift(index, pitch, wavelength, boundary)
     solutions = []
     for parity, half in halves:
@@ -182,7 +228,8 @@ def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):
     return (wavelength_nm / 1000.0) / (2.0 * delta_n)
 
 
-def supermode_coupling_length(geometry, wavelength_nm, *, grid_pitch_nm=10.0):
+def supermode_coupling_length(geometry, wavelength_nm, *,
+                              grid_pitch_nm=DEFAULT_GRID_PITCH_NM):
     """Coupling length (um) of a two-rib coupler from its supermode splitting
     on the default cross-section (TE core index, 2 um padding).
 
@@ -216,15 +263,18 @@ def _profile_effective_index(profile, pitch_nm, wavelength_nm, boundary="dirichl
     return float(np.sqrt(max(top, 0.0)) / k0)
 
 
-def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0):
+def guided_mode_count(geometry, wavelength_nm, *,
+                      grid_pitch_nm=DEFAULT_GRID_PITCH_NM):
     """Number of laterally confined modes of a single rib on the default
-    cross-section (TE core index, 2 um padding), counted up to
-    ``MAX_GUIDED_MODES``.
+    cross-section (TE core index, 2 um padding), every one counted.
 
     A rib mode only counts as guided when its effective index exceeds the
     etched-slab effective index (otherwise it leaks sideways into the slab);
     that cutoff is computed from the 1D layer profile far from the rib, with
-    ``CUTOFF_MARGIN`` as the separation required above it.
+    ``CUTOFF_MARGIN`` as the separation required above it.  The count runs
+    no eigensolve: it is the inertia of the operator shifted to the cutoff,
+    from one factorisation per mirror half (see :func:`_eigenvalues_above`), so
+    it raises :class:`ConvergenceError` where that factorisation does.
     """
     if geometry.gap_um is not None:
         raise ValueError("single-waveguide geometry required")
@@ -233,6 +283,5 @@ def guided_mode_count(geometry, wavelength_nm, *, grid_pitch_nm=10.0):
     slab = _profile_effective_index(index_map.index[:, 0], index_map.pitch_nm,
                                     wavelength_nm)
     cutoff = max(slab, float(index_map.substrate_index))
-    modes = solve_modes(index_map, MAX_GUIDED_MODES,
-                        cutoff_index=cutoff + CUTOFF_MARGIN)
-    return len(modes)
+    k0 = 2.0 * np.pi / wavelength_nm
+    return _modes_above(index_map, (k0 * (cutoff + CUTOFF_MARGIN)) ** 2)

@@ -45,6 +45,9 @@ REPRODUCTION_MEAN_PAIRS_PER_PULSE = 0.009
 DETECTOR_EFFICIENCY = 0.95           # quoted as "> 95 %"
 DETECTOR_DEAD_TIME_NS = 70.0
 
+# relative-delay window of the HOM dip scans
+DELAY_RANGE_PS = (-8.0, 8.0)
+
 # two-photon interference results
 SPLITTER_LIMITED_VISIBILITY = 0.9832
 EXPECTED_VISIBILITY = 0.9636

@@ -71,7 +71,7 @@ def _fit_roundtrip_checks():
     rel = abs(fit.parameters["coupling_length_um"] - true_lc) / true_lc
     yield _close("beat-length fit roundtrip, relative error", rel, 0.0, 1e-3)
 
-    delays = np.linspace(-8.0, 8.0, 41)
+    delays = np.linspace(*ref.DELAY_RANGE_PS, 41)
     dip = 1.0 - ref.MEASURED_RAW_VISIBILITY * np.exp(-(delays**2) / (2 * 1.2**2))
     dip_fit = fit_gaussian_dip(DelayScan(delays, dip))
     yield _close("dip fit roundtrip, visibility",
@@ -122,7 +122,7 @@ def _counting_check(seed, pulses_per_point, delay_points):
     scan = simulate_counts(
         ref.reference_photon_pair(), ref.SPLITTING_RATIO,
         ref.reference_source(pulses_per_point), ref.reference_detectors(),
-        np.linspace(-8.0, 8.0, delay_points), seed=seed)
+        np.linspace(*ref.DELAY_RANGE_PS, delay_points), seed=seed)
     fit = fit_gaussian_dip(scan)
     yield _within("counting-simulation fitted visibility",
                   fit.parameters["visibility"], 0.93, 0.985)

@@ -3,8 +3,9 @@
 Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
 trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
-on the full grid with scipy's own shift-invert, and uncertainties by
-quadrature or direct sampling.  Tests freeze the numbers these produce;
+on the full grid with scipy's own shift-invert, mode counts of layered
+maps from their separable spectrum, and uncertainties by quadrature or
+direct sampling.  Tests freeze the numbers these produce;
 the package must then reproduce them.
 """
 
@@ -92,6 +93,24 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4, reflecting=False):
     vals = eigsh(operator, k=count, sigma=(k0 * index.max()) ** 2,
                  return_eigenvectors=False)
     return np.sort(np.sqrt(vals) / k0)[::-1]
+
+
+def layered_count_above(profile, columns, pitch_nm, wavelength_nm, tau):
+    """Number of eigenvalues above ``tau`` of the 5-point scalar Helmholtz
+    operator with zero-field edges on a map whose every one of ``columns``
+    columns is the layer ``profile`` (index along y).  The operator is a
+    Kronecker sum, so its spectrum is every sum of one x eigenvalue, the
+    closed-form Dirichlet sine spectrum -(2/h sin(j pi / (2 (nx + 1))))^2,
+    and one eigenvalue of the dense 1D y operator."""
+    k0 = 2.0 * math.pi / wavelength_nm
+    link = 1.0 / pitch_nm**2
+    j = np.arange(1, columns + 1)
+    along_x = -4.0 * link * np.sin(j * math.pi / (2.0 * (columns + 1))) ** 2
+    ny = len(profile)
+    along_y = np.diag(-2.0 * link + (k0 * np.asarray(profile)) ** 2) \
+        + np.diag(np.full(ny - 1, link), 1) + np.diag(np.full(ny - 1, link), -1)
+    total = along_x[:, None] + np.linalg.eigvalsh(along_y)[None, :]
+    return int(np.count_nonzero(total > tau))
 
 
 # --- Gaussian two-photon overlap by trapezoid quadrature ------------------

@@ -4,8 +4,10 @@ seed handling, all exercised in-process."""
 import numpy as np
 import pytest
 
+from lnhom import cli
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.errors import ConfigError
+from lnhom.fitting import MIN_DIP_POINTS
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
 
 
@@ -263,6 +265,26 @@ def test_library_value_errors_in_config_only_scenarios_exit_two(
     assert main([scenario, "--config", config,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("scenario, runner", [
+    ("simulate-counts", "simulate_counts"),
+    ("reproduce-paper", "run_reproduction"),
+])
+def test_too_few_points_to_fit_fail_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, scenario,
+                                                    runner):
+    def never_called(*args, **kwargs):
+        raise AssertionError(f"{runner} ran")
+
+    monkeypatch.setattr(cli, runner, never_called)
+    config = _write(tmp_path, "c.cfg",
+                    f"delay_points = {MIN_DIP_POINTS - 1}\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: delay_points must be at least {MIN_DIP_POINTS}\n")
+    assert not (out / "counts.csv").exists()
 
 
 def test_fit_dip_wrong_header_is_a_data_error(tmp_path, capsys):

@@ -180,6 +180,22 @@ def test_written_text_is_exact(tmp_path):
         b"20.0,1e-17\n")
 
 
+def test_repeated_values_keep_their_exact_text(tmp_path):
+    # each distinct bit pattern is formatted once: -0.0 stays apart from
+    # 0.0, every NaN reads nan, a subnormal keeps its shortest repr
+    tiny = 5e-324
+    write_field_csv(tmp_path / "field.csv", [-0.0, 0.0, -0.0], [tiny, tiny],
+                    np.array([[np.nan, 0.0, -0.0], [-np.nan, tiny, 0.1]]))
+    assert (tmp_path / "field.csv").read_bytes() == (
+        b"x_nm,y_nm,value\n"
+        b"-0.0,5e-324,nan\n"
+        b"0.0,5e-324,0.0\n"
+        b"-0.0,5e-324,-0.0\n"
+        b"-0.0,5e-324,nan\n"
+        b"0.0,5e-324,5e-324\n"
+        b"-0.0,5e-324,0.1\n")
+
+
 def test_unequal_columns_are_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="bad.csv"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import _oracles as oracle
 from lnhom import materials, modes
@@ -176,6 +177,69 @@ def test_shift_lies_above_every_mode(case):
 def test_single_mode_reference_geometry():
     count = guided_mode_count(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
     assert count == 1
+
+
+def _layered_map(columns=201, pitch=20.0):
+    # x-uniform: the 600 nm LN film between silica and air, 4 um wide
+    n_core = float(materials.lithium_niobate_extraordinary(1550.0))
+    n_clad = float(materials.silica(1550.0))
+    y = -600.0 + (np.arange(90) + 0.5) * pitch
+    profile = np.where(y < 0.0, n_clad, np.where(y < 600.0, n_core, 1.0))
+    index = np.tile(profile[:, None], (1, columns))
+    return IndexMap(
+        index=index,
+        region=np.zeros_like(index, dtype=np.uint8),
+        x_nm=(np.arange(columns) - columns // 2) * pitch,
+        y_nm=y,
+        pitch_nm=pitch,
+        wavelength_nm=1550.0,
+    ), profile
+
+
+def test_inertia_count_matches_separable_oracle():
+    map_, profile = _layered_map()
+    k0 = 2.0 * np.pi / 1550.0
+    expected = []
+    # tau = (k0 n)^2 from above the film index down to below zero
+    for n_squared in (4.5, 3.6, 3.4, 3.0, 1.0, 0.0, -2.0):
+        tau = k0**2 * n_squared
+        expected.append(oracle.layered_count_above(
+            profile, map_.shape[1], map_.pitch_nm, 1550.0, tau))
+        assert modes._modes_above(map_, tau) == expected[-1]
+    assert expected[0] == 0 and expected[-1] > 30
+    assert expected == sorted(expected)
+
+
+# a 9 um rib has more modes than the count was once capped at (4)
+@pytest.mark.parametrize("top_width_um, count",
+                         [(1.0, 1), (2.0, 2), (4.0, 3), (9.0, 7)])
+def test_inertia_count_matches_arpack_count(top_width_um, count):
+    geometry = WaveguideGeometry(top_width_um=top_width_um)
+    assert guided_mode_count(geometry, 1550.0, grid_pitch_nm=40.0) == count
+    map_ = build_cross_section(geometry, 1550.0, grid_pitch_nm=40.0)
+    slab = modes._profile_effective_index(map_.index[:, 0], 40.0, 1550.0)
+    cutoff = max(slab, map_.substrate_index) + modes.CUTOFF_MARGIN
+    assert len(solve_modes(map_, count + 2, cutoff_index=cutoff)) == count
+
+
+def test_inertia_count_of_a_dense_symmetric_matrix():
+    rng = np.random.default_rng(3)
+    dense = rng.normal(size=(30, 30))
+    dense = dense + dense.T
+    values = np.linalg.eigvalsh(dense)
+    for tau in (-3.0, 0.1, 2.5):
+        assert modes._eigenvalues_above(sp.csc_matrix(dense), tau) \
+            == np.count_nonzero(values > tau)
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], id="off-diagonal-pivot"),
+    pytest.param([[1.0, 0.0], [0.0, 0.0]], id="zero-pivot"),
+    pytest.param([[1.0, 0.0], [0.0, np.nan]], id="nan"),
+])
+def test_unusable_pivots_raise_convergence_error(matrix):
+    with pytest.raises(ConvergenceError, match="inertia count"):
+        modes._eigenvalues_above(sp.csc_matrix(np.array(matrix)), 0.0)
 
 
 def test_single_rib_fundamental_matches_full_grid_oracle():
