@@ -3,9 +3,10 @@
 Walks the visibility budget of a coincidence measurement on the
 characterized coupler: the ceiling set by its 54.6 % splitting ratio, the
 penalty from imperfect source indistinguishability, the further penalty
-from occasional double pairs, and finally a seeded Monte Carlo scan with
-detection efficiency and dead time whose fitted visibility lands on the
-enumeration prediction.  Writes CSV into demo-output/interference/.
+from multi-pair emission seen through the detectors (the counting model's
+own visibility, dead time neglected), and finally a seeded Monte Carlo
+scan with detection efficiency and dead time whose fitted visibility lands
+on that model value.  Writes CSV into demo-output/interference/.
 """
 
 import pathlib
@@ -13,9 +14,8 @@ import pathlib
 import numpy as np
 
 from lnhom import io, reference
-from lnhom.counting import simulate_counts
+from lnhom.counting import model_visibility, simulate_counts
 from lnhom.fitting import fit_gaussian_dip, normalized_scan
-from lnhom.fock import multi_pair_visibility
 from lnhom.hom import (TwoPhotonState, coincidence_curve, combined_visibility,
                        hom_visibility_max)
 
@@ -36,21 +36,20 @@ def main():
         scan = coincidence_curve(perfect, ratio, DELAYS_PS)
         io.write_delay_scan_csv(OUT / f"ideal_dip_{label}.csv", scan)
 
+    # same state, pair rate and detectors as the characterized run
+    state = reference.reference_photon_pair()
+    source = reference.reference_source()
+    detectors = reference.reference_detectors()
     budget = [("splitter ceiling", hom_visibility_max(eta)),
               ("with source overlap",
                combined_visibility(reference.SOURCE_VISIBILITY, eta)),
-              ("with double pairs",
-               multi_pair_visibility(
-                   reference.REPRODUCTION_MEAN_PAIRS_PER_PULSE,
-                   reference.SOURCE_VISIBILITY, eta=eta))]
+              ("with pairs, detectors",
+               model_visibility(state, eta, source, detectors))]
     for label, value in budget:
         print(f"{label:22s} {value:.4f}")
 
-    # raw counts with the full detection chain; same state, pair rate and
-    # detectors as the characterized run
-    state = reference.reference_photon_pair()
-    counts = simulate_counts(state, eta, reference.reference_source(),
-                             reference.reference_detectors(), DELAYS_PS,
+    # raw counts with the full detection chain
+    counts = simulate_counts(state, eta, source, detectors, DELAYS_PS,
                              seed=SEED)
     io.write_delay_scan_csv(OUT / "counts.csv", counts)
 

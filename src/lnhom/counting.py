@@ -16,6 +16,10 @@ of a point thus scales with its clicks, not its pulses.  Coincidences are
 the counted indices both arms share.  Every delay point owns an
 independent child stream of the master seed, so points can be evaluated
 in any order, or in parallel, and still reproduce bit-for-bit.
+
+The same click table, taken at zero and at far delay, gives the model's
+own dip visibility (``model_visibility``), the one multi-pair visibility
+in the package.
 """
 
 from __future__ import annotations
@@ -107,6 +111,34 @@ def _click_pattern_probabilities(mu, statistics, overlap, eta, efficiency):
     return np.array([weights @ (click1 * (1.0 - click2)),
                      weights @ (click1 * click2),
                      weights @ ((1.0 - click1) * click2)])
+
+
+def model_visibility(state, eta, source, detectors):
+    """Dip visibility V = 1 - P_cc(0) / P_cc(inf) of the counting model.
+
+    P_cc is the per-pulse probability that both arms click, built from the
+    click table [P1, P12, P2] with the overlap of ``state`` at zero delay
+    and with no overlap at far delay.  A dark count fires on each arm with
+    probability d, independently of the photons, so
+
+        P_cc = P12 + d (P1 + P2) + d^2 (1 - P1 - P12 - P2).
+
+    The model neglects dead time.  Raises ``ValueError`` when P_cc(inf)
+    is 0 (no dark counts, and no pairs or blind detectors).
+    """
+    dark = detectors.dark_count_probability
+    rates = []
+    for overlap in (spectral_overlap(state, 0.0), 0.0):
+        only1, both, only2 = _click_pattern_probabilities(
+            source.mean_pairs_per_pulse, source.statistics, overlap, eta,
+            detectors.efficiency)
+        rates.append(both + dark * (only1 + only2)
+                     + dark**2 * (1.0 - only1 - both - only2))
+    if rates[1] == 0.0:
+        raise ValueError("no coincidences at far delay: without pairs, "
+                         "efficiency or dark counts the visibility is "
+                         "undefined")
+    return float(1.0 - rates[0] / rates[1])
 
 
 def _sorted_bernoulli_positions(rng, n_pulses, probability):

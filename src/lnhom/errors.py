@@ -27,10 +27,6 @@ class UnreachableTargetError(ValueError):
     """No non-negative interaction length realises the requested ratio on this branch."""
 
 
-class TruncationError(ValueError):
-    """Mean pair number too large for the two-pair truncation to be valid."""
-
-
 class UnidentifiableDataError(ValueError):
     """Data carry no information about one or more fit parameters."""
 

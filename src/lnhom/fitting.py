@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, NegativeLossWarning, UnidentifiableDataError
-from .hom import DelayScan, hom_visibility_max
+from .hom import DelayScan
 
 MAX_ITERATIONS = 500
 STEP_TOLERANCE = 1e-10
@@ -279,23 +279,3 @@ def fringe_contrast(values):
         raise ValueError("fringe trace must contain positive values")
     return (top - bottom) / (top + bottom)
 
-
-def hom_visibility_slope(eta):
-    """d V_max / d eta for the splitter-limited visibility."""
-    product = eta * (1.0 - eta)
-    return 2.0 * (1.0 - 2.0 * eta) / (1.0 - 2.0 * product) ** 2
-
-
-def propagate_visibility_uncertainty(eta, sigma_eta, source_visibility=1.0,
-                                     sigma_source=0.0):
-    """First-order uncertainty of V = V_source * V_max(eta).
-
-    Returns (value, sigma).
-    """
-    if sigma_eta < 0 or sigma_source < 0:
-        raise ValueError("uncertainties must be non-negative")
-    vmax = hom_visibility_max(eta)
-    value = source_visibility * vmax
-    d_eta = source_visibility * hom_visibility_slope(eta)
-    variance = (d_eta * sigma_eta) ** 2 + (vmax * sigma_source) ** 2
-    return value, math.sqrt(variance)

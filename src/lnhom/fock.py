@@ -9,10 +9,12 @@ creation operator is split as
 with lam^2 = I the pairwise indistinguishability.  The splitter mixes the
 arms mode-by-mode with the -i cross phase; expanding the resulting
 creation-operator polynomial over the four output modes gives every output
-occupation amplitude exactly.  Coincidences use threshold detectors (any
-photon number >= 1 clicks).  Pulses are truncated at two pairs, so rate
-ratios carry an O(mu^3) error; the guard limit keeps that below ~1e-3
-relative.
+occupation amplitude exactly, and summing out the internal modes gives the
+photon numbers per output arm.  The enumeration runs up to
+MAX_ENUMERATED_PAIRS pairs; ``lnhom.counting`` weights it with the
+pair-number statistics below, routes the three-plus tail classically and
+turns photon numbers into threshold-detector clicks, so that click table
+is the one multi-pair model, at any mean pair number.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .errors import TruncationError
+from .hom import check_eta
 
-MAX_MEAN_PAIRS = 0.1
 MAX_ENUMERATED_PAIRS = 2
 
 PAIR_STATISTICS = ("poissonian-pairs", "thermal-pairs")
@@ -81,67 +82,20 @@ def _pair_state_polynomial(n_pairs, amplitude_overlap, eta):
     return {occ: c * norm for occ, c in poly.items()}
 
 
-def splitter_output_distribution(n_pairs, indistinguishability, eta=0.5):
-    """Probability of each output occupation (n0, n1, n2, n3) for an n-pair
-    pulse; modes ordered arm1-matched, arm1-orth, arm2-matched, arm2-orth."""
+def arm_occupation_distribution(n_pairs, indistinguishability, eta=0.5):
+    """Photon numbers per output arm of an n-pair pulse, internal modes
+    summed out: {(n_arm1, n_arm2): probability}."""
     if not 0.0 <= indistinguishability <= 1.0:
         raise ValueError("indistinguishability must lie in [0, 1]")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_eta(eta)
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")
-    lam = math.sqrt(indistinguishability)
-    poly = _pair_state_polynomial(n_pairs, lam, eta)
-    dist = {}
-    for occ, coeff in poly.items():
-        weight = math.prod(math.factorial(k) for k in occ)
-        prob = abs(coeff) ** 2 * weight
-        if prob > 0.0:
-            dist[occ] = prob
-    return dist
-
-
-def arm_occupation_distribution(n_pairs, indistinguishability, eta=0.5):
-    """Distribution of photon numbers per output arm, internal modes summed
-    out: {(n_arm1, n_arm2): probability}."""
+    poly = _pair_state_polynomial(n_pairs, math.sqrt(indistinguishability),
+                                  eta)
     dist = defaultdict(float)
-    full = splitter_output_distribution(n_pairs, indistinguishability, eta)
-    for (n0, n1, n2, n3), prob in full.items():
-        dist[(n0 + n1, n2 + n3)] += prob
+    for occ, coeff in poly.items():
+        prob = abs(coeff) ** 2 * math.prod(math.factorial(k) for k in occ)
+        if prob > 0.0:
+            n0, n1, n2, n3 = occ
+            dist[(n0 + n1, n2 + n3)] += prob
     return dict(dist)
-
-
-def threshold_coincidence_probability(n_pairs, indistinguishability, eta=0.5):
-    """P(both arms receive at least one photon) for an n-pair pulse with
-    ideal threshold detectors."""
-    arms = arm_occupation_distribution(n_pairs, indistinguishability, eta)
-    return sum(p for (a, b), p in arms.items() if a >= 1 and b >= 1)
-
-
-def multi_pair_visibility(mu, single_pair_visibility=1.0,
-                          statistics="poissonian-pairs", eta=0.5):
-    """Dip visibility including multi-pair emission, V = 1 - C(0)/C(inf).
-
-    Coincidence rates at zero and far delay are summed over 0-, 1- and
-    2-pair pulses weighted by the emission statistics; mu = 0 returns the
-    single-pair visibility as the limit.  Raises TruncationError above the
-    two-pair truncation's validity limit.
-    """
-    if mu < 0:
-        raise ValueError("mean pair number must be non-negative")
-    if mu > MAX_MEAN_PAIRS:
-        raise TruncationError(
-            f"mean pair number {mu} exceeds the two-pair truncation limit "
-            f"{MAX_MEAN_PAIRS}"
-        )
-    if not 0.0 <= single_pair_visibility <= 1.0:
-        raise ValueError("single_pair_visibility must lie in [0, 1]")
-    if mu == 0:
-        return float(single_pair_visibility)
-    weights = pair_number_probabilities(mu, statistics, MAX_ENUMERATED_PAIRS)
-    dip = baseline = 0.0
-    for n in range(1, MAX_ENUMERATED_PAIRS + 1):
-        dip += weights[n] * threshold_coincidence_probability(
-            n, single_pair_visibility, eta)
-        baseline += weights[n] * threshold_coincidence_probability(n, 0.0, eta)
-    return 1.0 - dip / baseline

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupler import SplittingCurve
 from .fitting import PowerRatioSeries
 from .hom import DelayScan
 
@@ -88,11 +87,6 @@ def write_splitting_curve_csv(path, curve):
     _write_columns(path, ["wavelength_nm", "eta"],
                    np.asarray(curve.wavelength_nm, dtype=float),
                    np.asarray(curve.eta, dtype=float))
-
-
-def read_splitting_curve_csv(path):
-    wl, eta = _read_columns(path, ["wavelength_nm", "eta"])
-    return SplittingCurve(wavelength_nm=wl, eta=eta)
 
 
 def write_delay_scan_csv(path, scan):

@@ -3,9 +3,8 @@
 Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
 trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
-on the full grid with scipy's own shift-invert, mode counts of layered
-maps from their separable spectrum, and uncertainties by quadrature or
-direct sampling.  Tests freeze the numbers these produce;
+on the full grid with scipy's own shift-invert, and mode counts of layered
+maps from their separable spectrum.  Tests freeze the numbers these produce;
 the package must then reproduce them.
 """
 
@@ -209,56 +208,12 @@ def splitter_distribution_permanent(n_pairs, indistinguishability, eta):
     return dist
 
 
-def threshold_coincidence_permanent(n_pairs, indistinguishability, eta):
-    dist = splitter_distribution_permanent(n_pairs, indistinguishability, eta)
-    return sum(
-        p for (n0, n1, n2, n3), p in dist.items()
-        if n0 + n1 >= 1 and n2 + n3 >= 1
-    )
-
-
-def multi_pair_visibility_permanent(mu, indistinguishability,
-                                    statistics="poissonian-pairs", eta=0.5,
-                                    max_pairs=2):
-    """Mixture visibility 1 - C(0)/C(inf) with the same two-pair truncation
-    as the package, but amplitudes from permanents."""
-    if statistics == "poissonian-pairs":
-        weights = [math.exp(-mu) * mu**n / math.factorial(n)
-                   for n in range(max_pairs + 1)]
-    elif statistics == "thermal-pairs":
-        weights = [mu**n / (1.0 + mu) ** (n + 1) for n in range(max_pairs + 1)]
-    else:
-        raise ValueError(statistics)
-    dip = sum(weights[n] * threshold_coincidence_permanent(
-        n, indistinguishability, eta) for n in range(1, max_pairs + 1))
-    base = sum(weights[n] * threshold_coincidence_permanent(n, 0.0, eta)
-               for n in range(1, max_pairs + 1))
-    return 1.0 - dip / base
-
-
-# --- splitter-limited visibility and its uncertainty ----------------------
+# --- splitter-limited visibility ------------------------------------------
 
 def visibility_eq(eta):
     """The splitting-ratio-limited visibility in its printed form."""
     eta = np.asarray(eta, dtype=float)
     return 2.0 * eta * (1.0 - eta) / (1.0 - 2.0 * eta + 2.0 * eta**2)
-
-
-def visibility_sigma_quadrature(eta_mean, eta_sigma, n_nodes=201):
-    """Population standard deviation of V(eta) under a Gaussian eta, via
-    Gauss-Hermite quadrature (seedless truth)."""
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    etas = eta_mean + math.sqrt(2.0) * eta_sigma * nodes
-    values = visibility_eq(etas)
-    m1 = float(weights @ values) / math.sqrt(math.pi)
-    m2 = float(weights @ values**2) / math.sqrt(math.pi)
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
-
-
-def visibility_sigma_sampled(eta_mean, eta_sigma, n_samples=100_000, seed=0):
-    rng = np.random.default_rng(seed)
-    etas = rng.normal(eta_mean, eta_sigma, n_samples)
-    return float(np.std(visibility_eq(etas), ddof=1))
 
 
 # --- coupler branch lengths by brute-force scan ---------------------------

@@ -15,12 +15,12 @@ from lnhom import materials
 from lnhom import reference as ref
 from lnhom.coupler import (bandwidth_scan, length_for_ratio, transfer_matrix,
                            with_interaction_length)
-from lnhom.counting import simulate_counts
+from lnhom.counting import model_visibility, simulate_counts
 from lnhom.fitting import (PowerRatioSeries, coupling_length_statistics,
                            fabry_perot_fringes, fabry_perot_loss,
                            fit_coupling_sinusoid, fit_gaussian_dip,
                            fresnel_reflectivity, fringe_contrast)
-from lnhom.fock import multi_pair_visibility, splitter_output_distribution
+from lnhom.fock import arm_occupation_distribution
 from lnhom.geometry import IndexMap, reference_geometry
 from lnhom.hom import DelayScan, combined_visibility, hom_visibility_max
 from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_SYMMETRIC,
@@ -107,9 +107,9 @@ def test_acceptance_05_dip_visibility_recovery(reproduction_scan_fit):
     _line("noiseless dip visibility", recovered, "0.935 within 1e-4")
     assert abs(recovered - 0.935) <= 1e-4
 
-    predicted = multi_pair_visibility(
-        ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE, ref.SOURCE_VISIBILITY,
-        eta=ref.SPLITTING_RATIO)
+    predicted = model_visibility(
+        ref.reference_photon_pair(), ref.SPLITTING_RATIO,
+        ref.reference_source(), ref.reference_detectors())
     fitted = reproduction_scan_fit["fit"].parameters["visibility"]
     sigma = reproduction_scan_fit["fit"].uncertainties["visibility"]
     _line("simulated-scan visibility", f"{fitted} +/- {sigma}",
@@ -207,7 +207,7 @@ def test_acceptance_09_property_suites_and_measured_bracket(
     worst_total = 0.0
     for n_pairs in (1, 2):
         for overlap in (0.0, 0.9801, 1.0):
-            dist = splitter_output_distribution(n_pairs, overlap, 0.546)
+            dist = arm_occupation_distribution(n_pairs, overlap, 0.546)
             worst_total = max(worst_total, abs(sum(dist.values()) - 1.0))
     _line("pattern-probability conservation defect", worst_total, "< 1e-9")
     assert worst_total < 1e-9

@@ -4,7 +4,8 @@ seed handling, all exercised in-process."""
 import numpy as np
 import pytest
 
-from lnhom import cli
+from lnhom import cli, reproduce
+from lnhom import reference as ref
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.errors import ConfigError
 from lnhom.fitting import MIN_DIP_POINTS
@@ -338,3 +339,45 @@ def test_failed_reproduction_exits_one(tmp_path, capsys):
     assert main(["reproduce-paper", "--config", config, "--out", str(out)]) == 1
     shown = capsys.readouterr()
     assert "FAIL" in shown.out
+
+
+def test_bad_pulse_count_fails_before_any_solve(tmp_path, capsys,
+                                                monkeypatch):
+    def never_called(*args, **kwargs):
+        raise AssertionError("the mode solver ran")
+
+    monkeypatch.setattr(reproduce, "guided_mode_count", never_called)
+    monkeypatch.setattr(reproduce, "supermode_coupling_length", never_called)
+    config = _write(tmp_path, "c.cfg", "pulses_per_point = 0\n")
+    assert main(["reproduce-paper", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: pulses_per_run must be at least 1\n")
+
+
+def _counting_rows(seed):
+    rows = list(reproduce._counting_check(seed, ref.reference_source(), 50))
+    assert [row.name for row in rows] == [
+        "counting-simulation fitted visibility",
+        "fitted visibility within 4 sigma of click model"]
+    return rows
+
+
+def test_counting_rows_pass_at_the_reference_seed():
+    band, model = _counting_rows(12345)
+    assert band.passed and model.passed
+    assert model.expected == "0.961238"
+
+
+def test_model_row_fails_when_the_simulated_splitter_is_off(monkeypatch):
+    # eta = 0.57 in the simulation only: the fitted visibility stays inside
+    # the band, but some 8 fit sigma below the model
+    simulate = reproduce.simulate_counts
+
+    def off_splitter(state, eta, *args, **kwargs):
+        return simulate(state, 0.57, *args, **kwargs)
+
+    monkeypatch.setattr(reproduce, "simulate_counts", off_splitter)
+    band, model = _counting_rows(12345)
+    assert band.passed
+    assert not model.passed

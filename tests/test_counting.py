@@ -9,7 +9,7 @@ import pytest
 import _oracles as oracle
 from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
                             _click_pattern_probabilities, simulate_counts)
-from lnhom.fock import pair_number_probabilities, threshold_coincidence_probability
+from lnhom.fock import arm_occupation_distribution, pair_number_probabilities
 from lnhom.hom import TwoPhotonState, spectral_overlap
 
 STATE = TwoPhotonState.degenerate(1550.0, 6.0)
@@ -35,8 +35,10 @@ def _expected_probability(mu, overlap, eta):
     detectors, tail neglected."""
     probs = pair_number_probabilities(mu, "poissonian-pairs", 2)
     return sum(
-        probs[n] * threshold_coincidence_probability(n, overlap, eta)
+        probs[n] * p
         for n in (1, 2)
+        for (a, b), p in arm_occupation_distribution(n, overlap, eta).items()
+        if a >= 1 and b >= 1
     )
 
 

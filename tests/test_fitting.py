@@ -17,20 +17,10 @@ from lnhom.fitting import (
     fresnel_reflectivity,
     fringe_contrast,
     normalized_scan,
-    propagate_visibility_uncertainty,
 )
-from lnhom.hom import DelayScan, combined_visibility, hom_visibility_max
+from lnhom.hom import DelayScan
 
-from _oracles import (
-    fp_contrast,
-    visibility_sigma_quadrature,
-    visibility_sigma_sampled,
-)
-
-# visibility_sigma_sampled(0.546, 0.038, seed=0), frozen first
-SAMPLED_VISIBILITY_SIGMA = 0.030555246783339672
-# visibility_sigma_quadrature(0.546, 0.038), the seedless population value
-POPULATION_VISIBILITY_SIGMA = 0.03057670962729296
+from _oracles import fp_contrast
 
 
 def _sinusoid(lengths, coupling_length, offset, amplitude, baseline):
@@ -244,47 +234,6 @@ def test_loss_inputs_are_validated():
 
 def test_fresnel_reflectivity_hand_value():
     assert fresnel_reflectivity(1.9) == pytest.approx((0.9 / 2.9) ** 2, rel=1e-12)
-
-
-# --- visibility uncertainty ------------------------------------------------
-
-def test_visibility_uncertainty_example():
-    value, sigma = propagate_visibility_uncertainty(0.546, 0.038)
-    assert value == pytest.approx(hom_visibility_max(0.546), rel=1e-12)
-    assert sigma == pytest.approx(0.027500, abs=1e-5)
-
-
-def test_zero_input_uncertainty_gives_zero_output():
-    _, sigma = propagate_visibility_uncertainty(0.546, 0.0)
-    assert sigma == 0.0
-
-
-def test_source_uncertainty_adds_in_quadrature():
-    value, sigma = propagate_visibility_uncertainty(
-        0.546, 0.038, source_visibility=0.98, sigma_source=0.01)
-    assert value == pytest.approx(combined_visibility(0.98, 0.546), rel=1e-12)
-    eta_term = 0.98 * 0.027500481
-    source_term = hom_visibility_max(0.546) * 0.01
-    assert sigma == pytest.approx(
-        math.hypot(eta_term, source_term), rel=1e-4)
-
-
-def test_first_order_sigma_tracks_the_sampled_population():
-    # frozen draws; the linearization sits just inside ten percent of the
-    # sampled spread (the curvature of V(eta) accounts for the gap, and the
-    # seedless population value 0.0305767 puts it right at the edge)
-    assert visibility_sigma_sampled(0.546, 0.038, seed=0) == pytest.approx(
-        SAMPLED_VISIBILITY_SIGMA, abs=1e-15)
-    assert visibility_sigma_quadrature(0.546, 0.038) == pytest.approx(
-        POPULATION_VISIBILITY_SIGMA, abs=1e-12)
-    _, first_order = propagate_visibility_uncertainty(0.546, 0.038)
-    gap = abs(first_order - SAMPLED_VISIBILITY_SIGMA) / SAMPLED_VISIBILITY_SIGMA
-    assert gap < 0.10
-
-
-def test_uncertainty_rejects_negative_sigmas():
-    with pytest.raises(ValueError):
-        propagate_visibility_uncertainty(0.5, -0.01)
 
 
 # --- per-port statistics ---------------------------------------------------

@@ -1,30 +1,22 @@
-"""Few-photon enumeration: cross-checked against an independent
-permanent-based amplitude route, hand-derived coincidence values, and the
-emission-statistics distributions."""
+"""Few-photon enumeration and the multi-pair visibility it feeds:
+cross-checked against an independent permanent-based amplitude route,
+hand-derived coincidence values, and the emission-statistics
+distributions."""
 
-import math
+import itertools
 
 import pytest
 import scipy.stats
 
-from lnhom.errors import TruncationError
-from lnhom.fock import (
-    MAX_MEAN_PAIRS,
-    arm_occupation_distribution,
-    multi_pair_visibility,
-    pair_number_probabilities,
-    splitter_output_distribution,
-    threshold_coincidence_probability,
-)
+import _oracles as oracle
+from lnhom import reference as ref
+from lnhom.counting import DetectorModel, SourceModel, model_visibility
+from lnhom.fock import arm_occupation_distribution, pair_number_probabilities
+from lnhom.hom import TwoPhotonState, combined_visibility, spectral_overlap
 
-from _oracles import (
-    multi_pair_visibility_permanent,
-    splitter_distribution_permanent,
-    threshold_coincidence_permanent,
-)
-
-# multi_pair_visibility_permanent(0.01, 1.0), frozen before comparing routes
-TWO_PAIR_VISIBILITY_MU_001 = 0.9975216852540273
+# 1 - P_cc(0) / P_cc(inf) from oracle.pulse_coincidence_probability at
+# mu = 0.01 Poissonian, I = 1, eta = 0.5 and ideal detectors, frozen first
+TWO_PAIR_VISIBILITY_MU_001 = 0.9974896740601031
 
 GRID = [
     (1, 0.0, 0.5), (1, 0.5, 0.5), (1, 1.0, 0.5),
@@ -33,63 +25,84 @@ GRID = [
     (2, 0.9801, 0.546), (2, 0.7, 0.3),
 ]
 
+# a pair with unit overlap at zero delay
+PERFECT = TwoPhotonState.degenerate(1550.0, 6.0)
+IDEAL = DetectorModel()
+
+
+def _coincidence(arms):
+    """Probability that both arms receive at least one photon."""
+    return sum(p for (a, b), p in arms.items() if a >= 1 and b >= 1)
+
+
+def _visibility(mu, statistics="poissonian-pairs", state=PERFECT, eta=0.5,
+                detectors=IDEAL):
+    return model_visibility(state, eta, SourceModel(mu, statistics=statistics),
+                            detectors)
+
 
 # --- agreement with the permanent-based amplitude route -------------------
 
 @pytest.mark.parametrize("n_pairs,overlap,eta", GRID)
 def test_output_distribution_matches_permanent_route(n_pairs, overlap, eta):
-    package = splitter_output_distribution(n_pairs, overlap, eta)
-    oracle = splitter_distribution_permanent(n_pairs, overlap, eta)
-    keys = set(package) | set(oracle)
-    for occ in keys:
-        assert package.get(occ, 0.0) == pytest.approx(
-            oracle.get(occ, 0.0), abs=1e-9
-        ), occ
+    package = arm_occupation_distribution(n_pairs, overlap, eta)
+    permanent = oracle._arm_distribution_permanent(n_pairs, overlap, eta)
+    for arms in set(package) | set(permanent):
+        assert package.get(arms, 0.0) == pytest.approx(
+            permanent.get(arms, 0.0), abs=1e-9
+        ), arms
 
 
 @pytest.mark.parametrize("n_pairs,overlap,eta", GRID)
 def test_threshold_coincidence_matches_permanent_route(n_pairs, overlap, eta):
-    assert threshold_coincidence_probability(n_pairs, overlap, eta) \
-        == pytest.approx(
-            threshold_coincidence_permanent(n_pairs, overlap, eta), abs=1e-9)
+    assert _coincidence(arm_occupation_distribution(n_pairs, overlap, eta)) \
+        == pytest.approx(_coincidence(
+            oracle._arm_distribution_permanent(n_pairs, overlap, eta)),
+            abs=1e-9)
 
 
 def test_mixture_visibility_matches_permanent_route():
-    for mu in (0.002, 0.01, 0.05):
-        for overlap in (1.0, 0.9801):
-            assert multi_pair_visibility(mu, overlap) == pytest.approx(
-                multi_pair_visibility_permanent(mu, overlap), abs=1e-12
-            )
-    assert multi_pair_visibility(0.01, 1.0, statistics="thermal-pairs") \
-        == pytest.approx(
-            multi_pair_visibility_permanent(0.01, 1.0, "thermal-pairs"),
-            abs=1e-12)
+    state = ref.reference_photon_pair()
+    overlap = spectral_overlap(state, 0.0)
+    for statistics, mu, efficiency, dark in itertools.product(
+            ("poissonian-pairs", "thermal-pairs"),
+            (0.002, 0.009, 0.05, 0.5, 2.0), (0.5, 0.95, 1.0), (0.0, 0.01)):
+        def rate(indistinguishability):
+            return oracle.pulse_coincidence_probability(
+                mu, statistics, indistinguishability, 0.546, efficiency, dark)
+
+        expected = 1.0 - rate(overlap) / rate(0.0)
+        detectors = DetectorModel(efficiency=efficiency,
+                                  dark_count_probability=dark)
+        assert _visibility(mu, statistics, state, 0.546, detectors) \
+            == pytest.approx(expected, rel=0.0, abs=1e-12), \
+            (statistics, mu, efficiency, dark)
 
 
 # --- hand-derived coincidence probabilities -------------------------------
 
 def test_single_distinguishable_pair_coincides_half_the_time():
-    assert threshold_coincidence_probability(1, 0.0) \
+    assert _coincidence(arm_occupation_distribution(1, 0.0)) \
         == pytest.approx(0.5, abs=1e-12)
 
 
 def test_single_indistinguishable_pair_never_coincides():
-    assert threshold_coincidence_probability(1, 1.0) \
+    assert _coincidence(arm_occupation_distribution(1, 1.0)) \
         == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_indistinguishable_pairs_coincide_one_quarter():
-    assert threshold_coincidence_probability(2, 1.0) \
+    assert _coincidence(arm_occupation_distribution(2, 1.0)) \
         == pytest.approx(0.25, abs=1e-12)
 
 
 def test_two_distinguishable_pairs_coincide_seven_eighths():
-    assert threshold_coincidence_probability(2, 0.0) \
+    assert _coincidence(arm_occupation_distribution(2, 0.0)) \
         == pytest.approx(0.875, abs=1e-12)
 
 
 def test_two_pair_visibility_frozen_value():
-    assert multi_pair_visibility(0.01, 1.0) \
+    assert _visibility(0.01) \
         == pytest.approx(TWO_PAIR_VISIBILITY_MU_001, abs=1e-12)
 
 
@@ -113,14 +126,14 @@ def test_single_pair_enumeration_matches_closed_form(eta, overlap):
 @pytest.mark.parametrize("overlap", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_output_distribution_is_normalized(n_pairs, overlap, eta):
-    dist = splitter_output_distribution(n_pairs, overlap, eta)
+    dist = arm_occupation_distribution(n_pairs, overlap, eta)
     assert all(p >= 0.0 for p in dist.values())
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-    assert all(sum(occ) == 2 * n_pairs for occ in dist)
+    assert all(a + b == 2 * n_pairs for a, b in dist)
 
 
 def test_zero_pair_pulse_stays_vacuum():
-    assert splitter_output_distribution(0, 1.0) == {(0, 0, 0, 0): 1.0}
+    assert arm_occupation_distribution(0, 1.0) == {(0, 0): 1.0}
 
 
 # --- emission statistics ---------------------------------------------------
@@ -150,43 +163,47 @@ def test_pair_numbers_reject_bad_arguments():
 
 # --- mixture visibility behavior ------------------------------------------
 
-def test_mixture_visibility_zero_mu_returns_single_pair_value():
-    assert multi_pair_visibility(0.0, 0.95) == 0.95
+def test_mixture_visibility_rejects_a_zero_baseline():
+    # no pairs, or blind detectors, and no dark counts: nothing coincides
+    with pytest.raises(ValueError, match="far delay"):
+        _visibility(0.0)
+    with pytest.raises(ValueError, match="far delay"):
+        _visibility(0.01, detectors=DetectorModel(efficiency=0.0))
+    # dark counts alone give a flat baseline and no dip
+    dark = DetectorModel(dark_count_probability=0.01)
+    assert _visibility(0.0, detectors=dark) == 0.0
 
 
 def test_mixture_visibility_is_continuous_at_zero_mu():
-    assert multi_pair_visibility(1e-8, 0.95) \
-        == pytest.approx(0.95, abs=1e-6)
+    state = ref.reference_photon_pair()
+    single_pair = combined_visibility(spectral_overlap(state, 0.0), 0.546)
+    for detectors in (IDEAL, ref.reference_detectors()):
+        assert _visibility(1e-8, state=state, eta=0.546, detectors=detectors) \
+            == pytest.approx(single_pair, abs=1e-8)
 
 
 def test_mixture_visibility_degrades_with_brightness():
-    values = [multi_pair_visibility(mu, 1.0) for mu in (0.001, 0.01, 0.05)]
-    assert values[0] > values[1] > values[2]
+    values = [_visibility(mu) for mu in (0.001, 0.01, 0.05, 0.5, 2.0)]
+    assert all(high > low for high, low in zip(values, values[1:]))
 
 
 def test_thermal_pairs_degrade_visibility_faster_than_poissonian():
-    assert multi_pair_visibility(0.01, 1.0, statistics="thermal-pairs") \
-        < multi_pair_visibility(0.01, 1.0)
-
-
-def test_mixture_visibility_guards_its_truncation():
-    with pytest.raises(TruncationError):
-        multi_pair_visibility(MAX_MEAN_PAIRS + 0.01, 1.0)
-    # the limit itself is still allowed
-    assert 0.0 < multi_pair_visibility(MAX_MEAN_PAIRS, 1.0) < 1.0
+    assert _visibility(0.01, "thermal-pairs") < _visibility(0.01)
 
 
 def test_mixture_visibility_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        multi_pair_visibility(-0.001, 1.0)
+        _visibility(-0.001)
     with pytest.raises(ValueError):
-        multi_pair_visibility(0.01, 1.2)
+        _visibility(0.01, eta=1.2)
+    with pytest.raises(ValueError):
+        _visibility(0.01, eta=-0.001)
 
 
 def test_enumeration_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        splitter_output_distribution(-1, 1.0)
+        arm_occupation_distribution(-1, 1.0)
     with pytest.raises(ValueError):
-        splitter_output_distribution(1, 1.5)
+        arm_occupation_distribution(1, 1.5)
     with pytest.raises(ValueError):
-        splitter_output_distribution(1, 1.0, eta=-0.2)
+        arm_occupation_distribution(1, 1.0, eta=-0.2)

@@ -13,7 +13,6 @@ from lnhom.io import (
     _write_columns,
     read_delay_scan_csv,
     read_power_ratio_csv,
-    read_splitting_curve_csv,
     write_delay_scan_csv,
     write_field_csv,
     write_fit_report,
@@ -30,9 +29,12 @@ def test_splitting_curve_roundtrip_is_exact(tmp_path):
     )
     path = tmp_path / "curve.csv"
     write_splitting_curve_csv(path, curve)
-    back = read_splitting_curve_csv(path)
-    np.testing.assert_array_equal(back.wavelength_nm, curve.wavelength_nm)
-    np.testing.assert_array_equal(back.eta, curve.eta)
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["wavelength_nm", "eta"]
+    np.testing.assert_array_equal([float(row[0]) for row in rows],
+                                  curve.wavelength_nm)
+    np.testing.assert_array_equal([float(row[1]) for row in rows], curve.eta)
 
 
 def test_delay_scan_roundtrip_preserves_counts_dtype(tmp_path):
@@ -105,16 +107,16 @@ def test_rewriting_a_read_scan_is_byte_identical(tmp_path):
 
 def test_header_is_validated(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("lambda_nm,eta\n1550.0,0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="wavelength_nm"):
-        read_splitting_curve_csv(path)
+    path.write_text("length_nm,ratio\n0.0,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="length_um"):
+        read_power_ratio_csv(path)
 
 
 def test_empty_file_is_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
-        read_splitting_curve_csv(path)
+        read_power_ratio_csv(path)
 
 
 def test_mixed_value_column_reads_as_probabilities(tmp_path):

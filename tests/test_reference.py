@@ -7,13 +7,15 @@ import pytest
 
 from lnhom import reference as ref
 from lnhom.coupler import splitting_ratio
-from lnhom.fock import multi_pair_visibility
+from lnhom.counting import model_visibility
 from lnhom.hom import hom_visibility_max
 
 from _oracles import branch_length_scan
 
-# multi_pair_visibility_permanent(0.009, 0.9801, eta=0.546), frozen first
-PREDICTED_RAW_VISIBILITY = 0.9614752173817368
+# 1 - P_cc(0) / P_cc(inf) from _oracles.pulse_coincidence_probability at
+# mu = 0.009 Poissonian, I = 0.9801, eta = 0.546, 95 % efficiency and no
+# dark counts, frozen first
+PREDICTED_RAW_VISIBILITY = 0.9612382138838335
 
 
 def test_reference_device_reproduces_the_measured_ratio():
@@ -88,9 +90,9 @@ def test_interaction_length_lies_inside_the_fabricated_series():
 
 
 def test_multi_pair_prediction_at_the_operating_point():
-    predicted = multi_pair_visibility(
-        ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE, ref.SOURCE_VISIBILITY,
-        eta=ref.SPLITTING_RATIO)
+    predicted = model_visibility(
+        ref.reference_photon_pair(), ref.SPLITTING_RATIO,
+        ref.reference_source(), ref.reference_detectors())
     assert predicted == pytest.approx(PREDICTED_RAW_VISIBILITY, abs=1e-12)
     # multi-pair emission costs a little visibility on top of the
     # splitter-limited expectation
