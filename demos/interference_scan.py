@@ -30,8 +30,8 @@ def main():
 
     # ideal dips: perfectly indistinguishable pair on a balanced splitter,
     # then on the measured one
-    perfect = TwoPhotonState.degenerate(reference.PHOTON_WAVELENGTH_NM,
-                                        reference.PHOTON_BANDWIDTH_FWHM_NM)
+    perfect = TwoPhotonState(reference.PHOTON_WAVELENGTH_NM,
+                             reference.PHOTON_BANDWIDTH_FWHM_NM)
     for label, ratio in (("balanced", 0.5), ("measured", eta)):
         scan = coincidence_curve(perfect, ratio, DELAYS_PS)
         io.write_delay_scan_csv(OUT / f"ideal_dip_{label}.csv", scan)

@@ -120,8 +120,8 @@ SCENARIO_SCHEMAS = {
     "hom-dip": _schema(
         ConfigKey("center_wavelength_nm", "float", ref.PHOTON_WAVELENGTH_NM),
         ConfigKey("bandwidth_fwhm_nm", "float", ref.PHOTON_BANDWIDTH_FWHM_NM),
-        ConfigKey("mode_overlap", "float", TwoPhotonState.mode_overlap,
-                  "indistinguishability factor M"),
+        ConfigKey("source_visibility", "float",
+                  TwoPhotonState.source_visibility, "zero-delay overlap I(0)"),
         ConfigKey("eta", "float", 0.5, "splitter cross fraction"),
         ConfigKey("delay_min_ps", "float", ref.DELAY_RANGE_PS[0]),
         ConfigKey("delay_max_ps", "float", ref.DELAY_RANGE_PS[1]),
@@ -132,7 +132,7 @@ SCENARIO_SCHEMAS = {
         ConfigKey("center_wavelength_nm", "float", ref.PHOTON_WAVELENGTH_NM),
         ConfigKey("bandwidth_fwhm_nm", "float", ref.PHOTON_BANDWIDTH_FWHM_NM),
         ConfigKey("source_visibility", "float", ref.SOURCE_VISIBILITY,
-                  "zero-delay overlap; sets the mode overlap"),
+                  "zero-delay overlap I(0)"),
         ConfigKey("eta", "float", ref.SPLITTING_RATIO),
         ConfigKey("mean_pairs_per_pulse", "float",
                   ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE),
@@ -316,9 +316,9 @@ def _run_bandwidth(params, out):
 
 
 def _run_hom_dip(params, out):
-    state = TwoPhotonState.degenerate(params["center_wavelength_nm"],
-                                      params["bandwidth_fwhm_nm"],
-                                      params["mode_overlap"])
+    state = TwoPhotonState(params["center_wavelength_nm"],
+                           params["bandwidth_fwhm_nm"],
+                           params["source_visibility"])
     delays = _delay_axis(params, 2)
     scan = coincidence_curve(state, params["eta"], delays,
                              normalized=params["normalized"])
@@ -329,9 +329,9 @@ def _run_hom_dip(params, out):
 
 
 def _run_simulate_counts(params, out):
-    state = TwoPhotonState.from_source_visibility(params["source_visibility"],
-                                                  params["center_wavelength_nm"],
-                                                  params["bandwidth_fwhm_nm"])
+    state = TwoPhotonState(params["center_wavelength_nm"],
+                           params["bandwidth_fwhm_nm"],
+                           params["source_visibility"])
     source = SourceModel(params["mean_pairs_per_pulse"],
                          pulses_per_run=params["pulses_per_point"],
                          statistics=params["statistics"],

@@ -22,12 +22,6 @@ import numpy as np
 from . import materials
 from .errors import InvalidGeometryError, ResolutionError
 
-REGION_SUBSTRATE = 0
-REGION_FILM = 1
-REGION_RIB = 2
-REGION_CLADDING = 3
-REGION_AIR = 4
-
 WAVELENGTH_BAND_NM = (1300.0, 1700.0)
 MAX_GRID_PITCH_NM = 50.0
 # converged-pitch default of every cross-section, and its background padding
@@ -96,11 +90,9 @@ def reference_geometry(gap_um=None):
 @dataclass
 class IndexMap:
     """Refractive-index samples on a uniform cell-centred grid of square
-    cells ``pitch_nm`` wide; ``index`` and ``region`` are indexed
-    ``[iy, ix]``."""
+    cells ``pitch_nm`` wide; ``index`` is indexed ``[iy, ix]``."""
 
     index: np.ndarray
-    region: np.ndarray
     x_nm: np.ndarray
     y_nm: np.ndarray
     pitch_nm: float
@@ -167,10 +159,10 @@ def build_cross_section(geometry, wavelength_nm,
     ny = int(round((y_max - y_min) / grid_pitch_nm))
     y = y_min + (np.arange(ny) + 0.5) * grid_pitch_nm
 
-    region = np.full((ny, x.size), REGION_CLADDING, dtype=np.uint8)
-    region[y < 0.0, :] = REGION_SUBSTRATE
-    region[(y >= 0.0) & (y < slab_top), :] = REGION_FILM
-    region[y >= clad_top, :] = REGION_AIR
+    # silica substrate and cladding, the LN slab, air above the cladding
+    index = np.full((ny, x.size), n_silica)
+    index[(y >= 0.0) & (y < slab_top), :] = n_core
+    index[y >= clad_top, :] = AIR_INDEX
 
     # trapezoidal ribs: local half-width grows from top_half at the film top
     # to base_half at the slab, staircase-sampled at cell centres
@@ -179,13 +171,10 @@ def build_cross_section(geometry, wavelength_nm,
     hw = top_half_nm + (film_top - y[:, None]) / tan_angle
     for xc in centers_nm:
         inside = in_rib_band & (np.abs(x[None, :] - xc) <= hw)
-        region[inside] = REGION_RIB
-
-    index = np.choose(region, [n_silica, n_core, n_core, n_silica, AIR_INDEX])
+        index[inside] = n_core
 
     return IndexMap(
         index=index,
-        region=region,
         x_nm=x,
         y_nm=y,
         pitch_nm=grid_pitch_nm,

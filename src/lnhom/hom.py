@@ -1,17 +1,21 @@
 """Two-photon interference at a beam splitter of arbitrary reflectivity.
 
-Photons are Gaussian spectral wavepackets; their distinguishability enters
-through a single overlap number
+Signal and idler are identical Gaussian spectral wavepackets, so their
+distinguishability enters through a single overlap number
 
-    I(tau) = M^2 |integral phi_s(w) phi_i*(w) exp(-i w tau) dw|^2,
+    I(tau) = V exp(-sigma_omega^2 tau^2),
 
-where M lumps polarization and spatial mode mismatch.  The coincidence
-probability between the two output arms follows the standard two-photon
-law for a splitter with cross-port fraction eta,
+where sigma_omega is the intensity standard deviation of the angular
+frequency spectrum and V = I(0), the source visibility, lumps every
+distinguishability that no delay removes (spectral impurity,
+polarization and spatial mode mismatch).  The coincidence probability
+between the two output arms follows the standard two-photon law for a
+splitter with cross-port fraction eta,
 
     P_cc(tau) = eta^2 + (1-eta)^2 - 2 eta (1-eta) I(tau),
 
-whose normalized dip depth is V = 2 eta (1-eta) I(0) / (eta^2 + (1-eta)^2).
+whose normalized dip depth, the visibility, is
+2 eta (1-eta) I(0) / (eta^2 + (1-eta)^2).
 All delays are picoseconds; optical-stage positions convert through an
 explicit single- or double-pass factor.
 """
@@ -23,31 +27,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT_UM_PER_PS = 299.792458
 SPEED_OF_LIGHT_NM_PER_PS = 299_792.458
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# extra path per um of stage travel: a retroreflector doubles it
-STAGE_SINGLE_PASS_PS_PER_UM = 1.0 / SPEED_OF_LIGHT_UM_PER_PS
-STAGE_DOUBLE_PASS_PS_PER_UM = 2.0 / SPEED_OF_LIGHT_UM_PER_PS
+# delay per um of stage travel (1000 nm / c): a retroreflector doubles it
+STAGE_SINGLE_PASS_PS_PER_UM = 1000.0 / SPEED_OF_LIGHT_NM_PER_PS
+STAGE_DOUBLE_PASS_PS_PER_UM = 2000.0 / SPEED_OF_LIGHT_NM_PER_PS
 
 
 @dataclass(frozen=True)
-class PhotonWavepacket:
-    """Gaussian spectral wavepacket given by its intensity-FWHM bandwidth."""
+class TwoPhotonState:
+    """Degenerate photon pair: signal and idler share one Gaussian spectrum
+    of intensity-FWHM bandwidth ``bandwidth_fwhm_nm``, and
+    ``source_visibility`` in [0, 1] is their zero-delay overlap I(0);
+    1 means indistinguishable up to delay."""
 
     center_wavelength_nm: float
     bandwidth_fwhm_nm: float
+    source_visibility: float = 1.0
 
     def __post_init__(self):
         if self.center_wavelength_nm <= 0:
             raise ValueError("center_wavelength_nm must be positive")
         if self.bandwidth_fwhm_nm <= 0:
             raise ValueError("bandwidth_fwhm_nm must be positive")
-
-    @property
-    def center_angular_frequency_rad_per_ps(self):
-        return 2.0 * math.pi * SPEED_OF_LIGHT_NM_PER_PS / self.center_wavelength_nm
+        if not 0.0 <= self.source_visibility <= 1.0:
+            raise ValueError("source_visibility must lie in [0, 1]")
 
     @property
     def sigma_omega_rad_per_ps(self):
@@ -57,53 +62,15 @@ class PhotonWavepacket:
             / self.center_wavelength_nm**2
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Signal and idler wavepackets plus their mode overlap M in [0, 1];
-    M = 1 means indistinguishable up to delay."""
-
-    signal: PhotonWavepacket
-    idler: PhotonWavepacket
-    mode_overlap: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.mode_overlap <= 1.0:
-            raise ValueError("mode_overlap must lie in [0, 1]")
-
-    @classmethod
-    def degenerate(cls, center_wavelength_nm, bandwidth_fwhm_nm,
-                   mode_overlap=mode_overlap):  # the field's default
-        """Identical signal and idler wavepackets."""
-        packet = PhotonWavepacket(center_wavelength_nm, bandwidth_fwhm_nm)
-        return cls(packet, packet, mode_overlap)
-
-    @classmethod
-    def from_source_visibility(cls, source_visibility, center_wavelength_nm,
-                               bandwidth_fwhm_nm):
-        """Degenerate pair whose zero-delay overlap equals the measured
-        source-only visibility (M = sqrt(V_source))."""
-        if not 0.0 <= source_visibility <= 1.0:
-            raise ValueError("source_visibility must lie in [0, 1]")
-        return cls.degenerate(center_wavelength_nm, bandwidth_fwhm_nm,
-                              math.sqrt(source_visibility))
-
-
 def spectral_overlap(state, delay_ps=0.0):
-    """Indistinguishability I(tau) of the two wavepackets, in [0, 1], at the
-    relative arrival delay ``delay_ps`` of signal and idler.
+    """Indistinguishability I(tau) of the pair, in [0, 1], at the relative
+    arrival delay ``delay_ps`` of signal and idler.
 
     Closed form for Gaussians.  Accepts scalar or array delay.
     """
-    s1 = state.signal.sigma_omega_rad_per_ps
-    s2 = state.idler.sigma_omega_rad_per_ps
-    sum_var = s1**2 + s2**2
-    delta_omega = state.signal.center_angular_frequency_rad_per_ps \
-        - state.idler.center_angular_frequency_rad_per_ps
     tau = np.asarray(delay_ps, dtype=float)
-    shape_factor = 2.0 * s1 * s2 / sum_var \
-        * math.exp(-delta_omega**2 / (2.0 * sum_var))
-    overlap = state.mode_overlap**2 * shape_factor \
-        * np.exp(-2.0 * s1**2 * s2**2 * tau**2 / sum_var)
+    overlap = state.source_visibility \
+        * np.exp(-(state.sigma_omega_rad_per_ps * tau) ** 2)
     return overlap if np.ndim(delay_ps) else float(overlap)
 
 

@@ -85,10 +85,10 @@ def reference_device():
 
 
 def reference_photon_pair():
-    """Degenerate signal/idler pair with the measured source visibility
-    folded into the mode overlap."""
-    return TwoPhotonState.from_source_visibility(
-        SOURCE_VISIBILITY, PHOTON_WAVELENGTH_NM, PHOTON_BANDWIDTH_FWHM_NM)
+    """Degenerate signal/idler pair whose zero-delay overlap is the
+    measured source visibility."""
+    return TwoPhotonState(PHOTON_WAVELENGTH_NM, PHOTON_BANDWIDTH_FWHM_NM,
+                          SOURCE_VISIBILITY)
 
 
 def reference_source(pulses_per_run=SourceModel.pulses_per_run):

@@ -140,7 +140,6 @@ def test_acceptance_07_mode_solver_oracle_and_device_geometry(supermodes_20nm):
     y = -pad + (np.arange(ny) + 0.5) * pitch
     profile = np.where((y >= 0.0) & (y < 600.0), n_core, n_clad)
     slab = IndexMap(index=np.tile(profile[:, None], (1, 5)),
-                    region=np.zeros((ny, 5), dtype=np.uint8),
                     x_nm=np.arange(5) * pitch, y_nm=y, pitch_nm=pitch,
                     wavelength_nm=1550.0)
     for mode, solution in enumerate(solve_modes(slab, 2, boundary="neumann")):

@@ -1,6 +1,8 @@
 """Command line scenarios: exit codes, config validation, artifacts, and
 seed handling, all exercised in-process."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.errors import ConfigError
 from lnhom.fitting import MIN_DIP_POINTS
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# a shipped config is named after its scenario, except the coupled-rib one
+CONFIG_SCENARIOS = {"supermodes": "modes"}
 
 
 def _write(tmp_path, name, text):
@@ -98,6 +104,22 @@ def test_comments_and_blank_lines_are_allowed():
                                SCENARIO_SCHEMAS["hom-dip"])
     assert params["eta"] == 0.4
     assert params["delay_points"] == 81  # default fills in
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_every_shipped_config_parses_against_its_schema(path):
+    scenario = CONFIG_SCENARIOS.get(path.stem, path.stem)
+    parse_config_text(path.read_text(encoding="utf-8"),
+                      SCENARIO_SCHEMAS[scenario], source=path.name)
+
+
+def test_hom_dip_no_longer_takes_a_mode_overlap(tmp_path, capsys):
+    # the field overlap M became the zero-delay overlap I(0) = M^2
+    config = _write(tmp_path, "c.cfg", "mode_overlap = 0.99\n")
+    assert main(["hom-dip", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'mode_overlap'" in capsys.readouterr().err
 
 
 def test_config_error_carries_line_and_key():
@@ -248,6 +270,8 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario, settings", [
     pytest.param("modes", "wavelength_nm = 1200\n", id="modes-wavelength"),
+    pytest.param("hom-dip", "source_visibility = 1.2\n",
+                 id="hom-dip-source-visibility"),
     pytest.param("modes", "grid_pitch_nm = 40\nn_modes = 0\n",
                  id="modes-n_modes"),
     pytest.param("modes", "grid_pitch_nm = 60\n", id="modes-coarse-pitch"),

@@ -12,7 +12,7 @@ from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
 from lnhom.fock import arm_occupation_distribution, pair_number_probabilities
 from lnhom.hom import TwoPhotonState, spectral_overlap
 
-STATE = TwoPhotonState.degenerate(1550.0, 6.0)
+STATE = TwoPhotonState(1550.0, 6.0)
 IDEAL = DetectorModel()
 # dark counts and a dead time of six 13.1 ns pulse periods
 BRIGHT_DETECTORS = DetectorModel(efficiency=0.9, dead_time_ns=70.0,
@@ -95,7 +95,7 @@ def test_seed_is_mandatory():
 
 def test_counts_track_the_interference_law():
     # three regimes: wing, half overlap, dip floor
-    sigma = STATE.signal.sigma_omega_rad_per_ps
+    sigma = STATE.sigma_omega_rad_per_ps
     half_tau = np.sqrt(np.log(2.0)) / sigma
     delays = np.array([-50.0, half_tau, 50.0 + half_tau])
     pulses = 400_000

@@ -26,7 +26,7 @@ GRID = [
 ]
 
 # a pair with unit overlap at zero delay
-PERFECT = TwoPhotonState.degenerate(1550.0, 6.0)
+PERFECT = TwoPhotonState(1550.0, 6.0)
 IDEAL = DetectorModel()
 
 

@@ -7,9 +7,7 @@ import pytest
 
 from lnhom import materials
 from lnhom.errors import InvalidGeometryError, ResolutionError
-from lnhom.geometry import (AIR_INDEX, REGION_AIR, REGION_CLADDING,
-                            REGION_FILM, REGION_RIB, REGION_SUBSTRATE,
-                            WaveguideGeometry,
+from lnhom.geometry import (AIR_INDEX, WaveguideGeometry,
                             build_cross_section, reference_geometry)
 
 
@@ -50,10 +48,16 @@ def test_full_etch_limit_single_trapezoid():
     # etch depth equal to the film: no residual slab, LN only inside one rib
     g = WaveguideGeometry(film_thickness_nm=600.0, etch_depth_nm=600.0)
     m = build_cross_section(g, 1550.0, grid_pitch_nm=20.0)
-    assert not np.any(m.region == REGION_FILM)
     n_core = float(materials.core_index(1550.0))
     core_cells = m.index == n_core
-    assert np.array_equal(core_cells, m.region == REGION_RIB)
+    assert not np.any(core_cells[m.y_nm < g.slab_thickness_nm])
+    # the LN cells are exactly the cell centres inside the trapezoid
+    half_width = g.top_width_um * 500.0 + (g.film_thickness_nm - m.y_nm) \
+        / math.tan(math.radians(g.sidewall_angle_deg))
+    in_band = (m.y_nm >= g.slab_thickness_nm) & (m.y_nm < g.film_thickness_nm)
+    rib_cells = in_band[:, None] \
+        & (np.abs(m.x_nm[None, :]) <= half_width[:, None])
+    assert np.array_equal(core_cells, rib_cells)
     # each row of LN cells is one contiguous run (a single trapezoid)
     for row in core_cells:
         idx = np.nonzero(row)[0]
@@ -62,14 +66,16 @@ def test_full_etch_limit_single_trapezoid():
     # LN fully surrounded by SiO2 below the cladding line
     clad_top = g.film_thickness_nm + g.cladding_thickness_nm
     below = m.y_nm < clad_top
-    non_core = m.region[below][~core_cells[below]]
-    assert set(np.unique(non_core)) <= {REGION_SUBSTRATE, REGION_CLADDING}
+    non_core = m.index[below][~core_cells[below]]
+    assert set(np.unique(non_core)) == {float(materials.silica(1550.0))}
 
 
 def test_two_rib_centerline_separation():
-    m = build_cross_section(reference_geometry(gap_um=2.3), 1550.0,
-                            grid_pitch_nm=20.0)
-    rib = m.region == REGION_RIB
+    g = reference_geometry(gap_um=2.3)
+    m = build_cross_section(g, 1550.0, grid_pitch_nm=20.0)
+    # LN above the slab belongs to the ribs
+    rib = (m.index == float(materials.core_index(1550.0))) \
+        & (m.y_nm >= g.slab_thickness_nm)[:, None]
     columns = np.any(rib, axis=0)
     left = m.x_nm[columns & (m.x_nm < 0)]
     right = m.x_nm[columns & (m.x_nm > 0)]
@@ -136,9 +142,18 @@ def test_padding_must_be_non_negative_and_finite(padding):
 
 
 def test_region_stack_order():
-    m = build_cross_section(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
-    column = m.region[:, 0]  # far from the rib
-    # upward: substrate, film, cladding, air
-    changes = [column[0]] + [b for a, b in zip(column, column[1:]) if a != b]
-    assert changes == [REGION_SUBSTRATE, REGION_FILM, REGION_CLADDING,
-                       REGION_AIR]
+    g = reference_geometry()
+    m = build_cross_section(g, 1550.0, grid_pitch_nm=20.0)
+    column = m.index[:, 0]  # far from the rib
+    # upward: silica substrate, LN slab, silica cladding, air
+    n_core = float(materials.core_index(1550.0))
+    n_silica = float(materials.silica(1550.0))
+    steps = np.nonzero(column[1:] != column[:-1])[0] + 1
+    assert [column[0], *column[steps]] == [n_silica, n_core, n_silica,
+                                           AIR_INDEX]
+    # cell-centre sampling: each material starts at the first cell centre
+    # at or above its interface
+    interfaces = np.array([0.0, g.slab_thickness_nm,
+                           g.film_thickness_nm + g.cladding_thickness_nm])
+    assert np.all(m.y_nm[steps - 1] < interfaces)
+    assert np.all(interfaces <= m.y_nm[steps])

@@ -12,7 +12,6 @@ from lnhom.hom import (
     STAGE_DOUBLE_PASS_PS_PER_UM,
     STAGE_SINGLE_PASS_PS_PER_UM,
     DelayScan,
-    PhotonWavepacket,
     TwoPhotonState,
     coincidence_curve,
     combined_visibility,
@@ -30,59 +29,44 @@ V_MAX_AT_REFERENCE_SPLITTING = 0.9832140760602261
 
 @pytest.mark.parametrize("tau_ps", [-10.0, -2.5, -0.7, 0.0, 0.4, 1.3, 10.0])
 def test_overlap_matches_quadrature_for_identical_packets(tau_ps):
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
-    expected = overlap_quadrature(1550.0, 6.0, 1550.0, 6.0, 1.0, tau_ps)
-    assert spectral_overlap(state, tau_ps) == pytest.approx(expected, abs=1e-6)
-
-
-@pytest.mark.parametrize("tau_ps", [0.0, 0.3, 1.0])
-def test_overlap_matches_quadrature_for_unequal_bandwidths(tau_ps):
-    state = TwoPhotonState(
-        PhotonWavepacket(1550.0, 6.0), PhotonWavepacket(1550.0, 10.0)
-    )
-    expected = overlap_quadrature(1550.0, 6.0, 1550.0, 10.0, 1.0, tau_ps)
-    assert spectral_overlap(state, tau_ps) == pytest.approx(expected, abs=1e-6)
-
-
-@pytest.mark.parametrize("tau_ps", [0.0, 0.5])
-def test_overlap_matches_quadrature_for_detuned_centers(tau_ps):
-    state = TwoPhotonState(
-        PhotonWavepacket(1549.0, 6.0), PhotonWavepacket(1551.0, 6.0),
-        mode_overlap=0.9,
-    )
-    expected = overlap_quadrature(1549.0, 6.0, 1551.0, 6.0, 0.9, tau_ps)
-    assert spectral_overlap(state, tau_ps) == pytest.approx(expected, abs=1e-6)
+    # the quadrature takes the field amplitude factor M, with I(0) = M^2
+    for visibility in (1.0, 0.9801):
+        state = TwoPhotonState(1550.0, 6.0, visibility)
+        expected = overlap_quadrature(1550.0, 6.0, 1550.0, 6.0,
+                                      math.sqrt(visibility), tau_ps)
+        assert spectral_overlap(state, tau_ps) == pytest.approx(expected,
+                                                                abs=1e-6)
 
 
 def test_identical_packets_overlap_is_unity_at_zero_delay():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     assert spectral_overlap(state, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("visibility", [0.0, 0.64, 0.9801, 1.0])
+def test_zero_delay_overlap_is_the_source_visibility(visibility):
+    state = TwoPhotonState(1550.0, 6.0, visibility)
+    assert spectral_overlap(state, 0.0) == state.source_visibility
+
+
 def test_overlap_vanishes_far_outside_the_coherence_time():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
-    tau = 10.0 / state.signal.sigma_omega_rad_per_ps  # ten coherence times
+    state = TwoPhotonState(1550.0, 6.0)
+    tau = 10.0 / state.sigma_omega_rad_per_ps  # ten coherence times
     assert spectral_overlap(state, tau) < 1e-12
 
 
 def test_mode_mismatch_rescales_overlap_quadratically():
-    state = TwoPhotonState.degenerate(1550.0, 6.0, mode_overlap=0.8)
-    assert spectral_overlap(state, 0.0) == pytest.approx(0.64, abs=1e-12)
-
-
-def test_detuning_and_bandwidth_mismatch_both_reduce_peak_overlap():
-    detuned = TwoPhotonState(
-        PhotonWavepacket(1549.0, 6.0), PhotonWavepacket(1551.0, 6.0)
-    )
-    mismatched = TwoPhotonState(
-        PhotonWavepacket(1550.0, 6.0), PhotonWavepacket(1550.0, 10.0)
-    )
-    assert spectral_overlap(detuned, 0.0) < 1.0
-    assert spectral_overlap(mismatched, 0.0) < 1.0
+    # a field overlap M = 0.8 is a source visibility M^2 = 0.64, and it
+    # scales the overlap at every delay
+    taus = np.linspace(-1.0, 1.0, 21)
+    perfect = spectral_overlap(TwoPhotonState(1550.0, 6.0), taus)
+    state = TwoPhotonState(1550.0, 6.0, source_visibility=0.8**2)
+    np.testing.assert_allclose(spectral_overlap(state, taus), 0.64 * perfect,
+                               rtol=1e-15, atol=0.0)
 
 
 def test_overlap_accepts_array_delays():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     taus = np.array([-1.0, 0.0, 1.0])
     values = spectral_overlap(state, taus)
     assert values.shape == taus.shape
@@ -192,19 +176,19 @@ def test_pair_patterns_reject_out_of_range_arguments():
 # --- coincidence curves ----------------------------------------------------
 
 def test_balanced_dip_reaches_zero_for_perfect_packets():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     scan = coincidence_curve(state, 0.5, [-5.0, 0.0, 5.0])
     assert scan.values[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalized_wings_sit_at_unity():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     scan = coincidence_curve(state, 0.546, [-50.0, 50.0])
     np.testing.assert_allclose(scan.values, 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_normalized_dip_depth_equals_combined_visibility():
-    state = TwoPhotonState.from_source_visibility(0.98, 1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0, 0.98)
     delays = np.linspace(-20.0, 20.0, 801)
     scan = coincidence_curve(state, 0.546, delays)
     depth = 1.0 - scan.values.min()
@@ -212,7 +196,7 @@ def test_normalized_dip_depth_equals_combined_visibility():
 
 
 def test_unnormalized_baseline_and_floor():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     eta = 0.3
     scan = coincidence_curve(state, eta, [-50.0, 0.0, 50.0], normalized=False)
     baseline = eta**2 + (1.0 - eta) ** 2
@@ -224,7 +208,7 @@ def test_unnormalized_baseline_and_floor():
 
 
 def test_coincidence_curve_rejects_bad_splitting():
-    state = TwoPhotonState.degenerate(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     with pytest.raises(ValueError):
         coincidence_curve(state, 1.2, [0.0, 1.0])
 
@@ -255,31 +239,26 @@ def test_delay_scan_requires_one_stage_position_per_delay():
 
 
 def test_stage_conversion_constants_follow_from_light_speed():
-    assert STAGE_SINGLE_PASS_PS_PER_UM == pytest.approx(
-        1.0 / 299.792458, rel=1e-12
-    )
-    assert STAGE_DOUBLE_PASS_PS_PER_UM == pytest.approx(
-        2.0 / 299.792458, rel=1e-12
-    )
+    # bit-exact, so stage positions written to counts.csv never move
+    assert STAGE_SINGLE_PASS_PS_PER_UM == 1.0 / 299.792458
+    assert STAGE_DOUBLE_PASS_PS_PER_UM == 2.0 / 299.792458
 
 
-# --- wavepacket bookkeeping ------------------------------------------------
+# --- photon-pair bookkeeping -----------------------------------------------
 
 def test_coherence_time_matches_the_bandwidth():
     # the coherence time is 1 / sigma_omega
-    packet = PhotonWavepacket(1550.0, 6.0)
+    state = TwoPhotonState(1550.0, 6.0)
     sigma_lambda = 6.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     sigma_omega = 2.0 * math.pi * 299_792.458 * sigma_lambda / 1550.0**2
-    assert packet.sigma_omega_rad_per_ps == pytest.approx(sigma_omega, rel=1e-12)
+    assert state.sigma_omega_rad_per_ps == pytest.approx(sigma_omega, rel=1e-12)
 
 
 def test_wavepacket_and_state_validation():
-    with pytest.raises(ValueError):
-        PhotonWavepacket(-1550.0, 6.0)
-    with pytest.raises(ValueError):
-        PhotonWavepacket(1550.0, 0.0)
-    packet = PhotonWavepacket(1550.0, 6.0)
-    with pytest.raises(ValueError):
-        TwoPhotonState(packet, packet, mode_overlap=1.2)
-    with pytest.raises(ValueError):
-        TwoPhotonState.from_source_visibility(-0.1, 1550.0, 6.0)
+    with pytest.raises(ValueError, match="center"):
+        TwoPhotonState(-1550.0, 6.0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        TwoPhotonState(1550.0, 0.0)
+    for visibility in (1.2, -0.1):
+        with pytest.raises(ValueError, match="source_visibility"):
+            TwoPhotonState(1550.0, 6.0, visibility)

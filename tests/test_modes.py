@@ -22,7 +22,6 @@ def _uniform_map(n=2.0, cells=11, pitch=50.0):
     shape = (cells, cells)
     return IndexMap(
         index=np.full(shape, n),
-        region=np.zeros(shape, dtype=np.uint8),
         x_nm=np.arange(cells) * pitch,
         y_nm=np.arange(cells) * pitch,
         pitch_nm=pitch,
@@ -39,7 +38,6 @@ def _slab_map(pad_nm=3000.0, pitch=10.0):
     index = np.tile(profile[:, None], (1, 5))
     return IndexMap(
         index=index,
-        region=np.zeros_like(index, dtype=np.uint8),
         x_nm=np.arange(5) * pitch,
         y_nm=y,
         pitch_nm=pitch,
@@ -188,7 +186,6 @@ def _layered_map(columns=201, pitch=20.0):
     index = np.tile(profile[:, None], (1, columns))
     return IndexMap(
         index=index,
-        region=np.zeros_like(index, dtype=np.uint8),
         x_nm=(np.arange(columns) - columns // 2) * pitch,
         y_nm=y,
         pitch_nm=pitch,

@@ -42,10 +42,9 @@ def test_bend_offset_is_pinned_bit_for_bit():
 
 def test_photon_pair_carries_the_source_visibility():
     state = ref.reference_photon_pair()
-    assert state.signal == state.idler
-    assert state.signal.center_wavelength_nm == ref.PHOTON_WAVELENGTH_NM
-    assert state.mode_overlap**2 == pytest.approx(ref.SOURCE_VISIBILITY,
-                                                  abs=1e-12)
+    assert state.center_wavelength_nm == ref.PHOTON_WAVELENGTH_NM
+    assert state.bandwidth_fwhm_nm == ref.PHOTON_BANDWIDTH_FWHM_NM
+    assert state.source_visibility == ref.SOURCE_VISIBILITY
 
 
 def test_source_and_detectors_match_the_quoted_operating_point():
