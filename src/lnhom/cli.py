@@ -259,8 +259,9 @@ def _check_delay_points(params, minimum):
 
 def _delay_axis(params, minimum):
     _check_delay_points(params, minimum)
-    if not params["delay_min_ps"] < params["delay_max_ps"]:
-        raise ConfigError("delay_min_ps must be below delay_max_ps")
+    if not -np.inf < params["delay_min_ps"] < params["delay_max_ps"] < np.inf:
+        raise ConfigError("delay_min_ps must be below delay_max_ps, and both "
+                          "finite")
     return np.linspace(params["delay_min_ps"], params["delay_max_ps"],
                        params["delay_points"])
 

@@ -4,9 +4,10 @@ Each delay point simulates a train of pump pulses but draws random numbers
 only for the pulses that click.  The point first computes, from photons
 alone, the per-pulse probabilities that only arm 1, only arm 2 or both
 arms click: the source's pair-number statistics weight the exact
-few-photon interference law for up to two pairs and classical binomial
-routing for the three-plus tail, and an arm holding n photons clicks with
-probability 1 - (1 - efficiency)^n.  The pulses with any photon click are
+few-photon interference law for up to two pairs, and the three-plus tail
+takes the same law as three fully distinguishable pairs, which route
+binomially; an arm holding n photons clicks with probability
+1 - (1 - efficiency)^n.  The pulses with any photon click are
 then an exact Bernoulli process: their number is binomial, their positions
 a sorted uniform subset of the train, and one uniform per pulse picks its
 click pattern.  Per arm, dark clicks are a second sorted Bernoulli process
@@ -34,8 +35,6 @@ from scipy.sparse.csgraph import breadth_first_order
 from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
 from .hom import DelayScan, check_eta, spectral_overlap
-
-_TAIL_PAIRS = MAX_ENUMERATED_PAIRS + 1
 
 
 @dataclass(frozen=True)
@@ -81,29 +80,24 @@ def _click_pattern_probabilities(mu, statistics, overlap, eta, efficiency):
     """Per-pulse probabilities that photons alone click only arm 1, both
     arms, and only arm 2: [P1, P12, P2].
 
-    Up to two pairs interfere exactly; the rest of the pair-number mass is
-    routed classically as three pairs, interference neglected.  An arm
-    holding n photons clicks with probability 1 - (1 - efficiency)^n.
+    Up to two pairs interfere exactly.  The rest of the pair-number mass is
+    routed as three pairs with overlap 0, interference neglected: fully
+    distinguishable photons keep or cross the splitter independently, so
+    the enumeration gives the binomial routing.  An arm holding n photons
+    clicks with probability 1 - (1 - efficiency)^n.
     """
     pair_probs = pair_number_probabilities(mu, statistics,
                                            MAX_ENUMERATED_PAIRS)
+    classes = [(n_pairs, pair_probs[n_pairs], overlap)
+               for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1)]
+    classes.append((MAX_ENUMERATED_PAIRS + 1, 1.0 - pair_probs.sum(), 0.0))
     weights, arm1, arm2 = [], [], []
-    for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1):
+    for n_pairs, weight, pair_overlap in classes:
         for (n1, n2), probability in arm_occupation_distribution(
-                n_pairs, overlap, eta).items():
-            weights.append(pair_probs[n_pairs] * probability)
+                n_pairs, pair_overlap, eta).items():
+            weights.append(weight * probability)
             arm1.append(n1)
             arm2.append(n2)
-    # tail: the signal photons keeping arm 1 (each with probability
-    # 1 - eta) and the idler photons crossing into it (each with
-    # probability eta) are independent binomials; arm 1 holds their sum
-    k = np.arange(_TAIL_PAIRS + 1)
-    keep = np.array([math.comb(_TAIL_PAIRS, i) for i in k]) \
-        * (1.0 - eta) ** k * eta ** (_TAIL_PAIRS - k)
-    tail = np.convolve(keep, keep[::-1])
-    weights.extend((1.0 - pair_probs.sum()) * tail)
-    arm1.extend(range(tail.size))
-    arm2.extend(range(tail.size - 1, -1, -1))
 
     weights = np.array(weights)
     click1 = 1.0 - (1.0 - efficiency) ** np.array(arm1)

@@ -43,22 +43,27 @@ class CouplerDevice:
     bend_offset_um: float = 0.0
 
     def __post_init__(self):
-        if self.coupling_length_um <= 0:
-            raise ValueError("coupling_length_um must be positive")
-        if self.reference_wavelength_nm <= 0:
-            raise ValueError("reference_wavelength_nm must be positive")
-        if self.interaction_length_um < 0:
-            raise ValueError("interaction_length_um must be non-negative")
-        if self.bend_offset_um < 0:
-            raise ValueError("bend_offset_um must be non-negative")
+        if not 0 < self.coupling_length_um < math.inf:
+            raise ValueError("coupling_length_um must be finite and positive")
+        if not 0 < self.reference_wavelength_nm < math.inf:
+            raise ValueError("reference_wavelength_nm must be finite and "
+                             "positive")
+        if not math.isfinite(self.delta_n_slope_per_nm):
+            raise ValueError("delta_n_slope_per_nm must be finite")
+        if not 0 <= self.interaction_length_um < math.inf:
+            raise ValueError("interaction_length_um must be finite and "
+                             "non-negative")
+        if not 0 <= self.bend_offset_um < math.inf:
+            raise ValueError("bend_offset_um must be finite and non-negative")
 
     def coupling_rate_per_um(self, wavelength_nm):
-        """kappa(lambda) in rad/um; positive within the supported band."""
+        """kappa(lambda) in rad/um; positive and finite within the supported
+        band."""
         kappa0 = math.pi / (2.0 * self.coupling_length_um)
         lambda0 = self.reference_wavelength_nm
         slope = (1000.0 * math.pi * self.delta_n_slope_per_nm - kappa0) / lambda0
         kappa = kappa0 + slope * (np.asarray(wavelength_nm, dtype=float) - lambda0)
-        if np.any(kappa <= 0.0):
+        if not np.all((kappa > 0.0) & (kappa < math.inf)):
             raise ValueError(
                 "wavelength outside the supported band of the dispersion "
                 "parametrization (coupling rate would be non-positive)"

@@ -242,8 +242,8 @@ def fabry_perot_loss(contrast, facet_reflectivity, length_cm):
         raise ValueError("contrast must lie strictly between 0 and 1")
     if not 0.0 < facet_reflectivity < 1.0:
         raise ValueError("facet reflectivity must lie strictly between 0 and 1")
-    if length_cm <= 0:
-        raise ValueError("length_cm must be positive")
+    if not 0.0 < length_cm < math.inf:
+        raise ValueError("length_cm must be finite and positive")
     effective = (1.0 - math.sqrt(1.0 - contrast**2)) / contrast
     alpha = -(10.0 / length_cm) * math.log10(effective / facet_reflectivity)
     if alpha < -1e-9:  # ignore rounding noise around the lossless point
@@ -261,8 +261,8 @@ def fabry_perot_fringes(phase_rad, loss_db_per_cm, length_cm, facet_reflectivity
     function), for closing the contrast-extraction roundtrip."""
     if not 0.0 < facet_reflectivity < 1.0:
         raise ValueError("facet reflectivity must lie strictly between 0 and 1")
-    if length_cm <= 0:
-        raise ValueError("length_cm must be positive")
+    if not 0.0 < length_cm < math.inf:
+        raise ValueError("length_cm must be finite and positive")
     phase = np.asarray(phase_rad, dtype=float)
     single_pass = 10.0 ** (-loss_db_per_cm * length_cm / 10.0)
     loop = facet_reflectivity * single_pass

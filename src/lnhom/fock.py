@@ -12,9 +12,12 @@ creation-operator polynomial over the four output modes gives every output
 occupation amplitude exactly, and summing out the internal modes gives the
 photon numbers per output arm.  The enumeration runs up to
 MAX_ENUMERATED_PAIRS pairs; ``lnhom.counting`` weights it with the
-pair-number statistics below, routes the three-plus tail classically and
-turns photon numbers into threshold-detector clicks, so that click table
-is the one multi-pair model, at any mean pair number.
+pair-number statistics below and turns photon numbers into
+threshold-detector clicks, so that click table is the one multi-pair
+model, at any mean pair number.  The three-plus tail goes through the
+same enumeration as MAX_ENUMERATED_PAIRS + 1 pairs with zero overlap:
+fully distinguishable photons keep or cross the splitter independently,
+so there it is binomial routing.
 """
 
 from __future__ import annotations

@@ -47,22 +47,25 @@ class WaveguideGeometry:
     gap_um: float | None = None
 
     def __post_init__(self):
-        if self.film_thickness_nm <= 0:
-            raise InvalidGeometryError("film thickness must be positive")
+        if not 0 < self.film_thickness_nm < math.inf:
+            raise InvalidGeometryError("film thickness must be finite and "
+                                       "positive")
         if not 0 < self.etch_depth_nm <= self.film_thickness_nm:
             raise InvalidGeometryError(
                 "etch depth must be positive and at most the film thickness"
             )
-        if self.top_width_um <= 0:
-            raise InvalidGeometryError("top width must be positive")
+        if not 0 < self.top_width_um < math.inf:
+            raise InvalidGeometryError("top width must be finite and positive")
         if not 0 < self.sidewall_angle_deg <= 90:
             raise InvalidGeometryError("sidewall angle must be in (0, 90] degrees")
-        if self.cladding_thickness_nm < 0:
-            raise InvalidGeometryError("cladding thickness cannot be negative")
-        if self.gap_um is not None and self.gap_um <= self.top_width_um:
+        if not 0 <= self.cladding_thickness_nm < math.inf:
+            raise InvalidGeometryError("cladding thickness must be finite and "
+                                       "non-negative")
+        if self.gap_um is not None \
+                and not self.top_width_um < self.gap_um < math.inf:
             raise InvalidGeometryError(
-                "gap (centre to centre) must exceed the top width, "
-                f"got {self.gap_um} um vs {self.top_width_um} um"
+                "gap (centre to centre) must be finite and exceed the top "
+                f"width, got {self.gap_um} um vs {self.top_width_um} um"
             )
 
     @property
@@ -90,14 +93,18 @@ def reference_geometry(gap_um=None):
 @dataclass
 class IndexMap:
     """Refractive-index samples on a uniform cell-centred grid of square
-    cells ``pitch_nm`` wide; ``index`` is indexed ``[iy, ix]``."""
+    cells ``pitch_nm`` wide; ``index`` is indexed ``[iy, ix]``.
+
+    ``substrate_index`` is the cutoff of the mode solver: a mode with an
+    effective index at or below it leaks into the substrate and is
+    discarded."""
 
     index: np.ndarray
     x_nm: np.ndarray
     y_nm: np.ndarray
     pitch_nm: float
     wavelength_nm: float
-    substrate_index: float | None = None
+    substrate_index: float
 
     @property
     def shape(self):

@@ -47,10 +47,10 @@ class TwoPhotonState:
     source_visibility: float = 1.0
 
     def __post_init__(self):
-        if self.center_wavelength_nm <= 0:
-            raise ValueError("center_wavelength_nm must be positive")
-        if self.bandwidth_fwhm_nm <= 0:
-            raise ValueError("bandwidth_fwhm_nm must be positive")
+        if not 0 < self.center_wavelength_nm < math.inf:
+            raise ValueError("center_wavelength_nm must be finite and positive")
+        if not 0 < self.bandwidth_fwhm_nm < math.inf:
+            raise ValueError("bandwidth_fwhm_nm must be finite and positive")
         if not 0.0 <= self.source_visibility <= 1.0:
             raise ValueError("source_visibility must lie in [0, 1]")
 

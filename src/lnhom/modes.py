@@ -13,9 +13,8 @@ on every mode because d2/dx2 is negative semi-definite.  Every map is solved
 on half its width: it must be mirror-symmetric about an odd centre column,
 and its right half is solved twice, with a reflecting centre for symmetric
 modes and a zero-field centre for antisymmetric ones, so the boundary
-condition fixes the parity.  Outer boundaries are zero-field by default
-(guided modes decay into the padding); a reflecting ("neumann") variant
-exists for homogeneous-medium and slab checks.
+condition fixes the parity.  Outer boundaries are zero-field: guided modes
+decay into the padding.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -65,32 +64,23 @@ class ModeSolution:
     y_nm: np.ndarray
 
 
-def _second_difference(n, h, boundary, mirror=False):
-    """1D second difference; with ``mirror`` the first point borders the
-    mirror plane, an interior point of the full map, so only the last one
-    takes the ``boundary`` rule."""
-    main = np.full(n, -2.0)
-    if boundary == "neumann":
-        main[-1] = -1.0
-        if not mirror:
-            main[0] = -1.0
-    elif boundary != "dirichlet":
-        raise ValueError(f"unknown boundary {boundary!r}")
+def _second_difference(n, h):
+    """1D second difference with zero-field ends."""
     off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1]) / h**2
+    return sp.diags([off, np.full(n, -2.0), off], [-1, 0, 1]) / h**2
 
 
-def _helmholtz_operator(index, pitch, k0, boundary, parity):
+def _helmholtz_operator(index, pitch, k0, parity):
     """5-point operator on the half map ``index`` to the right of the mirror
     plane, with the centre column first for symmetric modes and without it
     for antisymmetric ones."""
     ny, nx = index.shape
-    dxx = _second_difference(nx, pitch, boundary, mirror=True).tolil()
+    dxx = _second_difference(nx, pitch).tolil()
     if parity == PARITY_SYMMETRIC:
         # the mirror f[c-1] = f[c+1] doubles the centre-to-neighbour
         # coupling; solving for f[c] / sqrt(2) keeps the operator symmetric
         dxx[0, 1] = dxx[1, 0] = np.sqrt(2.0) / pitch**2
-    dyy = _second_difference(ny, pitch, boundary)
+    dyy = _second_difference(ny, pitch)
     lap = sp.kron(sp.identity(ny), dxx) + sp.kron(dyy, sp.identity(nx))
     return (lap + sp.diags(k0**2 * index.ravel() ** 2)).tocsc()
 
@@ -115,9 +105,9 @@ def _shift_invert(op, k, sigma):
                                "iterations", residual_norm=residual) from exc
 
 
-def _mode_shift(index, pitch, wavelength, boundary):
+def _mode_shift(index, pitch, wavelength):
     """Shift-invert target (beta^2) just above every eigenvalue of the map."""
-    n_top = max(_profile_effective_index(column, pitch, wavelength, boundary)
+    n_top = max(_profile_effective_index(column, pitch, wavelength)
                 for column in np.unique(index, axis=1).T)
     return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
 
@@ -161,11 +151,11 @@ def _eigenvalues_above(op, tau):
 
 def _modes_above(index_map, tau):
     """Number of modes (beta^2 eigenvalues) of the map above ``tau``, both
-    parities, under zero-field outer boundaries; each factorisation lives
-    only inside its :func:`_eigenvalues_above` call."""
+    parities; each factorisation lives only inside its
+    :func:`_eigenvalues_above` call."""
     k0 = 2.0 * np.pi / index_map.wavelength_nm
     return sum(_eigenvalues_above(_helmholtz_operator(half, index_map.pitch_nm,
-                                                      k0, "dirichlet", parity),
+                                                      k0, parity),
                                   tau)
                for parity, half in _mirror_halves(index_map.index))
 
@@ -178,13 +168,13 @@ def _full_field(half, parity):
     return np.hstack([-half[:, ::-1], np.zeros((half.shape[0], 1)), half])
 
 
-def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None):
+def solve_modes(index_map, n_modes=1):
     """Guided modes of an index map at its own wavelength, sorted by
     descending effective index.
 
-    Modes with n_eff at or below ``cutoff_index`` (default: the map's
-    substrate index) are discarded, so fewer than ``n_modes`` solutions may
-    come back.  Raises ``ValueError`` unless the map has an odd number of
+    The map's ``substrate_index`` is the cutoff: modes with n_eff at or
+    below it are discarded, so fewer than ``n_modes`` solutions may come
+    back.  Raises ``ValueError`` unless the map has an odd number of
     columns, at least 3, and is mirror-symmetric about the centre one;
     raises :class:`ConvergenceError` if ARPACK needs more than
     ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``.
@@ -192,23 +182,18 @@ def solve_modes(index_map, n_modes=1, *, boundary="dirichlet", cutoff_index=None
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     wavelength = index_map.wavelength_nm
-    if cutoff_index is None:
-        cutoff_index = index_map.substrate_index
-        if cutoff_index is None:
-            cutoff_index = float(index_map.index.min())
-
     k0 = 2.0 * np.pi / wavelength
     index, pitch = index_map.index, index_map.pitch_nm
     halves = _mirror_halves(index)
-    sigma = _mode_shift(index, pitch, wavelength, boundary)
+    sigma = _mode_shift(index, pitch, wavelength)
     solutions = []
     for parity, half in halves:
-        op = _helmholtz_operator(half, pitch, k0, boundary, parity)
+        op = _helmholtz_operator(half, pitch, k0, parity)
         k = min(n_modes + GUARD_MODES, op.shape[0] - 1)
         vals, vecs = _shift_invert(op, k, sigma)
         for val, vec in zip(vals, vecs.T):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
-            if n_eff <= cutoff_index:
+            if n_eff <= index_map.substrate_index:
                 continue
             field = _full_field(vec.reshape(half.shape), parity)
             field = field / np.sqrt(np.sum(field**2) * pitch * pitch)
@@ -254,10 +239,10 @@ def supermode_coupling_length(geometry, wavelength_nm, *,
     return coupling_length_from_indices(sym, anti, wavelength_nm)
 
 
-def _profile_effective_index(profile, pitch_nm, wavelength_nm, boundary="dirichlet"):
+def _profile_effective_index(profile, pitch_nm, wavelength_nm):
     """Largest effective index of a 1D layered index profile (0 if unbound)."""
     k0 = 2.0 * np.pi / wavelength_nm
-    d2 = _second_difference(profile.size, pitch_nm, boundary)
+    d2 = _second_difference(profile.size, pitch_nm)
     top = eigh_tridiagonal(d2.diagonal() + k0**2 * profile**2, d2.diagonal(1),
                            select="i", select_range=(profile.size - 1,) * 2)[0][0]
     return float(np.sqrt(max(top, 0.0)) / k0)
@@ -282,6 +267,6 @@ def guided_mode_count(geometry, wavelength_nm, *,
                                     grid_pitch_nm=grid_pitch_nm)
     slab = _profile_effective_index(index_map.index[:, 0], index_map.pitch_nm,
                                     wavelength_nm)
-    cutoff = max(slab, float(index_map.substrate_index))
+    cutoff = max(slab, index_map.substrate_index)
     k0 = 2.0 * np.pi / wavelength_nm
     return _modes_above(index_map, (k0 * (cutoff + CUTOFF_MARGIN)) ** 2)

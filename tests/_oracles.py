@@ -3,9 +3,9 @@
 Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
 trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
-on the full grid with scipy's own shift-invert, and mode counts of layered
-maps from their separable spectrum.  Tests freeze the numbers these produce;
-the package must then reproduce them.
+on the full grid with scipy's own shift-invert, and the spectra and mode
+counts of layered maps from their separable form.  Tests freeze the numbers
+these produce; the package must then reproduce them.
 """
 
 from __future__ import annotations
@@ -68,12 +68,11 @@ def slab_guided_mode_count(n_core, n_clad, thickness_nm, wavelength_nm):
 
 # --- 2D scalar Helmholtz modes on the full grid, plain scipy --------------
 
-def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4, reflecting=False):
+def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
     """Largest effective indices of the 5-point scalar Helmholtz operator on
-    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges (or
-    ``reflecting`` ones, whose ghost cell copies the edge cell), assembled
-    from its five diagonals and solved by scipy's default shift-invert
-    aimed at the largest index (no symmetry used)."""
+    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges,
+    assembled from its five diagonals and solved by scipy's default
+    shift-invert aimed at the largest index (no symmetry used)."""
     ny, nx = index.shape
     cells = ny * nx
     k0 = 2.0 * math.pi / wavelength_nm
@@ -82,11 +81,6 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4, reflecting=False):
     row[np.arange(1, cells) % nx == 0] = 0.0  # no coupling across grid rows
     column = np.full(cells - nx, link)
     centre = -4.0 * link + (k0 * index.ravel()) ** 2
-    if reflecting:
-        ghosts = np.zeros((ny, nx))
-        ghosts[:, [0, -1]] += 1.0
-        ghosts[[0, -1], :] += 1.0
-        centre += link * ghosts.ravel()
     operator = sp.diags([column, row, centre, row, column], [-nx, -1, 0, 1, nx],
                         format="csc")
     vals = eigsh(operator, k=count, sigma=(k0 * index.max()) ** 2,
@@ -94,13 +88,14 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4, reflecting=False):
     return np.sort(np.sqrt(vals) / k0)[::-1]
 
 
-def layered_count_above(profile, columns, pitch_nm, wavelength_nm, tau):
-    """Number of eigenvalues above ``tau`` of the 5-point scalar Helmholtz
-    operator with zero-field edges on a map whose every one of ``columns``
-    columns is the layer ``profile`` (index along y).  The operator is a
-    Kronecker sum, so its spectrum is every sum of one x eigenvalue, the
-    closed-form Dirichlet sine spectrum -(2/h sin(j pi / (2 (nx + 1))))^2,
-    and one eigenvalue of the dense 1D y operator."""
+def layered_spectrum(profile, columns, pitch_nm, wavelength_nm):
+    """Spectrum of the 5-point scalar Helmholtz operator with zero-field
+    edges on a map whose every one of ``columns`` columns is the layer
+    ``profile`` (index along y).  The operator is a Kronecker sum, so its
+    eigenvalues are every sum of one x eigenvalue, the closed-form Dirichlet
+    sine spectrum -(2/h sin(j pi / (2 (nx + 1))))^2, and one eigenvalue of
+    the dense 1D y operator.  Returns both parts, each in descending order:
+    (along_x, along_y)."""
     k0 = 2.0 * math.pi / wavelength_nm
     link = 1.0 / pitch_nm**2
     j = np.arange(1, columns + 1)
@@ -108,8 +103,15 @@ def layered_count_above(profile, columns, pitch_nm, wavelength_nm, tau):
     ny = len(profile)
     along_y = np.diag(-2.0 * link + (k0 * np.asarray(profile)) ** 2) \
         + np.diag(np.full(ny - 1, link), 1) + np.diag(np.full(ny - 1, link), -1)
-    total = along_x[:, None] + np.linalg.eigvalsh(along_y)[None, :]
-    return int(np.count_nonzero(total > tau))
+    return along_x, np.linalg.eigvalsh(along_y)[::-1]
+
+
+def layered_count_above(profile, columns, pitch_nm, wavelength_nm, tau):
+    """Number of eigenvalues above ``tau`` of the layered map of
+    :func:`layered_spectrum`."""
+    along_x, along_y = layered_spectrum(profile, columns, pitch_nm,
+                                        wavelength_nm)
+    return int(np.count_nonzero(along_x[:, None] + along_y[None, :] > tau))
 
 
 # --- Gaussian two-photon overlap by trapezoid quadrature ------------------

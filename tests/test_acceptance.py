@@ -132,22 +132,34 @@ def test_acceptance_06_facet_fringe_loss_roundtrip():
 
 def test_acceptance_07_mode_solver_oracle_and_device_geometry(supermodes_20nm):
     start = time.monotonic()
-    # analytic 1D slab check
+    # analytic 1D slab check on an x-uniform slab 2 um wide: between its
+    # zero-field edges each mode is a slab mode times a sine along x, so
+    # its y part, n_eff^2 plus the x eigenvalue over k0^2, is the slab index
     n_core = float(materials.lithium_niobate_extraordinary(1550.0))
     n_clad = float(materials.silica(1550.0))
-    pitch, pad = 10.0, 3000.0
+    pitch, pad, columns = 20.0, 3000.0, 101
     ny = int((600.0 + 2 * pad) / pitch)
     y = -pad + (np.arange(ny) + 0.5) * pitch
     profile = np.where((y >= 0.0) & (y < 600.0), n_core, n_clad)
-    slab = IndexMap(index=np.tile(profile[:, None], (1, 5)),
-                    x_nm=np.arange(5) * pitch, y_nm=y, pitch_nm=pitch,
-                    wavelength_nm=1550.0)
-    for mode, solution in enumerate(solve_modes(slab, 2, boundary="neumann")):
+    slab = IndexMap(index=np.tile(profile[:, None], (1, columns)),
+                    x_nm=(np.arange(columns) - columns // 2) * pitch,
+                    y_nm=y, pitch_nm=pitch, wavelength_nm=1550.0,
+                    substrate_index=n_clad)
+    along_x, along_y = oracle.layered_spectrum(profile, columns, pitch, 1550.0)
+    total = along_x[:, None] + along_y[None, :]
+    k0 = 2.0 * math.pi / 1550.0
+    slab_parts = {}
+    for solution in solve_modes(slab, 4):
+        beta2 = (k0 * solution.n_eff) ** 2
+        j, mode = np.unravel_index(np.abs(total - beta2).argmin(), total.shape)
+        assert abs(beta2 - total[j, mode]) <= 1e-10 * beta2
+        slab_parts.setdefault(int(mode), math.sqrt(beta2 - along_x[j]) / k0)
+    assert sorted(slab_parts) == [0, 1]
+    for mode, n_y in slab_parts.items():
         analytic = oracle.slab_n_eff(n_core, n_clad, n_clad, 600.0, 1550.0,
                                      mode=mode)
-        _line(f"slab mode {mode} n_eff", solution.n_eff,
-              f"{analytic} within 1e-3")
-        assert abs(solution.n_eff - analytic) < 1e-3
+        _line(f"slab mode {mode} n_eff", n_y, f"{analytic} within 1e-3")
+        assert abs(n_y - analytic) < 1e-3
 
     count = guided_mode_count(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
     _line("guided modes of the single rib", count, "exactly 1")

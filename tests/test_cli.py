@@ -283,13 +283,29 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
     pytest.param("simulate-counts",
                  "delay_points = 5\npulses_per_point = 1000\n",
                  id="simulate-counts-too-few-points-to-fit"),
+    *(pytest.param("coupler-sweep", f"{key} = nan\n",
+                   id=f"coupler-sweep-nan-{key}")
+      for key in ("coupling_length_um", "bend_offset_um",
+                  "reference_wavelength_nm", "wavelength_nm")),
+    pytest.param("hom-dip", "center_wavelength_nm = nan\n",
+                 id="hom-dip-nan-center"),
+    pytest.param("hom-dip", "bandwidth_fwhm_nm = inf\n",
+                 id="hom-dip-inf-bandwidth"),
+    pytest.param("hom-dip", "delay_max_ps = inf\n", id="hom-dip-inf-delay"),
+    pytest.param("fp-loss", "contrast = 0.06\nn_eff = 1.9\nlength_cm = nan\n",
+                 id="fp-loss-nan-length"),
+    *(pytest.param("modes", f"grid_pitch_nm = 40\n{key} = inf\n",
+                   id=f"modes-inf-{key}")
+      for key in ("film_thickness_nm", "cladding_thickness_nm", "gap_um")),
 ])
 def test_library_value_errors_in_config_only_scenarios_exit_two(
         tmp_path, capsys, scenario, settings):
     config = _write(tmp_path, "c.cfg", settings)
-    assert main([scenario, "--config", config,
-                 "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    # no partial output, such as a power_ratio.csv of nan
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("scenario, runner", [

@@ -256,6 +256,12 @@ def test_device_validation():
         CouplerDevice(coupling_length_um=100.0, interaction_length_um=-1.0)
     with pytest.raises(ValueError):
         CouplerDevice(coupling_length_um=100.0, bend_offset_um=-0.5)
+    for name in ("coupling_length_um", "reference_wavelength_nm",
+                 "delta_n_slope_per_nm", "interaction_length_um",
+                 "bend_offset_um"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                CouplerDevice(**{"coupling_length_um": 100.0, name: value})
 
 
 def test_coupling_rate_positive_domain():
@@ -263,4 +269,7 @@ def test_coupling_rate_positive_domain():
     device = _device(0.0, slope=-0.0139 / 10.0)
     with pytest.raises(ValueError):
         device.coupling_rate_per_um(1680.0)
+    for wavelength in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="supported band"):
+            _device(0.0, slope=0.01).coupling_rate_per_um(wavelength)
 

@@ -223,9 +223,13 @@ def test_impossible_contrast_warns_of_gain():
 
 def test_loss_inputs_are_validated():
     for bad in [(0.0, 0.13, 1.0), (1.0, 0.13, 1.0), (0.1, 0.0, 1.0),
-                (0.1, 1.0, 1.0), (0.1, 0.13, 0.0)]:
+                (0.1, 1.0, 1.0), (0.1, 0.13, 0.0), (0.1, 0.13, math.nan),
+                (0.1, 0.13, math.inf)]:
         with pytest.raises(ValueError):
             fabry_perot_loss(*bad)
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="length_cm"):
+            fabry_perot_fringes(0.0, 4.85, length, 0.13)
     with pytest.raises(ValueError):
         fringe_contrast(np.zeros(5))
     with pytest.raises(ValueError):

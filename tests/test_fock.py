@@ -101,6 +101,16 @@ def test_two_distinguishable_pairs_coincide_seven_eighths():
         == pytest.approx(0.875, abs=1e-12)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.546, 1.0])
+def test_distinguishable_pairs_route_binomially(eta):
+    # the counting model routes its three-plus pair tail this way
+    package = arm_occupation_distribution(3, 0.0, eta)
+    classical = oracle._arm_distribution_classical(3, eta)
+    for arms in set(package) | set(classical):
+        assert package.get(arms, 0.0) == pytest.approx(
+            classical.get(arms, 0.0), abs=1e-15), arms
+
+
 def test_two_pair_visibility_frozen_value():
     assert _visibility(0.01) \
         == pytest.approx(TWO_PAIR_VISIBILITY_MU_001, abs=1e-12)

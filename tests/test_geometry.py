@@ -30,6 +30,13 @@ def test_defaults_are_the_fabricated_device():
         {"cladding_thickness_nm": -1.0},
         {"gap_um": 0.5},
         {"gap_um": 1.0},
+        {"film_thickness_nm": math.inf},
+        {"top_width_um": math.nan},
+        {"top_width_um": math.inf},
+        {"cladding_thickness_nm": math.nan},
+        {"cladding_thickness_nm": math.inf},
+        {"gap_um": math.nan},
+        {"gap_um": math.inf},
     ],
 )
 def test_invariant_violations_raise(kwargs):

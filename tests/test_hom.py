@@ -259,6 +259,11 @@ def test_wavepacket_and_state_validation():
         TwoPhotonState(-1550.0, 6.0)
     with pytest.raises(ValueError, match="bandwidth"):
         TwoPhotonState(1550.0, 0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="center"):
+            TwoPhotonState(value, 6.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            TwoPhotonState(1550.0, value)
     for visibility in (1.2, -0.1):
         with pytest.raises(ValueError, match="source_visibility"):
             TwoPhotonState(1550.0, 6.0, visibility)

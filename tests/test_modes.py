@@ -1,5 +1,7 @@
 """Finite-difference mode solver against analytic oracles and invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,23 +28,35 @@ def _uniform_map(n=2.0, cells=11, pitch=50.0):
         y_nm=np.arange(cells) * pitch,
         pitch_nm=pitch,
         wavelength_nm=1550.0,
+        substrate_index=0.0,
     )
 
 
-def _slab_map(pad_nm=3000.0, pitch=10.0):
+def _slab_map(pad_nm=3000.0, pitch=20.0, columns=101):
+    # x-uniform: the 600 nm LN film in silica, about 2 um wide.  TE1 needs
+    # about 1.8 um between the zero-field edges to stay guided, and from
+    # about 1 um up the x-harmonics of TE0 lie above it, so the guided modes
+    # are TE0 with 1, 2 and 3 half-waves across x, then TE1
     n_core = float(materials.lithium_niobate_extraordinary(1550.0))
     n_clad = float(materials.silica(1550.0))
     ny = int((600.0 + 2 * pad_nm) / pitch)
     y = -pad_nm + (np.arange(ny) + 0.5) * pitch
     profile = np.where((y >= 0.0) & (y < 600.0), n_core, n_clad)
-    index = np.tile(profile[:, None], (1, 5))
+    index = np.tile(profile[:, None], (1, columns))
     return IndexMap(
         index=index,
-        x_nm=np.arange(5) * pitch,
+        x_nm=(np.arange(columns) - columns // 2) * pitch,
         y_nm=y,
         pitch_nm=pitch,
         wavelength_nm=1550.0,
+        substrate_index=n_clad,
     )
+
+
+@pytest.fixture(scope="module")
+def slab_modes():
+    map_ = _slab_map()
+    return map_, solve_modes(map_, 4)
 
 
 def test_frozen_slab_values_match_oracle():
@@ -55,23 +69,43 @@ def test_frozen_slab_values_match_oracle():
 
 
 def test_homogeneous_medium_plane_wave_limit():
-    # reflecting boundaries admit the constant field, so n_eff equals the
-    # material index essentially exactly
-    sols = solve_modes(_uniform_map(), 1, boundary="neumann", cutoff_index=1.0)
+    # zero-field edges: the top mode is the lowest sine along x and along y,
+    # so n_eff^2 = n^2 - [mu(Nx) + mu(Ny)] / k0^2 with
+    # mu(N) = (2 / h^2) (1 - cos(pi / (N + 1)))
+    n, map_ = 2.0, _uniform_map(2.0)
+    k0 = 2.0 * np.pi / 1550.0
+    mu = [2.0 / map_.pitch_nm**2 * (1.0 - np.cos(np.pi / (cells + 1)))
+          for cells in map_.shape]
+    sols = solve_modes(map_, 1)
     assert len(sols) == 1
-    assert sols[0].n_eff == pytest.approx(2.0, abs=1e-6)
+    assert sols[0].n_eff == pytest.approx(np.sqrt(n**2 - sum(mu) / k0**2),
+                                          abs=1e-6)
 
 
-def test_slab_matches_transcendental_oracle():
-    sols = solve_modes(_slab_map(), 2, boundary="neumann")
-    assert len(sols) == 2
-    for solution, expected in zip(sols, SLAB_N_EFF):
-        assert abs(solution.n_eff - expected) < 1e-3
+def test_slab_matches_transcendental_oracle(slab_modes):
+    # the x-uniform slab separates: each eigenvalue is one x eigenvalue (a
+    # sine between the zero-field edges) plus one y eigenvalue, and the y
+    # part carries the slab dispersion
+    map_, sols = slab_modes
+    along_x, along_y = oracle.layered_spectrum(map_.index[:, 0], map_.shape[1],
+                                               map_.pitch_nm, 1550.0)
+    total = along_x[:, None] + along_y[None, :]
+    k0 = 2.0 * np.pi / 1550.0
+    assert len(sols) == 4
+    slab_orders = []
+    for solution, value in zip(sols, np.sort(total.ravel())[::-1]):
+        expected = np.sqrt(value) / k0
+        assert abs(solution.n_eff - expected) <= 1e-10 * expected
+        beta2 = (k0 * solution.n_eff) ** 2
+        j, m = np.unravel_index(np.abs(total - beta2).argmin(), total.shape)
+        assert abs(np.sqrt(beta2 - along_x[j]) / k0 - SLAB_N_EFF[m]) < 1e-3
+        slab_orders.append(int(m))
+    assert slab_orders == [0, 0, 0, 1]
 
 
-def test_unit_power_normalization():
-    map_ = _slab_map()
-    for solution in solve_modes(map_, 2, boundary="neumann"):
+def test_unit_power_normalization(slab_modes):
+    map_, sols = slab_modes
+    for solution in sols:
         power = float(np.sum(solution.field**2)) * map_.pitch_nm**2
         assert power == pytest.approx(1.0, abs=1e-9)
 
@@ -115,16 +149,6 @@ def test_half_domain_matches_full_grid_oracle(coupler_40nm):
     assert abs(anti.n_eff - full[1]) <= 1e-10 * full[1]
 
 
-def test_reflecting_half_domain_matches_full_grid_oracle(coupler_40nm):
-    # the mirror column is interior, so only the outer edges reflect
-    map_, _ = coupler_40nm
-    full = oracle.full_grid_n_eff(map_.index, map_.pitch_nm, 1550.0,
-                                  reflecting=True)
-    sols = solve_modes(map_, 4, boundary="neumann", cutoff_index=1.0)
-    for solution, expected in zip(sols, full, strict=True):
-        assert abs(solution.n_eff - expected) <= 1e-10 * expected
-
-
 def test_half_domain_fields_mirror_exactly(coupler_40nm):
     map_, (sym, anti) = coupler_40nm
     assert np.array_equal(sym.field, sym.field[:, ::-1])
@@ -154,19 +178,17 @@ def test_asymmetric_map_with_mirror_plane_rejected():
             solve_modes(map_, 1)
 
 
-@pytest.mark.parametrize("case", ["slab", "single rib", "coupler",
-                                  "coupler, neumann"])
+@pytest.mark.parametrize("case", ["slab", "single rib", "coupler"])
 def test_shift_lies_above_every_mode(case):
     if case == "slab":
-        map_, boundary = _slab_map(), "neumann"
+        map_ = _slab_map()
     else:
         gap = None if case == "single rib" else 2.3
         map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
                                    grid_pitch_nm=40.0)
-        boundary = "neumann" if case.endswith("neumann") else "dirichlet"
-    sigma = _mode_shift(map_.index, map_.pitch_nm, 1550.0, boundary)
+    sigma = _mode_shift(map_.index, map_.pitch_nm, 1550.0)
     k0 = 2.0 * np.pi / 1550.0
-    sols = solve_modes(map_, 4, boundary=boundary, cutoff_index=1.0)
+    sols = solve_modes(replace(map_, substrate_index=1.0), 4)
     assert sols
     for solution in sols:
         assert (k0 * solution.n_eff) ** 2 < sigma
@@ -190,6 +212,7 @@ def _layered_map(columns=201, pitch=20.0):
         y_nm=y,
         pitch_nm=pitch,
         wavelength_nm=1550.0,
+        substrate_index=n_clad,
     ), profile
 
 
@@ -216,7 +239,8 @@ def test_inertia_count_matches_arpack_count(top_width_um, count):
     map_ = build_cross_section(geometry, 1550.0, grid_pitch_nm=40.0)
     slab = modes._profile_effective_index(map_.index[:, 0], 40.0, 1550.0)
     cutoff = max(slab, map_.substrate_index) + modes.CUTOFF_MARGIN
-    assert len(solve_modes(map_, count + 2, cutoff_index=cutoff)) == count
+    assert len(solve_modes(replace(map_, substrate_index=cutoff),
+                           count + 2)) == count
 
 
 def test_inertia_count_of_a_dense_symmetric_matrix():
@@ -284,7 +308,7 @@ def test_supermode_requires_gap():
 def test_convergence_error_carries_residual(monkeypatch):
     monkeypatch.setattr(modes, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as info:
-        solve_modes(_slab_map(), 1, boundary="neumann")
+        solve_modes(_slab_map(), 1)
     assert hasattr(info.value, "residual_norm")
 
 
@@ -305,8 +329,8 @@ def test_grid_convergence_at_default_pitch():
         assert 1.92 < n < 1.95
 
 
-def test_field_peak_positive_sign_convention():
-    sols = solve_modes(_slab_map(), 2, boundary="neumann")
+def test_field_peak_positive_sign_convention(slab_modes):
+    _, sols = slab_modes
     for solution in sols:
         peak = solution.field.ravel()[np.abs(solution.field).argmax()]
         assert peak > 0
