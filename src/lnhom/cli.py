@@ -43,6 +43,8 @@ from .reproduce import format_report, run_reproduction
 log = logging.getLogger("lnhom")
 
 _REQUIRED = object()
+# most delay points a scan may ask for, checked before any array is built
+MAX_DELAY_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -255,6 +257,8 @@ def _build(cls, keys, params):
 def _check_delay_points(params, minimum):
     if params["delay_points"] < minimum:
         raise ConfigError(f"delay_points must be at least {minimum}")
+    if params["delay_points"] > MAX_DELAY_POINTS:
+        raise ConfigError(f"delay_points must be at most {MAX_DELAY_POINTS}")
 
 
 def _delay_axis(params, minimum):

@@ -210,8 +210,8 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
                                                min(edges[-1], 1.0))
         pattern = rng.random(clicking.size) * edges[-1]
         counted = []
-        for photon in (clicking[pattern < edges[1]],
-                       clicking[pattern >= edges[0]]):
+        for photon in (np.compress(pattern < edges[1], clicking),
+                       np.compress(pattern >= edges[0], clicking)):
             dark_clicks = _sorted_bernoulli_positions(rng, n_pulses, dark)
             counted.append(_apply_dead_time(_merge_sorted(photon, dark_clicks),
                                             blind_step))

@@ -1,7 +1,6 @@
 """Model fitting and loss analysis for coupler and interference data.
 
-Three smooth, low-dimensional models are fitted with damped Gauss-Newton
-(Levenberg-Marquardt) using analytic Jacobians:
+Three smooth, low-dimensional models are fitted or inverted:
 
   * splitting ratio versus interaction length,
         P(L) = B + A sin^2(pi (L + L0) / (2 Lc)),
@@ -14,6 +13,19 @@ Raw counts get Poisson weights (sigma_i = sqrt(max(c_i, 1))); probability
 data is weighted uniformly, with the covariance rescaled by the reduced
 chi-square.  Fits are deterministic: fixed iteration schedule, no random
 restarts.
+
+The two curve fits share one Levenberg-Marquardt loop in numpy on their
+analytic Jacobians (More, LNM 630, 1978; Madsen, Nielsen and Tingleff,
+"Methods for non-linear least squares problems", 2004).  Each step solves
+(J^T J + mu D) h = -J^T r, where the diagonal scaling D is the running
+maximum of diag(J^T J), so the damping acts alike on parameters of any
+unit.  A step is accepted when the actual reduction of |r|^2 / 2 is
+positive against the reduction the linear model predicts; the ratio rho
+of the two then scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's
+rule), while a rejected step multiplies mu by 2, 4, 8, ... in turn.  The
+fit stops after a step with |h| <= STEP_TOLERANCE (STEP_TOLERANCE + |x|),
+taken if it lowers the residual, and raises ConvergenceError once
+MAX_ITERATIONS residual evaluations are spent.
 """
 
 from __future__ import annotations
@@ -23,13 +35,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, NegativeLossWarning, UnidentifiableDataError
 from .hom import DelayScan
 
 MAX_ITERATIONS = 500
 STEP_TOLERANCE = 1e-10
+# first damping factor, relative to the diagonal scaling
+_INITIAL_DAMPING = 1e-3
 # fewest delay points fit_gaussian_dip accepts
 MIN_DIP_POINTS = 10
 
@@ -48,6 +61,10 @@ class PowerRatioSeries:
         if self.interaction_length_um.ndim != 1 \
                 or self.interaction_length_um.shape != self.ratio.shape:
             raise ValueError("lengths and ratios must be matching 1D arrays")
+        for name, values in (("interaction lengths", self.interaction_length_um),
+                             ("power ratios", self.ratio)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.interaction_length_um) <= 0):
             raise ValueError("interaction lengths must be strictly increasing")
         if np.any((self.ratio < 0) | (self.ratio > 1)):
@@ -70,29 +87,62 @@ class FitResult:
         return dict(zip(self.parameters, (float(s) for s in sigmas)))
 
 
+def _levenberg_marquardt(residual_fn, jacobian_fn, x0):
+    """Least-squares minimiser of |residual_fn(x)|; returns x with the
+    residuals and Jacobian there."""
+    x = np.asarray(x0, dtype=float)
+    residual = residual_fn(x)
+    evaluations = 1
+    jac = jacobian_fn(x)
+    gram = jac.T @ jac
+    scale = np.diag(gram)
+    damping, growth = _INITIAL_DAMPING, 2.0
+    while True:
+        gradient = jac.T @ residual
+        step = np.linalg.solve(gram + np.diag(damping * scale), -gradient)
+        if evaluations >= MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"fit did not converge within {MAX_ITERATIONS} evaluations",
+                residual_norm=float(np.linalg.norm(residual)),
+            )
+        converged = np.linalg.norm(step) \
+            <= STEP_TOLERANCE * (STEP_TOLERANCE + np.linalg.norm(x))
+        trial = x + step
+        trial_residual = residual_fn(trial)
+        evaluations += 1
+        actual = 0.5 * (residual @ residual - trial_residual @ trial_residual)
+        if actual > 0.0:  # False for a non-finite trial residual
+            predicted = 0.5 * step @ (damping * scale * step - gradient)
+            rho = actual / predicted
+            x, residual = trial, trial_residual
+            jac = jacobian_fn(x)
+            gram = jac.T @ jac
+            scale = np.maximum(scale, np.diag(gram))
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping *= growth
+            growth *= 2.0
+        if converged:
+            return x, residual, jac
+
+
 def _run_fit(residual_fn, jacobian_fn, x0, names, rescale_by_chi_square):
-    result = least_squares(residual_fn, x0, jac=jacobian_fn, method="lm",
-                           xtol=STEP_TOLERANCE, max_nfev=MAX_ITERATIONS)
-    if not result.success:
-        raise ConvergenceError(
-            f"fit did not converge within {MAX_ITERATIONS} evaluations: "
-            f"{result.message}",
-            residual_norm=float(np.linalg.norm(result.fun)),
-        )
-    jac = result.jac
-    n_points = result.fun.size
+    x, residuals, jac = _levenberg_marquardt(residual_fn, jacobian_fn, x0)
+    n_points = residuals.size
     dof = max(n_points - len(x0), 1)
+    chi_square = float(residuals @ residuals)
     gram_inv = np.linalg.pinv(jac.T @ jac)
     if rescale_by_chi_square:
         # unknown uniform noise level: scale by reduced chi-square
-        gram_inv = gram_inv * (2.0 * result.cost / dof)
+        gram_inv = gram_inv * (chi_square / dof)
     covariance = 0.5 * (gram_inv + gram_inv.T)
-    weighted_rms = math.sqrt(2.0 * result.cost / n_points)
+    weighted_rms = math.sqrt(chi_square / n_points)
     return FitResult(
-        parameters=dict(zip(names, (float(x) for x in result.x))),
+        parameters=dict(zip(names, (float(v) for v in x))),
         covariance=covariance,
         residual_rms=weighted_rms,
-        residuals=result.fun,
+        residuals=residuals,
     )
 
 
@@ -187,6 +237,9 @@ def fit_gaussian_dip(scan):
     """
     delays = scan.delay_ps
     values = np.asarray(scan.values, dtype=float)
+    for name, data in (("delays", delays), ("coincidence values", values)):
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} must be finite")
     if delays.size < MIN_DIP_POINTS:
         raise ValueError(f"need at least {MIN_DIP_POINTS} points to fit the dip")
     names = ("visibility", "center_ps", "width_ps", "baseline")

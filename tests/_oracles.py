@@ -4,7 +4,8 @@ Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
 trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
 on the full grid with scipy's own shift-invert, and the spectra and mode
-counts of layered maps from their separable form.  Tests freeze the numbers
+counts of layered maps from their separable form, and least-squares fits
+by MINPACK's Levenberg-Marquardt through scipy.  Tests freeze the numbers
 these produce; the package must then reproduce them.
 """
 
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import least_squares
 from scipy.sparse.linalg import eigsh
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -355,3 +357,59 @@ def pulse_single_click_probability(mu, statistics, indistinguishability, eta,
     return _pulse_event_probability(event, mu, statistics,
                                     indistinguishability, eta, efficiency,
                                     dark, max_pairs)
+
+
+def _reference_fit(residuals, jacobian, x0, rescale_by_chi_square):
+    """MINPACK Levenberg-Marquardt with the package's step tolerance, with
+    the cost and gradient rules tightened so that it stops at the minimum
+    and not where the cost merely stops falling by 1e-8; returns the
+    parameters and their 1-sigma uncertainties from pinv(J^T J)."""
+    result = least_squares(residuals, x0, jac=jacobian, method="lm",
+                           xtol=1e-10, ftol=1e-15, gtol=1e-15, max_nfev=500)
+    if not result.success:
+        raise RuntimeError(result.message)
+    covariance = np.linalg.pinv(result.jac.T @ result.jac)
+    if rescale_by_chi_square:
+        dof = result.fun.size - result.x.size
+        covariance = covariance * (result.fun @ result.fun / dof)
+    return result.x, np.sqrt(np.diag(covariance))
+
+
+def sinusoid_fit_reference(lengths, ratios, x0):
+    """Uniformly weighted fit of B + A sin^2(pi (L + L0) / (2 Lc)) from x0 =
+    (Lc, L0, A, B); the covariance is rescaled by the reduced chi-square."""
+    def theta(p):
+        return np.pi * (lengths + p[1]) / (2.0 * p[0])
+
+    def residuals(p):
+        return p[3] + p[2] * np.sin(theta(p)) ** 2 - ratios
+
+    def jacobian(p):
+        t = theta(p)
+        d_theta = p[2] * np.sin(2.0 * t)
+        return np.column_stack([-d_theta * t / p[0],
+                                d_theta * np.pi / (2.0 * p[0]),
+                                np.sin(t) ** 2, np.ones_like(t)])
+
+    return _reference_fit(residuals, jacobian, x0, True)
+
+
+def dip_fit_reference(delays, values, x0, poisson):
+    """Fit of B (1 - V exp(-(tau - tau0)^2 / (2 w^2))) from x0 = (V, tau0,
+    w, B): Poisson weights 1/sqrt(max(c, 1)) and no rescaling for counts,
+    uniform weights and a chi-square rescaled covariance otherwise."""
+    sigma = np.sqrt(np.maximum(values, 1.0)) if poisson else np.ones(values.size)
+
+    def gauss(p):
+        return np.exp(-((delays - p[1]) ** 2) / (2.0 * p[2] ** 2))
+
+    def residuals(p):
+        return (p[3] * (1.0 - p[0] * gauss(p)) - values) / sigma
+
+    def jacobian(p):
+        g, u = gauss(p), delays - p[1]
+        columns = [-p[3] * g, -p[3] * p[0] * g * u / p[2] ** 2,
+                   -p[3] * p[0] * g * u**2 / p[2] ** 3, 1.0 - p[0] * g]
+        return np.column_stack(columns) / sigma[:, None]
+
+    return _reference_fit(residuals, jacobian, x0, not poisson)

@@ -328,6 +328,47 @@ def test_too_few_points_to_fit_fail_before_any_work(tmp_path, capsys,
     assert not (out / "counts.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, runner", [
+    ("hom-dip", "coincidence_curve"),
+    ("simulate-counts", "simulate_counts"),
+    ("reproduce-paper", "run_reproduction"),
+])
+def test_too_many_delay_points_fail_before_any_allocation(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          scenario, runner):
+    def never_called(*args, **kwargs):
+        raise AssertionError(f"{runner} ran")
+
+    monkeypatch.setattr(cli, runner, never_called)
+    config = _write(tmp_path, "c.cfg", f"delay_points = {10**9}\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: delay_points must be at most {cli.MAX_DELAY_POINTS}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scenario, header, row, message", [
+    ("fit-coupling", "length_um,ratio", "{x!r},{y!r}",
+     "power ratios must be finite"),
+    ("fit-dip", "delay_ps,stage_um,coincidences", "{x!r},,{y!r}",
+     "coincidence values must be finite"),
+])
+def test_non_finite_data_cell_is_a_data_error(tmp_path, capsys, scenario,
+                                              header, row, message):
+    axis = np.linspace(0.0, 100.0, 21)
+    values = [0.5 + 0.4 * np.sin(0.1 * x) for x in axis]
+    values[7] = float("nan")
+    rows = "\n".join(row.format(x=float(x), y=float(y))
+                     for x, y in zip(axis, values))
+    csv = tmp_path / "data.csv"
+    csv.write_text(f"{header}\n{rows}\n", encoding="utf-8")
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    assert main([scenario, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_fit_dip_wrong_header_is_a_data_error(tmp_path, capsys):
     csv = tmp_path / "dip.csv"
     csv.write_text("delay_ps,coincidences\n0.0,5\n", encoding="utf-8")

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from lnhom.errors import NegativeLossWarning, UnidentifiableDataError
+from lnhom import fitting
+from lnhom.errors import (ConvergenceError, NegativeLossWarning,
+                          UnidentifiableDataError)
 from lnhom.fitting import (
     PowerRatioSeries,
     coupling_length_statistics,
@@ -20,7 +22,7 @@ from lnhom.fitting import (
 )
 from lnhom.hom import DelayScan
 
-from _oracles import fp_contrast
+from _oracles import dip_fit_reference, fp_contrast, sinusoid_fit_reference
 
 
 def _sinusoid(lengths, coupling_length, offset, amplitude, baseline):
@@ -39,9 +41,11 @@ def test_noiseless_sinusoid_roundtrip():
     lengths = np.linspace(0.0, 400.0, 25)
     series = PowerRatioSeries(lengths, _sinusoid(lengths, 112.86, 28.45, 0.96, 0.02))
     fit = fit_coupling_sinusoid(series)
-    assert fit.parameters["coupling_length_um"] == pytest.approx(112.86, rel=1e-6)
-    assert fit.parameters["amplitude"] == pytest.approx(0.96, abs=1e-6)
-    assert fit.parameters["baseline"] == pytest.approx(0.02, abs=1e-6)
+    # exact data: the fit stops at the generating values, to rounding
+    assert fit.parameters["coupling_length_um"] == pytest.approx(112.86, rel=1e-13)
+    assert fit.parameters["offset_um"] == pytest.approx(28.45, rel=1e-13)
+    assert fit.parameters["amplitude"] == pytest.approx(0.96, abs=1e-13)
+    assert fit.parameters["baseline"] == pytest.approx(0.02, abs=1e-13)
     predicted = _sinusoid(lengths, *(fit.parameters[k] for k in
                                      ("coupling_length_um", "offset_um",
                                       "amplitude", "baseline")))
@@ -107,16 +111,24 @@ def test_power_series_validation():
         PowerRatioSeries([0.0, 1.0], [0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_series_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="power ratios must be finite"):
+        PowerRatioSeries([0.0, 1.0, 2.0], [0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="interaction lengths must be finite"):
+        PowerRatioSeries([0.0, bad, 2.0], [0.5, 0.5, 0.5])
+
+
 # --- Gaussian dip fit ------------------------------------------------------
 
 def test_noiseless_dip_roundtrip():
     delays = np.linspace(-8.0, 8.0, 41)
     scan = DelayScan(delays, _dip(delays, 0.935, 0.3, 1.2, 950.0))
     fit = fit_gaussian_dip(scan)
-    assert fit.parameters["visibility"] == pytest.approx(0.935, abs=1e-4)
-    assert fit.parameters["center_ps"] == pytest.approx(0.3, abs=1e-6)
-    assert fit.parameters["width_ps"] == pytest.approx(1.2, abs=1e-6)
-    assert fit.parameters["baseline"] == pytest.approx(950.0, rel=1e-6)
+    assert fit.parameters["visibility"] == pytest.approx(0.935, abs=1e-13)
+    assert fit.parameters["center_ps"] == pytest.approx(0.3, abs=1e-13)
+    assert fit.parameters["width_ps"] == pytest.approx(1.2, abs=1e-13)
+    assert fit.parameters["baseline"] == pytest.approx(950.0, rel=1e-13)
 
 
 def test_poisson_counts_dip_recovers_visibility():
@@ -166,6 +178,95 @@ def test_dip_fit_needs_enough_points():
     delays = np.linspace(-2.0, 2.0, 9)
     with pytest.raises(ValueError):
         fit_gaussian_dip(DelayScan(delays, np.ones(9)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dip_fit_rejects_non_finite_data(bad):
+    delays = np.linspace(-8.0, 8.0, 41)
+    values = _dip(delays, 0.9, 0.0, 1.0, 100.0)
+    values[20] = bad
+    with pytest.raises(ValueError, match="coincidence values must be finite"):
+        fit_gaussian_dip(DelayScan(delays, values))
+    delays = delays.copy()
+    delays[-1] = bad
+    with pytest.raises(ValueError, match="delays must be finite"):
+        fit_gaussian_dip(DelayScan(delays, np.ones(41)))
+
+
+# --- the solver against MINPACK --------------------------------------------
+
+def _noisy_sinusoid(seed):
+    rng = np.random.default_rng(seed)
+    lengths = np.linspace(10.0, 340.0, 12)
+    clean = _sinusoid(lengths, 112.86, 0.0, 1.0, 0.0)
+    return lengths, np.clip(clean + rng.normal(0.0, 0.01, lengths.size), 0.0, 1.0)
+
+
+def _exact_sinusoid():
+    lengths = np.linspace(0.0, 400.0, 25)
+    return lengths, _sinusoid(lengths, 112.86, 28.45, 0.96, 0.02)
+
+
+def _poisson_dip():
+    delays = np.linspace(-6.0, 6.0, 61)
+    counts = np.random.default_rng(404).poisson(_dip(delays, 0.9, 0.0, 1.0, 400.0))
+    return DelayScan(delays, counts)
+
+
+def _float_dip():
+    delays = np.linspace(-8.0, 8.0, 41)
+    noise = np.random.default_rng(5).normal(0.0, 0.01, delays.size)
+    return DelayScan(delays, _dip(delays, 0.935, 0.3, 1.2, 1.0) + noise)
+
+
+def _assert_matches(fit, reference, compare_uncertainties=True):
+    parameters, sigmas = reference
+    assert list(fit.parameters.values()) == pytest.approx(
+        list(parameters), rel=1e-7, abs=1e-12)
+    if compare_uncertainties:
+        assert list(fit.uncertainties.values()) == pytest.approx(
+            list(sigmas), rel=1e-6)
+
+
+def _sinusoid_matches_minpack(lengths, ratios, compare_uncertainties=True):
+    fit = fit_coupling_sinusoid(PowerRatioSeries(lengths, ratios))
+    reference = sinusoid_fit_reference(
+        lengths, ratios, fitting._sinusoid_guess(lengths, ratios))
+    _assert_matches(fit, reference, compare_uncertainties)
+
+
+def test_exact_sinusoid_fit_matches_minpack():
+    # only rounding is left in the residuals, so the uncertainties are
+    # rounding noise and only the parameters are compared
+    _sinusoid_matches_minpack(*_exact_sinusoid(), compare_uncertainties=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_noisy_sinusoid_fit_matches_minpack(seed):
+    _sinusoid_matches_minpack(*_noisy_sinusoid(seed))
+
+
+@pytest.mark.parametrize("scan", [_poisson_dip(), _float_dip()],
+                         ids=["poisson-counts", "float"])
+def test_dip_fit_matches_minpack(scan):
+    values = np.asarray(scan.values, dtype=float)
+    reference = dip_fit_reference(
+        scan.delay_ps, values, fitting._dip_guess(scan.delay_ps, values),
+        poisson=scan.values.dtype.kind == "i")
+    _assert_matches(fit_gaussian_dip(scan), reference)
+
+
+def test_fit_failure_raises_with_the_residual_norm(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    lengths, ratios = _noisy_sinusoid(1)
+    fits = [lambda: fit_coupling_sinusoid(PowerRatioSeries(lengths, ratios)),
+            lambda: fit_gaussian_dip(_poisson_dip())]
+    for fit in fits:
+        with pytest.raises(ConvergenceError, match="within 1 evaluations") \
+                as failure:
+            fit()
+        assert math.isfinite(failure.value.residual_norm)
+        assert failure.value.residual_norm > 0.0
 
 
 def test_normalized_scan_puts_wings_at_unity():
