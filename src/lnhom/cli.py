@@ -404,17 +404,24 @@ def _run_fp_loss(params, out):
             f"loss_db_per_cm = {alpha!r}"]
 
 
+class _ChecksFailed(RuntimeError):
+    """A run that completed and has a report, but whose checks failed."""
+
+    def __init__(self, report):
+        super().__init__("reproduction checks failed")
+        self.report = report
+
+
 def _run_reproduce(params, out):
     _check_delay_points(params, MIN_DIP_POINTS)
     results = run_reproduction(seed=params["seed"],
                                pulses_per_point=params["pulses_per_point"],
                                delay_points=params["delay_points"],
                                grid_pitch_nm=params["grid_pitch_nm"])
-    report = format_report(results)
-    print(report)
+    report = format_report(results).splitlines()
     if not all(r.passed for r in results):
-        raise RuntimeError("reproduction checks failed")
-    return report.splitlines()
+        raise _ChecksFailed(report)
+    return report
 
 
 _RUNNERS = {
@@ -469,10 +476,15 @@ def main(argv=None):
         return 2
 
     out = Path(args.out)
+    status = 0
     try:
         out.mkdir(parents=True, exist_ok=True)
         log.info("running %s -> %s", args.scenario, out)
         report = _RUNNERS[args.scenario](params, out)
+    except _ChecksFailed as exc:
+        # the report of a failed check is written and printed all the same
+        report, status = exc.report, 1
+        print(f"error: {exc}", file=sys.stderr)
     except Exception as exc:
         # a ValueError blames the config, unless the scenario read a data
         # file: then only a ConfigError does, and the data are at fault
@@ -485,11 +497,10 @@ def main(argv=None):
     report_path = out / "report.txt"
     with lio._open_write(report_path) as handle:
         handle.write("\n".join(report) + "\n")
-    if args.scenario != "reproduce-paper":
-        for line in report:
-            print(line)
+    for line in report:
+        print(line)
     log.info("report written to %s", report_path)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

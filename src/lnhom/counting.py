@@ -1,22 +1,22 @@
 """Monte Carlo photon counting for pulsed two-photon interference scans.
 
 Each delay point simulates a train of pump pulses but draws random numbers
-only for the pulses that click.  The point first computes, from photons
-alone, the per-pulse probabilities that only arm 1, only arm 2 or both
-arms click: the source's pair-number statistics weight the exact
-few-photon interference law for up to two pairs, and the three-plus tail
-takes the same law as three fully distinguishable pairs, which route
-binomially; an arm holding n photons clicks with probability
-1 - (1 - efficiency)^n.  The pulses with any photon click are
-then an exact Bernoulli process: their number is binomial, their positions
-a sorted uniform subset of the train, and one uniform per pulse picks its
-click pattern.  Per arm, dark clicks are a second sorted Bernoulli process
-over the whole train, and the merged click indices pass a non-paralyzable
-dead time, walked as a path through the clicks in compiled code.  The cost
-of a point thus scales with its clicks, not its pulses.  Coincidences are
-the counted indices both arms share.  Every delay point owns an
-independent child stream of the master seed, so points can be evaluated
-in any order, or in parallel, and still reproduce bit-for-bit.
+only for the pulses that click.  The point first computes the per-pulse
+probabilities that only arm 1, only arm 2 or both arms click: the
+source's pair-number statistics weight the exact few-photon interference
+law for up to two pairs, and the three-plus tail takes the same law as
+three fully distinguishable pairs, which route binomially; an arm holding
+n photons clicks with probability 1 - (1 - efficiency)^n, and a dark
+count, independent of the photons and of the other arm, can click it
+too.  The pulses where either arm clicks are then an exact Bernoulli
+process: their number is binomial, their positions a sorted uniform
+subset of the train, and one uniform per pulse picks its click pattern.
+Each arm's clicks pass a non-paralyzable dead time, walked as a path
+through the clicks in compiled code.  The cost of a point thus scales
+with its clicks, not its pulses.  Coincidences are the counted indices
+both arms share.  Every delay point owns an independent child stream of
+the master seed, so points can be evaluated in any order, or in
+parallel, and still reproduce bit-for-bit.
 
 The same click table, taken at zero and at far delay, gives the model's
 own dip visibility (``model_visibility``), the one multi-pair visibility
@@ -76,17 +76,25 @@ class DetectorModel:
             raise ValueError("dark_count_probability must lie in [0, 1]")
 
 
-def _click_pattern_probabilities(mu, statistics, overlap, eta, efficiency):
-    """Per-pulse probabilities that photons alone click only arm 1, both
-    arms, and only arm 2: [P1, P12, P2].
+def _click_pattern_probabilities(overlap, eta, source, detectors):
+    """Per-pulse probabilities that only arm 1, both arms, and only arm 2
+    click: [P1, P12, P2], dark counts included.
 
     Up to two pairs interfere exactly.  The rest of the pair-number mass is
     routed as three pairs with overlap 0, interference neglected: fully
     distinguishable photons keep or cross the splitter independently, so
     the enumeration gives the binomial routing.  An arm holding n photons
-    clicks with probability 1 - (1 - efficiency)^n.
+    clicks with probability 1 - (1 - efficiency)^n.  A dark count fires on
+    each arm with probability d, independently of the photons and of the
+    other arm, so it remaps the photon-only table [Q1, Q12, Q2], with
+    Q0 = 1 - Q1 - Q12 - Q2 for no photon click, to
+
+        P1 = Q1 (1 - d) + Q0 d (1 - d),
+        P12 = Q12 + d (Q1 + Q2) + d^2 Q0,
+        P2 = Q2 (1 - d) + Q0 d (1 - d).
     """
-    pair_probs = pair_number_probabilities(mu, statistics,
+    pair_probs = pair_number_probabilities(source.mean_pairs_per_pulse,
+                                           source.statistics,
                                            MAX_ENUMERATED_PAIRS)
     classes = [(n_pairs, pair_probs[n_pairs], overlap)
                for n_pairs in range(1, MAX_ENUMERATED_PAIRS + 1)]
@@ -100,59 +108,36 @@ def _click_pattern_probabilities(mu, statistics, overlap, eta, efficiency):
             arm2.append(n2)
 
     weights = np.array(weights)
+    efficiency = detectors.efficiency
     click1 = 1.0 - (1.0 - efficiency) ** np.array(arm1)
     click2 = 1.0 - (1.0 - efficiency) ** np.array(arm2)
-    return np.array([weights @ (click1 * (1.0 - click2)),
-                     weights @ (click1 * click2),
-                     weights @ ((1.0 - click1) * click2)])
+    only1 = weights @ (click1 * (1.0 - click2))
+    both = weights @ (click1 * click2)
+    only2 = weights @ ((1.0 - click1) * click2)
+    dark = detectors.dark_count_probability
+    none = 1.0 - only1 - both - only2
+    return np.array([only1 * (1.0 - dark) + none * dark * (1.0 - dark),
+                     both + dark * (only1 + only2) + dark**2 * none,
+                     only2 * (1.0 - dark) + none * dark * (1.0 - dark)])
 
 
 def model_visibility(state, eta, source, detectors):
-    """Dip visibility V = 1 - P_cc(0) / P_cc(inf) of the counting model.
+    """Dip visibility V = 1 - P12(0) / P12(inf) of the counting model.
 
-    P_cc is the per-pulse probability that both arms click, built from the
-    click table [P1, P12, P2] with the overlap of ``state`` at zero delay
-    and with no overlap at far delay.  A dark count fires on each arm with
-    probability d, independently of the photons, so
-
-        P_cc = P12 + d (P1 + P2) + d^2 (1 - P1 - P12 - P2).
-
-    The model neglects dead time.  Raises ``ValueError`` when P_cc(inf)
-    is 0 (no dark counts, and no pairs or blind detectors).
+    P12 is the per-pulse probability that both arms click, dark counts
+    included, read from the click table with the overlap of ``state`` at
+    zero delay and with no overlap at far delay.  The model neglects dead
+    time.  Raises ``ValueError`` when P12(inf) is 0 (no dark counts, and
+    no pairs or blind detectors).
     """
-    dark = detectors.dark_count_probability
-    rates = []
-    for overlap in (spectral_overlap(state, 0.0), 0.0):
-        only1, both, only2 = _click_pattern_probabilities(
-            source.mean_pairs_per_pulse, source.statistics, overlap, eta,
-            detectors.efficiency)
-        rates.append(both + dark * (only1 + only2)
-                     + dark**2 * (1.0 - only1 - both - only2))
-    if rates[1] == 0.0:
+    zero, far = (_click_pattern_probabilities(overlap, eta, source,
+                                              detectors)[1]
+                 for overlap in (spectral_overlap(state, 0.0), 0.0))
+    if far == 0.0:
         raise ValueError("no coincidences at far delay: without pairs, "
                          "efficiency or dark counts the visibility is "
                          "undefined")
-    return float(1.0 - rates[0] / rates[1])
-
-
-def _sorted_bernoulli_positions(rng, n_pulses, probability):
-    """Sorted indices of the pulses where an independent per-pulse event of
-    the given probability occurs: a binomial count, then a uniform subset of
-    that size drawn without replacement."""
-    size = rng.binomial(n_pulses, probability)
-    positions = rng.choice(n_pulses, size, replace=False, shuffle=False)
-    positions.sort()
-    return positions
-
-
-def _merge_sorted(a, b):
-    """Sorted union of two sorted index arrays, duplicates dropped."""
-    merged = np.concatenate((a, b))
-    # timsort finds the two sorted runs and merges them in linear time
-    merged.sort(kind="stable")
-    first = np.ones(merged.size, dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    return merged[first]
+    return float(1.0 - zero / far)
 
 
 def _apply_dead_time(clicks, blind_step):
@@ -192,30 +177,26 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
 
     blind_step = max(1, math.ceil(detectors.dead_time_ns
                                   / source.repetition_period_ns))
-    dark = detectors.dark_count_probability
 
     streams = np.random.SeedSequence(seed).spawn(delays.size)
     counts = np.zeros(delays.size, dtype=np.int64)
     for point, child in enumerate(streams):
         rng = np.random.default_rng(child)
         edges = np.cumsum(_click_pattern_probabilities(
-            source.mean_pairs_per_pulse, source.statistics,
-            spectral_overlap(state, float(delays[point])), eta,
-            detectors.efficiency))
-        # the pulses where any photon clicks, each with one uniform u:
-        # u * P(any) below the second edge clicks arm 1, at or above the
-        # first edge arm 2, so both arms click between the two edges;
-        # rounding can lift P(any) above 1 when every pulse clicks
-        clicking = _sorted_bernoulli_positions(rng, n_pulses,
-                                               min(edges[-1], 1.0))
-        pattern = rng.random(clicking.size) * edges[-1]
-        counted = []
-        for photon in (np.compress(pattern < edges[1], clicking),
-                       np.compress(pattern >= edges[0], clicking)):
-            dark_clicks = _sorted_bernoulli_positions(rng, n_pulses, dark)
-            counted.append(_apply_dead_time(_merge_sorted(photon, dark_clicks),
-                                            blind_step))
-        counts[point] = np.intersect1d(counted[0], counted[1],
-                                       assume_unique=True).size
+            spectral_overlap(state, float(delays[point])), eta, source,
+            detectors))
+        # the pulses where any arm clicks, an exact Bernoulli process: a
+        # binomial count at sorted uniform positions; rounding can lift
+        # P(any) above 1 when every pulse clicks
+        size = rng.binomial(n_pulses, min(edges[-1], 1.0))
+        clicking = rng.choice(n_pulses, size, replace=False, shuffle=False)
+        clicking.sort()
+        # one uniform u per clicking pulse: u * P(any) below the second
+        # edge clicks arm 1, at or above the first edge arm 2, so both
+        # arms click between the two edges
+        pattern = rng.random(size) * edges[-1]
+        arm1, arm2 = (_apply_dead_time(np.compress(mask, clicking), blind_step)
+                      for mask in (pattern < edges[1], pattern >= edges[0]))
+        counts[point] = np.intersect1d(arm1, arm2, assume_unique=True).size
 
     return DelayScan(delay_ps=delays, values=counts)

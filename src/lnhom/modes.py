@@ -40,6 +40,10 @@ PARITY_ANTISYMMETRIC = "antisymmetric"
 
 # effective-index gap between the column bound and the shift
 SHIFT_MARGIN = 1e-3
+# most modes a solve may ask for: a sub-micron LN rib or rib pair guides a
+# handful, and ARPACK holds 2k + 1 Lanczos vectors of the half-domain
+# size, so 32 keeps them near 110 MB on a 200k-unknown half
+MAX_MODES = 32
 # eigenpairs converged beyond the wanted ones, so no wanted mode is the edge
 # of the converged set; ARPACK builds 20 Lanczos vectors either way
 GUARD_MODES = 2
@@ -174,13 +178,16 @@ def solve_modes(index_map, n_modes=1):
 
     The map's ``substrate_index`` is the cutoff: modes with n_eff at or
     below it are discarded, so fewer than ``n_modes`` solutions may come
-    back.  Raises ``ValueError`` unless the map has an odd number of
-    columns, at least 3, and is mirror-symmetric about the centre one;
+    back.  Raises ``ValueError`` unless ``n_modes`` lies in
+    [1, ``MAX_MODES``] and the map has an odd number of columns, at least
+    3, and is mirror-symmetric about the centre one;
     raises :class:`ConvergenceError` if ARPACK needs more than
     ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
+    if n_modes > MAX_MODES:
+        raise ValueError(f"n_modes must be at most {MAX_MODES}")
     wavelength = index_map.wavelength_nm
     k0 = 2.0 * np.pi / wavelength
     index, pitch = index_map.index, index_map.pitch_nm

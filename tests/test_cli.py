@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnhom import cli, reproduce
+from lnhom import cli, modes, reproduce
 from lnhom import reference as ref
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.errors import ConfigError
@@ -274,6 +274,8 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
                  id="hom-dip-source-visibility"),
     pytest.param("modes", "grid_pitch_nm = 40\nn_modes = 0\n",
                  id="modes-n_modes"),
+    pytest.param("modes", "grid_pitch_nm = 40\nn_modes = 100000\n",
+                 id="modes-too-many-modes"),
     pytest.param("modes", "grid_pitch_nm = 60\n", id="modes-coarse-pitch"),
     pytest.param("modes", "grid_pitch_nm = 0\n", id="modes-zero-pitch"),
     pytest.param("modes", "grid_pitch_nm = nan\n", id="modes-nan-pitch"),
@@ -299,7 +301,12 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
       for key in ("film_thickness_nm", "cladding_thickness_nm", "gap_um")),
 ])
 def test_library_value_errors_in_config_only_scenarios_exit_two(
-        tmp_path, capsys, scenario, settings):
+        tmp_path, capsys, monkeypatch, scenario, settings):
+    def never_called(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    # a config error must surface before any solve, however large
+    monkeypatch.setattr(modes, "eigsh", never_called)
     config = _write(tmp_path, "c.cfg", settings)
     out = tmp_path / "out"
     assert main([scenario, "--config", config, "--out", str(out)]) == 2
@@ -420,6 +427,12 @@ def test_failed_reproduction_exits_one(tmp_path, capsys):
     assert main(["reproduce-paper", "--config", config, "--out", str(out)]) == 1
     shown = capsys.readouterr()
     assert "FAIL" in shown.out
+    assert shown.err == "error: reproduction checks failed\n"
+    # the failed run leaves the same report it prints
+    written = (out / "report.txt").read_text(encoding="utf-8")
+    assert written == shown.out
+    assert any(line.endswith("FAIL") for line in written.splitlines())
+    assert written.splitlines()[-1] == "13/14 checks passed"
 
 
 def test_bad_pulse_count_fails_before_any_solve(tmp_path, capsys,

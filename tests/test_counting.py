@@ -131,18 +131,22 @@ def test_bright_counts_track_the_analytic_rate(tau):
 @pytest.mark.parametrize("statistics", ["poissonian-pairs", "thermal-pairs"])
 @pytest.mark.parametrize("mu", [0.009, 0.5, 2.0])
 def test_click_pattern_table_matches_the_permanent_oracle(mu, statistics):
-    for overlap, efficiency in itertools.product((0.0, 0.5, 0.98),
-                                                 (0.5, 0.9, 1.0)):
+    source = SourceModel(mean_pairs_per_pulse=mu, statistics=statistics)
+    for overlap, efficiency, dark in itertools.product(
+            (0.0, 0.5, 0.98), (0.5, 0.9, 1.0), (0.0, 0.01, 0.3, 1.0)):
+        detectors = DetectorModel(efficiency=efficiency,
+                                  dark_count_probability=dark)
+        only1, both, only2 = _click_pattern_probabilities(
+            overlap, 0.546, source, detectors)
         args = (mu, statistics, overlap, 0.546, efficiency)
-        only1, both, only2 = _click_pattern_probabilities(*args)
         assert both == pytest.approx(
-            oracle.pulse_coincidence_probability(*args, dark=0.0),
+            oracle.pulse_coincidence_probability(*args, dark=dark),
             rel=0.0, abs=1e-12)
         assert only1 == pytest.approx(
-            oracle.pulse_single_click_probability(*args, dark=0.0, arm=1),
+            oracle.pulse_single_click_probability(*args, dark=dark, arm=1),
             rel=0.0, abs=1e-12)
         assert only2 == pytest.approx(
-            oracle.pulse_single_click_probability(*args, dark=0.0, arm=2),
+            oracle.pulse_single_click_probability(*args, dark=dark, arm=2),
             rel=0.0, abs=1e-12)
 
 

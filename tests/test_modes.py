@@ -312,9 +312,17 @@ def test_convergence_error_carries_residual(monkeypatch):
     assert hasattr(info.value, "residual_norm")
 
 
-def test_invalid_mode_count():
-    with pytest.raises(ValueError):
-        solve_modes(_uniform_map(), 0)
+def test_invalid_mode_count(monkeypatch):
+    solve_modes(_uniform_map(), modes.MAX_MODES)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    # both bounds are checked before any solve, however large the request
+    monkeypatch.setattr(modes, "eigsh", never_called)
+    for n_modes in (0, modes.MAX_MODES + 1, 100_000):
+        with pytest.raises(ValueError, match="n_modes"):
+            solve_modes(_uniform_map(), n_modes)
 
 
 def test_grid_convergence_at_default_pitch():
