@@ -9,20 +9,19 @@ three fully distinguishable pairs, which route binomially; an arm holding
 n photons clicks with probability 1 - (1 - efficiency)^n, and a dark
 count, independent of the photons and of the other arm, can click it
 too.  The pulses where either arm clicks are then an exact Bernoulli
-process: their number is binomial, their positions a sorted uniform
-subset of the train, and one uniform per pulse picks its click pattern.
-Each arm's clicks pass a non-paralyzable dead time, walked as a path
-through the clicks in compiled code.  The cost of a point thus scales
-with its clicks, not its pulses.  Coincidences are the counted indices
-both arms share.  Every delay point owns an independent child stream of
-the master seed, so points can be evaluated in any order, or in
-parallel, and still reproduce bit-for-bit.
+process, drawn as its geometric gaps, and one uniform per pulse picks its
+click pattern.  Each arm's clicks pass a non-paralyzable dead time,
+walked as a path through the clicks in compiled code, which marks the
+counted ones.  A coincidence is a clicking pulse counted on both arms.
+The cost of a point thus scales with its clicks, not its pulses.  Every
+delay point owns an independent child stream of the master seed, so
+points can be evaluated in any order, or in parallel, and still
+reproduce bit-for-bit.
 
 The same click table, taken at zero and at far delay, gives the model's
 own dip visibility (``model_visibility``), the one multi-pair visibility
 in the package.
 """
-
 from __future__ import annotations
 
 import math
@@ -140,27 +139,85 @@ def model_visibility(state, eta, source, detectors):
     return float(1.0 - zero / far)
 
 
+def _clicking_pulses(rng, n_pulses, probability):
+    """Sorted indices of the pulses, among ``n_pulses``, where an event of
+    the given probability happens independently on each pulse.
+
+    The events are drawn as the geometric gaps of the Bernoulli process:
+    each gap is floor(E / -log1p(-probability)) + 1 for a standard
+    exponential E.  A batch covers the rest of the train with four
+    standard deviations to spare; one that ends before the last pulse is
+    followed by another.
+    """
+    if probability <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if probability >= 1.0:
+        return np.arange(n_pulses)
+    rate = -math.log1p(-probability)
+    batches, last = [], -1
+    while last < n_pulses - 1:
+        remaining = n_pulses - 1 - last
+        expected = remaining * probability
+        # remaining + 1 gaps of at least one pulse always pass the end
+        size = min(math.ceil(expected + 4.0 * math.sqrt(expected)) + 1,
+                   remaining + 1)
+        gaps = rng.standard_exponential(size)
+        # a gap of n_pulses, or an infinite one at a denormal rate, passes
+        # the end; the clamp keeps the cast and the sum inside int64
+        with np.errstate(over="ignore"):
+            gaps /= rate
+        np.minimum(gaps, n_pulses, out=gaps)
+        train = gaps.astype(np.int64)
+        train += 1
+        train[0] += last
+        np.cumsum(train, out=train)
+        last = int(train[-1])
+        batches.append(train)
+    batches[-1] = train[:np.searchsorted(train, n_pulses)]
+    return batches[0] if len(batches) == 1 else np.concatenate(batches)
+
+
 def _apply_dead_time(clicks, blind_step):
-    """Non-paralyzable veto on sorted click indices: after a counted click,
-    the channel stays blind for the next blind_step - 1 pulses.  Returns the
-    indices of the counted clicks.
+    """Non-paralyzable veto on sorted, distinct click indices: after a
+    counted click, the channel stays blind for the next blind_step - 1
+    pulses.  Returns the mask of the counted clicks.
 
     Each click points to the first click outside its blind window (node
     ``clicks.size`` stands for past the end); the counted clicks are the
-    path from the first click, walked in compiled code.
+    path from the first click, walked in compiled code.  Distinct clicks
+    leave room for at most blind_step - 1 others inside one window, so
+    the pointer is found by that many shifted-slice comparisons, stopping
+    once no window holds another click, or by one binary search per click.
+    One slice pass measured 1/14 to 1/29 of the binary search over 1e4 to
+    1e6 clicks (numpy 2.4, 2 cores), against log2 of the click count of 13
+    to 20, so the slices run while blind_step - 1 <= log2(clicks.size).
     """
-    if blind_step <= 1 or clicks.size == 0:
-        return clicks
+    size = clicks.size
+    if blind_step <= 1 or size == 0:
+        return np.ones(size, dtype=bool)
     # a window reaching past the last click counts only the first one;
     # the clamp keeps clicks + blind_step inside int64
     blind_step = min(blind_step, int(clicks[-1]) + 1)
-    size = clicks.size
-    following = np.searchsorted(clicks, clicks + blind_step)
-    graph = csr_matrix((np.ones(size), following,
-                        np.append(np.arange(size + 1), size)),
+    reach = clicks + blind_step
+    if blind_step - 1 <= math.log2(size):
+        following = np.arange(1, size + 1, dtype=np.int32)
+        for shift in range(1, blind_step):
+            inside = clicks[shift:] < reach[:-shift]
+            if not inside.any():
+                break
+            following[:-shift] += inside
+    else:
+        following = np.searchsorted(clicks, reach).astype(np.int32)
+    # int32 indices are what the graph routines use, so scipy neither scans
+    # nor copies them, and the walk never reads the broadcast weights
+    edges = np.arange(size + 2, dtype=np.int32)
+    edges[-1] = size
+    graph = csr_matrix((np.broadcast_to(1.0, size), following, edges),
                        shape=(size + 1, size + 1))
     path = breadth_first_order(graph, 0, return_predecessors=False)
-    return clicks[path[:-1]]
+    counted = np.zeros(size, dtype=bool)
+    counted[path[:-1]] = True
+    return counted
 
 
 def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
@@ -185,18 +242,19 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
         edges = np.cumsum(_click_pattern_probabilities(
             spectral_overlap(state, float(delays[point])), eta, source,
             detectors))
-        # the pulses where any arm clicks, an exact Bernoulli process: a
-        # binomial count at sorted uniform positions; rounding can lift
-        # P(any) above 1 when every pulse clicks
-        size = rng.binomial(n_pulses, min(edges[-1], 1.0))
-        clicking = rng.choice(n_pulses, size, replace=False, shuffle=False)
-        clicking.sort()
+        clicking = _clicking_pulses(rng, n_pulses, edges[-1])
         # one uniform u per clicking pulse: u * P(any) below the second
         # edge clicks arm 1, at or above the first edge arm 2, so both
         # arms click between the two edges
-        pattern = rng.random(size) * edges[-1]
-        arm1, arm2 = (_apply_dead_time(np.compress(mask, clicking), blind_step)
-                      for mask in (pattern < edges[1], pattern >= edges[0]))
-        counts[point] = np.intersect1d(arm1, arm2, assume_unique=True).size
+        pattern = rng.random(clicking.size) * edges[-1]
+        on1, on2 = pattern < edges[1], pattern >= edges[0]
+        counted1, counted2 = (_apply_dead_time(np.compress(on, clicking),
+                                               blind_step)
+                              for on in (on1, on2))
+        # each arm's clicks where the other arm clicks too are the same
+        # pulses in the same order
+        counts[point] = np.count_nonzero(
+            np.compress(np.compress(on1, on2), counted1)
+            & np.compress(np.compress(on2, on1), counted2))
 
     return DelayScan(delay_ps=delays, values=counts)

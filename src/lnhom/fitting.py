@@ -26,6 +26,13 @@ rule), while a rejected step multiplies mu by 2, 4, 8, ... in turn.  The
 fit stops after a step with |h| <= STEP_TOLERANCE (STEP_TOLERANCE + |x|),
 taken if it lowers the residual, and raises ConvergenceError once
 MAX_ITERATIONS residual evaluations are spent.
+
+A scan without a dip may have no finite dip fit: the chi-square can keep
+falling towards a one-sample spike (the width shrinks at fixed visibility
+times width) or towards a parabola (the width grows at fixed curvature).
+The dip fit therefore raises UnidentifiableDataError as soon as an
+accepted width falls below a quarter of the smallest delay step or grows
+beyond the span of the scan.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ STEP_TOLERANCE = 1e-10
 _INITIAL_DAMPING = 1e-3
 # fewest delay points fit_gaussian_dip accepts
 MIN_DIP_POINTS = 10
+# a Gaussian dip of a quarter of the delay step falls to exp(-8) of its
+# depth one step from its centre, so it moves at most the two samples
+# around it: no scan resolves a narrower dip
+_MIN_DIP_WIDTH_PER_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -87,9 +98,10 @@ class FitResult:
         return dict(zip(self.parameters, (float(s) for s in sigmas)))
 
 
-def _levenberg_marquardt(residual_fn, jacobian_fn, x0):
+def _levenberg_marquardt(residual_fn, jacobian_fn, x0, check=None):
     """Least-squares minimiser of |residual_fn(x)|; returns x with the
-    residuals and Jacobian there."""
+    residuals and Jacobian there.  ``check``, when given, sees every
+    accepted x and may raise to end the fit."""
     x = np.asarray(x0, dtype=float)
     residual = residual_fn(x)
     evaluations = 1
@@ -115,6 +127,8 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, x0):
             predicted = 0.5 * step @ (damping * scale * step - gradient)
             rho = actual / predicted
             x, residual = trial, trial_residual
+            if check is not None:
+                check(x)
             jac = jacobian_fn(x)
             gram = jac.T @ jac
             scale = np.maximum(scale, np.diag(gram))
@@ -127,8 +141,10 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, x0):
             return x, residual, jac
 
 
-def _run_fit(residual_fn, jacobian_fn, x0, names, rescale_by_chi_square):
-    x, residuals, jac = _levenberg_marquardt(residual_fn, jacobian_fn, x0)
+def _run_fit(residual_fn, jacobian_fn, x0, names, rescale_by_chi_square,
+             check=None):
+    x, residuals, jac = _levenberg_marquardt(residual_fn, jacobian_fn, x0,
+                                             check)
     n_points = residuals.size
     dof = max(n_points - len(x0), 1)
     chi_square = float(residuals @ residuals)
@@ -234,6 +250,9 @@ def fit_gaussian_dip(scan):
     center_ps, width_ps and baseline.
 
     Integer-valued scans are treated as raw counts and get Poisson weights.
+    Raises UnidentifiableDataError when the fitted width falls below a
+    quarter of the smallest delay step or grows beyond the span of the
+    scan, as it can on a scan with no dip.
     """
     delays = scan.delay_ps
     values = np.asarray(scan.values, dtype=float)
@@ -267,7 +286,24 @@ def fit_gaussian_dip(scan):
         jac[:, 3] = 1.0 - visibility * shape
         return (jac.T / sigma).T
 
-    return _run_fit(residual_fn, jacobian_fn, x0, names, not poisson)
+    step = float(np.min(np.diff(delays)))
+    span = float(delays[-1] - delays[0])
+
+    def check(params):
+        width = abs(params[2])
+        if width < _MIN_DIP_WIDTH_PER_STEP * step:
+            raise UnidentifiableDataError(
+                f"the dip fit narrowed to a width of {width:.3g} ps, below a "
+                f"quarter of the {step:.3g} ps delay step: the scan resolves "
+                "no dip")
+        if width > span:
+            # over the scan such a dip is a parabola, whose curvature fixes
+            # only baseline * visibility / width^2
+            raise UnidentifiableDataError(
+                f"the dip fit widened to a width of {width:.3g} ps, beyond "
+                f"the {span:.3g} ps the scan spans: the scan resolves no dip")
+
+    return _run_fit(residual_fn, jacobian_fn, x0, names, not poisson, check)
 
 
 def normalized_scan(scan, fit_result):

@@ -5,10 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import _oracles as oracle
 from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
-                            _click_pattern_probabilities, simulate_counts)
+                            _click_pattern_probabilities, _clicking_pulses,
+                            simulate_counts)
 from lnhom.fock import arm_occupation_distribution, pair_number_probabilities
 from lnhom.hom import TwoPhotonState, spectral_overlap
 
@@ -150,6 +152,74 @@ def test_click_pattern_table_matches_the_permanent_oracle(mu, statistics):
             rel=0.0, abs=1e-12)
 
 
+# --- the click-train sampler -----------------------------------------------
+
+class _OneGapPerBatch:
+    """A generator that hands out a single exponential per request, so the
+    sampler must top up its batch after every click."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.requests = 0
+
+    def standard_exponential(self, size):
+        self.requests += 1
+        return self._rng.standard_exponential(1)
+
+
+@pytest.mark.parametrize("batches", ["sized", "one gap each"])
+@pytest.mark.parametrize("probability", [0.3, 0.5, 0.8])
+def test_click_trains_follow_the_bernoulli_patterns(probability, batches):
+    # every pattern of 4 pulses, drawn 20 000 times, against its
+    # enumerated probability p^k (1 - p)^(4 - k)
+    n_pulses, draws = 4, 20_000
+    rng = (np.random.default_rng(16) if batches == "sized"
+           else _OneGapPerBatch(16))
+    observed = np.zeros(2**n_pulses)
+    for _ in range(draws):
+        observed[np.sum(2 ** _clicking_pulses(rng, n_pulses, probability))] += 1
+    clicks = np.array([bin(pattern).count("1")
+                       for pattern in range(2**n_pulses)])
+    expected = draws * probability**clicks \
+        * (1.0 - probability) ** (n_pulses - clicks)
+    statistic = np.sum((observed - expected) ** 2 / expected)
+    assert chi2.sf(statistic, 2**n_pulses - 1) > 1e-3
+    if batches == "one gap each":
+        assert rng.requests > draws
+
+
+def test_click_trains_at_the_probability_limits():
+    rng = np.random.default_rng(3)
+    assert _clicking_pulses(rng, 1000, 0.0).size == 0
+    for probability in (1.0, 1.0 + 2e-16):
+        np.testing.assert_array_equal(
+            _clicking_pulses(rng, 1000, probability), np.arange(1000))
+
+
+@pytest.mark.parametrize("probability", [1e-19, 1e-300, 5e-324])
+def test_click_trains_clamp_gaps_beyond_int64(probability):
+    # E / -log1p(-p) reaches past 2^63 (or infinity): unclamped, the cast
+    # to int64 would wrap to a negative gap
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        train = _clicking_pulses(rng, 10**6, probability)
+        assert train.dtype == np.int64 and train.size == 0
+
+
+def test_bright_counts_without_dead_time_average_to_the_click_table():
+    # no dead time, so each point is a binomial count of its P12
+    pulses = 20_000
+    delays = np.linspace(-3.0, 3.0, 300)
+    detectors = DetectorModel(efficiency=0.9, dark_count_probability=0.01)
+    scan = simulate_counts(STATE, 0.5, _bright_source(pulses), detectors,
+                           delays, seed=20261019)
+    both = np.array([_click_pattern_probabilities(
+        spectral_overlap(STATE, tau), 0.5, _bright_source(pulses),
+        detectors)[1] for tau in delays])
+    standard_error = np.sqrt(np.sum(pulses * both * (1.0 - both)))
+    assert abs(scan.values.sum() - pulses * both.sum()) < 4.0 * standard_error
+
+
 # --- detector imperfections ------------------------------------------------
 
 def test_zero_efficiency_counts_nothing():
@@ -197,7 +267,8 @@ def test_dead_time_beyond_one_period_suppresses_counts():
 
 def test_dead_time_longer_than_the_run_counts_only_the_first_click():
     clicks = np.flatnonzero(_click_train(0.3))
-    np.testing.assert_array_equal(_apply_dead_time(clicks, 10**30), clicks[:1])
+    np.testing.assert_array_equal(clicks[_apply_dead_time(clicks, 10**30)],
+                                  clicks[:1])
     delays = [-2.0, 0.0, 2.0]
     forever = DetectorModel(efficiency=0.9, dead_time_ns=1e300,
                             dark_count_probability=0.01)
@@ -231,13 +302,16 @@ def _click_train(kind):
     return raw
 
 
-@pytest.mark.parametrize("blind_step", [1, 2, 6])
+# 12 and 77 fall on either side of the switch from shifted slices to a
+# binary search for the dense trains, and 100 000 is longer than any train
+@pytest.mark.parametrize("blind_step", [1, 2, 6, 12, 77, 100_000])
 @pytest.mark.parametrize("train", [0.001, 0.3, 1.0, "edges"])
 def test_dead_time_matches_the_dense_oracle(train, blind_step):
     raw = _click_train(train)
     expected = np.flatnonzero(oracle.dense_dead_time(raw, blind_step))
-    np.testing.assert_array_equal(
-        _apply_dead_time(np.flatnonzero(raw), blind_step), expected)
+    clicks = np.flatnonzero(raw)
+    np.testing.assert_array_equal(clicks[_apply_dead_time(clicks, blind_step)],
+                                  expected)
 
 
 # --- model validation ------------------------------------------------------

@@ -150,6 +150,32 @@ def test_flat_scan_visibility_consistent_with_zero():
         < 2.0 * fit.uncertainties["visibility"] + 0.01
 
 
+def test_flat_scans_fit_finitely_or_resolve_no_dip():
+    # with no dip the chi-square can fall towards a one-sample spike or a
+    # parabola: each scan ends in a finite fit or says it holds no dip
+    delays = np.linspace(-5.0, 5.0, 41)
+    outcomes = set()
+    for seed in range(100):
+        values = 1.0 + np.random.default_rng(seed).normal(0.0, 0.003, 41)
+        try:
+            fit = fit_gaussian_dip(DelayScan(delays, np.abs(values)))
+        except UnidentifiableDataError as error:
+            outcomes.add(str(error).split(" to a width")[0])
+            assert str(error).endswith("the scan resolves no dip")
+        else:
+            assert np.all(np.isfinite(list(fit.parameters.values())))
+            assert np.all(np.isfinite(fit.covariance))
+    assert outcomes == {"the dip fit narrowed", "the dip fit widened"}
+
+
+def test_dip_on_one_sample_is_unidentifiable():
+    delays = np.linspace(-5.0, 5.0, 41)
+    values = np.full(41, 100)
+    values[20] = 40
+    with pytest.raises(UnidentifiableDataError, match="narrowed"):
+        fit_gaussian_dip(DelayScan(delays, values))
+
+
 def test_delay_shift_moves_only_the_center():
     delays = np.linspace(-8.0, 8.0, 41)
     values = _dip(delays, 0.8, 0.0, 1.5, 100.0)
