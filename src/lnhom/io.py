@@ -1,9 +1,9 @@
 """CSV and report serialization.
 
-One dialect everywhere, written by a single column writer: comma
-separator, ``.`` decimal point, mandatory header row, UTF-8, LF line
-endings, floats as their shortest round-trip ``repr`` and integers as
-plain digits.  Formats:
+One dialect everywhere: comma separator, ``.`` decimal point, mandatory
+header row, UTF-8, LF line endings, floats as their shortest round-trip
+``repr`` and integers as plain digits.  Field and index maps are written one
+grid row at a time, every other CSV by a single column writer.  Formats:
 
   * field / index maps:   x_nm,y_nm,value
   * splitting curves:     wavelength_nm,eta
@@ -36,13 +36,21 @@ def _cell_text(column):
     ``tolist()`` turns the values into Python floats, ints or strings, and
     ``str`` of a Python float is its shortest round-trip ``repr``, so floats
     read back exactly.  A numeric column formats each distinct value once
-    (the axes of a field map repeat a few hundred values hundreds of
-    thousands of times); values are told apart by bit pattern, so ``-0.0``
-    and NaN keep their own text.
+    (an index map holds a handful of distinct values over hundreds of
+    thousands of cells, a symmetric field each value twice); values are
+    told apart by bit pattern, so ``-0.0`` and NaN keep their own text.  A
+    negative float's text is its magnitude's with a leading ``-`` (NaN's
+    text has no sign), so an antisymmetric field formats each magnitude
+    once too.
     """
     values = np.asarray(column)
     if values.dtype.kind not in "biuf":
         return [str(value) for value in values.tolist()]
+    if values.dtype.kind == "f" and np.signbit(values).any():
+        negative = np.signbit(values) & ~np.isnan(values)
+        text = np.array(_cell_text(np.abs(values)), dtype=object)
+        text[negative] = "-" + text[negative]
+        return text.tolist()
     bits = np.ascontiguousarray(values).view(f"u{values.dtype.itemsize}")
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     text = np.array([str(value) for value in values[first].tolist()],
@@ -64,15 +72,24 @@ def _write_columns(path, header, *columns):
 
 
 def write_field_csv(path, x_nm, y_nm, values):
-    """Write a 2D field or index map sampled on the (y, x) grid."""
+    """Write a 2D field or index map sampled on the (y, x) grid.
+
+    Each grid row is one ``%`` format: its template holds the row's x and y
+    texts, and the row's value texts fill its ``%s`` slots (float texts
+    hold no ``%``)."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(y_nm), len(x_nm)):
         raise ValueError("values shape must be (len(y_nm), len(x_nm))")
-    ny, nx = values.shape
-    _write_columns(path, ["x_nm", "y_nm", "value"],
-                   np.tile(np.asarray(x_nm, dtype=float), ny),
-                   np.repeat(np.asarray(y_nm, dtype=float), nx),
-                   values.ravel())
+    nx = values.shape[1]
+    # joined by ",y,%s\n" these give row y's template, "x_0,y,%s\n" to
+    # "x_last,y,%s\n"
+    x_pieces = _cell_text(np.asarray(x_nm, dtype=float)) + [""]
+    value_text = _cell_text(values.ravel())
+    with _open_write(path) as handle:
+        handle.write("x_nm,y_nm,value\n")
+        for i, y in enumerate(_cell_text(np.asarray(y_nm, dtype=float))):
+            handle.write(f",{y},%s\n".join(x_pieces)
+                         % tuple(value_text[i * nx:(i + 1) * nx]))
 
 
 def write_mode_field_csv(path, mode):

@@ -13,8 +13,9 @@ on every mode because d2/dx2 is negative semi-definite.  Every map is solved
 on half its width: it must be mirror-symmetric about an odd centre column,
 and its right half is solved twice, with a reflecting centre for symmetric
 modes and a zero-field centre for antisymmetric ones, so the boundary
-condition fixes the parity.  Outer boundaries are zero-field: guided modes
-decay into the padding.
+condition fixes the parity (once, symmetric, when only the fundamental mode
+is asked for).  Outer boundaries are zero-field: guided modes decay into
+the padding.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -111,8 +112,11 @@ def _shift_invert(op, k, sigma):
 
 def _mode_shift(index, pitch, wavelength):
     """Shift-invert target (beta^2) just above every eigenvalue of the map."""
+    # the distinct columns, told apart by their bytes; the max over them
+    # does not depend on their order
+    columns = {column.tobytes(): column for column in index.T}
     n_top = max(_profile_effective_index(column, pitch, wavelength)
-                for column in np.unique(index, axis=1).T)
+                for column in columns.values())
     return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
 
 
@@ -178,10 +182,14 @@ def solve_modes(index_map, n_modes=1):
 
     The map's ``substrate_index`` is the cutoff: modes with n_eff at or
     below it are discarded, so fewer than ``n_modes`` solutions may come
-    back.  Raises ``ValueError`` unless ``n_modes`` lies in
-    [1, ``MAX_MODES``] and the map has an odd number of columns, at least
-    3, and is mirror-symmetric about the centre one;
-    raises :class:`ConvergenceError` if ARPACK needs more than
+    back.  A single mode needs only the symmetric half: the operator's
+    off-diagonals are non-negative and it is irreducible, so by
+    Perron-Frobenius its top eigenvector is positive everywhere, hence
+    mirror-symmetric.  Fields are built only for the modes returned.
+    Raises ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``]
+    and the map has an odd number of columns, at least 3, and is
+    mirror-symmetric about the centre one; raises
+    :class:`ConvergenceError` if ARPACK needs more than
     ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``.
     """
     if n_modes < 1:
@@ -192,24 +200,28 @@ def solve_modes(index_map, n_modes=1):
     k0 = 2.0 * np.pi / wavelength
     index, pitch = index_map.index, index_map.pitch_nm
     halves = _mirror_halves(index)
+    if n_modes == 1:
+        halves = halves[:1]
     sigma = _mode_shift(index, pitch, wavelength)
-    solutions = []
+    candidates = []  # (n_eff, parity, half-domain eigenvector)
     for parity, half in halves:
         op = _helmholtz_operator(half, pitch, k0, parity)
         k = min(n_modes + GUARD_MODES, op.shape[0] - 1)
         vals, vecs = _shift_invert(op, k, sigma)
         for val, vec in zip(vals, vecs.T):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
-            if n_eff <= index_map.substrate_index:
-                continue
-            field = _full_field(vec.reshape(half.shape), parity)
-            field = field / np.sqrt(np.sum(field**2) * pitch * pitch)
-            if field.ravel()[np.abs(field).argmax()] < 0:
-                field = -field
-            solutions.append(ModeSolution(n_eff, field, parity,
-                                          index_map.x_nm, index_map.y_nm))
-    solutions.sort(key=lambda mode: mode.n_eff, reverse=True)
-    return solutions[:n_modes]
+            if n_eff > index_map.substrate_index:
+                candidates.append((n_eff, parity, vec.reshape(half.shape)))
+    candidates.sort(key=lambda candidate: candidate[0], reverse=True)
+    solutions = []
+    for n_eff, parity, vec in candidates[:n_modes]:
+        field = _full_field(vec, parity)
+        field = field / np.sqrt(np.sum(field**2) * pitch * pitch)
+        if field.ravel()[np.abs(field).argmax()] < 0:
+            field = -field
+        solutions.append(ModeSolution(n_eff, field, parity,
+                                      index_map.x_nm, index_map.y_nm))
+    return solutions
 
 
 def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):

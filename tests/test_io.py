@@ -198,6 +198,37 @@ def test_repeated_values_keep_their_exact_text(tmp_path):
         b"-0.0,5e-324,0.1\n")
 
 
+# edge floats: signed zero, NaN, infinities, the smallest subnormal, a
+# power of ten past 2**53 and below 1e-4, and a sum that is not its literal
+_EDGE_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05,
+                0.1 + 0.2]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 5), (2, 0),
+                                   (0, 3)])
+@pytest.mark.parametrize("kind", ["repeated", "distinct"])
+def test_field_csv_matches_repr_oracle(tmp_path, shape, kind):
+    # byte for byte: the header, then x,y,value as each float's repr for
+    # every (y, x), y outer; a grid without rows or columns has no rows
+    ny, nx = shape
+    size = ny * nx
+    if kind == "repeated":
+        values = np.resize(np.array(_EDGE_FLOATS), size)
+        x = np.resize(np.array([0.0, -0.0, 1e-05]), nx)
+        y = np.resize(np.array([5e-324, 0.1 + 0.2]), ny)
+    else:
+        values = np.random.default_rng(size).normal(size=size) * 1e3
+        values[:min(size, len(_EDGE_FLOATS))] = _EDGE_FLOATS[:size]
+        x = np.linspace(-1.0, 1.0, nx) / 3.0
+        y = 1e16 + 2.0 * np.arange(ny)
+    values = values.reshape(shape)
+    expected = "x_nm,y_nm,value\n" + "".join(
+        f"{float(x[j])!r},{float(y[i])!r},{float(values[i, j])!r}\n"
+        for i in range(ny) for j in range(nx))
+    write_field_csv(tmp_path / "field.csv", x, y, values)
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode("utf-8")
+
+
 def test_unequal_columns_are_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="bad.csv"):

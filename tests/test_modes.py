@@ -194,6 +194,65 @@ def test_shift_lies_above_every_mode(case):
         assert (k0 * solution.n_eff) ** 2 < sigma
 
 
+def _unique_column_shift(index, pitch, wavelength):
+    # the shift over the distinct columns as np.unique(axis=1) finds them
+    n_top = max(modes._profile_effective_index(column, pitch, wavelength)
+                for column in np.unique(index, axis=1).T)
+    return (2.0 * np.pi / wavelength * (n_top + modes.SHIFT_MARGIN)) ** 2
+
+
+@pytest.mark.parametrize("case", ["coupler", "single rib", "uniform"])
+def test_shift_matches_unique_column_reference(case):
+    if case == "uniform":
+        map_ = _uniform_map()
+    else:
+        gap = 2.3 if case == "coupler" else None
+        map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
+                                   grid_pitch_nm=40.0)
+    assert _mode_shift(map_.index, map_.pitch_nm, 1550.0) \
+        == _unique_column_shift(map_.index, map_.pitch_nm, 1550.0)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``modes.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(modes, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modes, name, counted)
+    return calls
+
+
+def test_fundamental_solves_the_symmetric_half_only(coupler_40nm,
+                                                    monkeypatch):
+    # Perron-Frobenius: the top mode is symmetric, so one eigensolve finds
+    # it; ARPACK converges one more eigenpair for two modes, so the two
+    # solves agree to rounding, not bit for bit
+    map_, (sym, _) = coupler_40nm
+    calls = _counting(monkeypatch, "eigsh")
+    (fundamental,) = solve_modes(map_, 1)
+    assert len(calls) == 1
+    assert fundamental.parity == PARITY_SYMMETRIC
+    assert fundamental.n_eff == pytest.approx(sym.n_eff, rel=1e-12)
+    assert np.allclose(fundamental.field, sym.field, rtol=0.0,
+                       atol=1e-12 * np.abs(sym.field).max())
+    solve_modes(map_, 2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 4])
+def test_fields_are_built_only_for_returned_modes(n_modes, monkeypatch):
+    # the slab guides four modes; every solve finds more above the cutoff
+    # than it returns, unless it returns all four
+    calls = _counting(monkeypatch, "_full_field")
+    sols = solve_modes(_slab_map(), n_modes)
+    assert len(sols) == n_modes
+    assert len(calls) == n_modes
+
+
 def test_single_mode_reference_geometry():
     count = guided_mode_count(reference_geometry(), 1550.0, grid_pitch_nm=20.0)
     assert count == 1
@@ -306,9 +365,11 @@ def test_supermode_requires_gap():
 
 
 def test_convergence_error_carries_residual(monkeypatch):
+    # two modes, so the antisymmetric half is solved too: it needs more
+    # than one ARPACK iteration, the symmetric half alone does not
     monkeypatch.setattr(modes, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as info:
-        solve_modes(_slab_map(), 1)
+        solve_modes(_slab_map(), 2)
     assert hasattr(info.value, "residual_norm")
 
 
