@@ -34,14 +34,16 @@ def main():
     pair = reference_geometry(gap_um=2.3)
     index_map = build_cross_section(pair, WAVELENGTH_NM,
                                     grid_pitch_nm=PITCH_NM)
-    io.write_index_map_csv(OUT / "index_map.csv", index_map)
+    io.write_field_csv(OUT / "index_map.csv", index_map.x_nm, index_map.y_nm,
+                       index_map.index)
 
     start = time.perf_counter()
     sym, anti = solve_modes(index_map, 2)
     elapsed = time.perf_counter() - start
     for name, mode in (("symmetric", sym), ("antisymmetric", anti)):
         print(f"{name}: n_eff = {mode.n_eff:.6f} ({mode.parity})")
-        io.write_mode_field_csv(OUT / f"supermode_{name}.csv", mode)
+        io.write_mode_field_csv(OUT / f"supermode_{name}.csv", index_map,
+                                mode)
 
     beat = coupling_length_from_indices(sym.n_eff, anti.n_eff, WAVELENGTH_NM)
     print(f"beat length {beat:.1f} um from the supermode splitting "

@@ -8,7 +8,8 @@ config errors.  ``main`` alone maps exceptions to exit codes: a
 ``ValueError`` raised while a scenario runs blames its config (exit 2),
 except in the scenarios that read a data file (``fit-coupling``,
 ``fit-dip``), where only a ``ConfigError`` does and any other
-``ValueError`` rejects the data (exit 1).
+``ValueError`` rejects the data (exit 1).  A fit's verdict on its data
+(``UnidentifiableDataError``) is a ``RuntimeError``: it always exits 1.
 """
 
 from __future__ import annotations
@@ -282,9 +283,11 @@ def _run_modes(params, out):
         report.append(f"mode_{i}_n_eff = {mode.n_eff!r}")
         report.append(f"mode_{i}_parity = {mode.parity}")
         if params["write_fields"]:
-            lio.write_mode_field_csv(out / f"mode_{i}_field.csv", mode)
+            lio.write_mode_field_csv(out / f"mode_{i}_field.csv", index_map,
+                                     mode)
     if params["write_index_map"]:
-        lio.write_index_map_csv(out / "index_map.csv", index_map)
+        lio.write_field_csv(out / "index_map.csv", index_map.x_nm,
+                            index_map.y_nm, index_map.index)
     return report
 
 

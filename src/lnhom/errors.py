@@ -27,7 +27,7 @@ class UnreachableTargetError(ValueError):
     """No non-negative interaction length realises the requested ratio on this branch."""
 
 
-class UnidentifiableDataError(ValueError):
+class UnidentifiableDataError(RuntimeError):
     """Data carry no information about one or more fit parameters."""
 
 

@@ -32,7 +32,8 @@ falling towards a one-sample spike (the width shrinks at fixed visibility
 times width) or towards a parabola (the width grows at fixed curvature).
 The dip fit therefore raises UnidentifiableDataError as soon as an
 accepted width falls below a quarter of the smallest delay step or grows
-beyond the span of the scan.
+beyond the span of the scan, or an accepted centre lies more than three
+widths outside the scan, on the flank of a dip the scan never reaches.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def fit_gaussian_dip(scan):
     Integer-valued scans are treated as raw counts and get Poisson weights.
     Raises UnidentifiableDataError when the fitted width falls below a
     quarter of the smallest delay step or grows beyond the span of the
-    scan, as it can on a scan with no dip.
+    scan, or the centre leaves it by three widths, as on a scan with no dip.
     """
     delays = scan.delay_ps
     values = np.asarray(scan.values, dtype=float)
@@ -290,7 +291,7 @@ def fit_gaussian_dip(scan):
     span = float(delays[-1] - delays[0])
 
     def check(params):
-        width = abs(params[2])
+        center, width = params[1], abs(params[2])
         if width < _MIN_DIP_WIDTH_PER_STEP * step:
             raise UnidentifiableDataError(
                 f"the dip fit narrowed to a width of {width:.3g} ps, below a "
@@ -302,6 +303,12 @@ def fit_gaussian_dip(scan):
             raise UnidentifiableDataError(
                 f"the dip fit widened to a width of {width:.3g} ps, beyond "
                 f"the {span:.3g} ps the scan spans: the scan resolves no dip")
+        # a dip three widths outside reaches the scan with about 1 % of
+        # its depth, so a deeper, farther one fits as well
+        if abs(center - delays[0] - 0.5 * span) > 0.5 * span + 3.0 * width:
+            raise UnidentifiableDataError(
+                f"the dip fit moved its centre to {center:.3g} ps, over three "
+                "widths outside the scan: the scan resolves no dip")
 
     return _run_fit(residual_fn, jacobian_fn, x0, names, not poisson, check)
 

@@ -92,12 +92,8 @@ def write_field_csv(path, x_nm, y_nm, values):
                          % tuple(value_text[i * nx:(i + 1) * nx]))
 
 
-def write_mode_field_csv(path, mode):
-    write_field_csv(path, mode.x_nm, mode.y_nm, mode.field)
-
-
-def write_index_map_csv(path, index_map):
-    write_field_csv(path, index_map.x_nm, index_map.y_nm, index_map.index)
+def write_mode_field_csv(path, index_map, mode):
+    write_field_csv(path, index_map.x_nm, index_map.y_nm, mode.field)
 
 
 def write_splitting_curve_csv(path, curve):

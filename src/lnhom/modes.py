@@ -14,8 +14,8 @@ on half its width: it must be mirror-symmetric about an odd centre column,
 and its right half is solved twice, with a reflecting centre for symmetric
 modes and a zero-field centre for antisymmetric ones, so the boundary
 condition fixes the parity (once, symmetric, when only the fundamental mode
-is asked for).  Outer boundaries are zero-field: guided modes decay into
-the padding.
+is asked for).  Each half is asked for the number of modes wanted, no
+more.  Outer boundaries are zero-field: guided modes decay into the padding.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -43,11 +43,8 @@ PARITY_ANTISYMMETRIC = "antisymmetric"
 SHIFT_MARGIN = 1e-3
 # most modes a solve may ask for: a sub-micron LN rib or rib pair guides a
 # handful, and ARPACK holds 2k + 1 Lanczos vectors of the half-domain
-# size, so 32 keeps them near 110 MB on a 200k-unknown half
+# size, so 32 keeps them to at most 65, near 105 MB on a 200k-unknown half
 MAX_MODES = 32
-# eigenpairs converged beyond the wanted ones, so no wanted mode is the edge
-# of the converged set; ARPACK builds 20 Lanczos vectors either way
-GUARD_MODES = 2
 # ARPACK iteration cap and relative eigenvalue accuracy
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
@@ -65,8 +62,6 @@ class ModeSolution:
     n_eff: float
     field: np.ndarray  # [iy, ix], same grid as the source IndexMap
     parity: str
-    x_nm: np.ndarray
-    y_nm: np.ndarray
 
 
 def _second_difference(n, h):
@@ -102,12 +97,9 @@ def _shift_invert(op, k, sigma):
         return eigsh(op, k=k, sigma=sigma, which="LM", OPinv=inverse,
                      v0=start, maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
     except ArpackNoConvergence as exc:
-        residual = None
-        if len(exc.eigenvalues):
-            v = exc.eigenvectors[:, -1]
-            residual = float(np.linalg.norm(op @ v - exc.eigenvalues[-1] * v))
-        raise ConvergenceError(f"eigen-solver did not converge within {MAX_ITERATIONS} "
-                               "iterations", residual_norm=residual) from exc
+        raise ConvergenceError(
+            f"eigen-solver converged {len(exc.eigenvalues)} of {k} eigenpairs "
+            f"within {MAX_ITERATIONS} iterations") from exc
 
 
 def _mode_shift(index, pitch, wavelength):
@@ -185,7 +177,9 @@ def solve_modes(index_map, n_modes=1):
     back.  A single mode needs only the symmetric half: the operator's
     off-diagonals are non-negative and it is irreducible, so by
     Perron-Frobenius its top eigenvector is positive everywhere, hence
-    mirror-symmetric.  Fields are built only for the modes returned.
+    mirror-symmetric.  More modes ask each half for ``n_modes`` eigenpairs:
+    a mode among the top ``n_modes`` has fewer above it, so is among its
+    own half's top ``n_modes``.  Fields are built only for those returned.
     Raises ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``]
     and the map has an odd number of columns, at least 3, and is
     mirror-symmetric about the centre one; raises
@@ -206,7 +200,7 @@ def solve_modes(index_map, n_modes=1):
     candidates = []  # (n_eff, parity, half-domain eigenvector)
     for parity, half in halves:
         op = _helmholtz_operator(half, pitch, k0, parity)
-        k = min(n_modes + GUARD_MODES, op.shape[0] - 1)
+        k = min(n_modes, op.shape[0] - 1)
         vals, vecs = _shift_invert(op, k, sigma)
         for val, vec in zip(vals, vecs.T):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
@@ -219,8 +213,7 @@ def solve_modes(index_map, n_modes=1):
         field = field / np.sqrt(np.sum(field**2) * pitch * pitch)
         if field.ravel()[np.abs(field).argmax()] < 0:
             field = -field
-        solutions.append(ModeSolution(n_eff, field, parity,
-                                      index_map.x_nm, index_map.y_nm))
+        solutions.append(ModeSolution(n_eff, field, parity))
     return solutions
 
 

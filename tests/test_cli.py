@@ -9,7 +9,7 @@ import pytest
 from lnhom import cli, modes, reproduce
 from lnhom import reference as ref
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
-from lnhom.errors import ConfigError
+from lnhom.errors import ConfigError, UnidentifiableDataError
 from lnhom.fitting import MIN_DIP_POINTS
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
 
@@ -266,6 +266,22 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
     assert main(["fit-coupling", "--config", config,
                  "--out", str(tmp_path / "out")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_dip_verdict_on_simulated_counts_is_no_config_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # a fit that finds no dip in the simulated scan judges the data, which
+    # the config only seeded
+    def no_dip(scan):
+        raise UnidentifiableDataError("the scan resolves no dip")
+
+    monkeypatch.setattr(cli, "fit_gaussian_dip", no_dip)
+    config = _write(tmp_path, "c.cfg",
+                    "delay_points = 11\npulses_per_point = 1000\n")
+    out = tmp_path / "out"
+    assert main(["simulate-counts", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert (out / "counts.csv").is_file()
 
 
 @pytest.mark.parametrize("scenario, settings", [

@@ -168,6 +168,29 @@ def test_flat_scans_fit_finitely_or_resolve_no_dip():
     assert outcomes == {"the dip fit narrowed", "the dip fit widened"}
 
 
+def test_flat_poisson_scan_chasing_an_outside_dip_is_unidentifiable():
+    # seed 39 walks its centre out of the scan while the visibility grows
+    # without bound: it fits the flank of a dip that the scan never reaches
+    delays = np.linspace(-5.0, 5.0, 41)
+    values = np.random.default_rng(39).poisson(400, 41)
+    with pytest.raises(UnidentifiableDataError,
+                       match="over three widths outside the scan"):
+        fit_gaussian_dip(DelayScan(delays, values))
+
+
+def test_flat_poisson_scans_fit_inside_or_resolve_no_dip():
+    delays = np.linspace(-5.0, 5.0, 41)
+    for seed in range(100):
+        values = np.random.default_rng(seed).poisson(400, 41)
+        try:
+            fit = fit_gaussian_dip(DelayScan(delays, values))
+        except UnidentifiableDataError as error:
+            assert str(error).endswith("the scan resolves no dip")
+        else:
+            center = fit.parameters["center_ps"]
+            assert abs(center) <= 5.0 + 3.0 * abs(fit.parameters["width_ps"])
+
+
 def test_dip_on_one_sample_is_unidentifiable():
     delays = np.linspace(-5.0, 5.0, 41)
     values = np.full(41, 100)

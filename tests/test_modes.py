@@ -244,6 +244,43 @@ def test_fundamental_solves_the_symmetric_half_only(coupler_40nm,
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 4])
+def test_each_half_is_asked_for_exactly_n_modes(coupler_40nm, n_modes,
+                                                monkeypatch):
+    # the top n_modes of the two halves together hold the top n_modes
+    # overall, so no half needs spare eigenpairs
+    map_, _ = coupler_40nm
+    asked = []
+    real = modes.eigsh
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "eigsh", spy)
+    solve_modes(map_, n_modes)
+    assert asked == [n_modes] * (1 if n_modes == 1 else 2)
+
+
+def test_more_modes_extend_fewer(coupler_40nm):
+    map_, _ = coupler_40nm
+    runs = [solve_modes(map_, n_modes) for n_modes in (1, 2, 3, 4)]
+    assert [mode.parity for mode in runs[-1]] == [
+        PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC] * 2
+    for fewer, more in zip(runs, runs[1:]):
+        assert len(more) == len(fewer) + 1
+        for a, b in zip(fewer, more):
+            assert a.parity == b.parity
+            assert a.n_eff == pytest.approx(b.n_eff, rel=1e-12)
+            assert np.allclose(a.field, b.field, rtol=0.0,
+                               atol=1e-12 * np.abs(b.field).max())
+    # the top n_eff of each parity does not move by a bit with the number
+    # of eigenpairs its half was asked for
+    for run in runs[1:]:
+        assert run[0].n_eff == runs[0][0].n_eff
+        assert run[1].n_eff == runs[1][1].n_eff
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 4])
 def test_fields_are_built_only_for_returned_modes(n_modes, monkeypatch):
     # the slab guides four modes; every solve finds more above the cutoff
     # than it returns, unless it returns all four
@@ -371,6 +408,16 @@ def test_convergence_error_carries_residual(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         solve_modes(_slab_map(), 2)
     assert hasattr(info.value, "residual_norm")
+
+
+def test_convergence_error_counts_the_converged_eigenpairs(monkeypatch):
+    # the antisymmetric half converges one of its two eigenpairs in one
+    # iteration; a residual of that one would say nothing of the other
+    monkeypatch.setattr(modes, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError,
+                       match="converged 1 of 2 eigenpairs within 1 ") as info:
+        solve_modes(_slab_map(), 2)
+    assert info.value.residual_norm is None
 
 
 def test_invalid_mode_count(monkeypatch):
