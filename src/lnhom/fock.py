@@ -1,23 +1,31 @@
-"""Exact few-photon enumeration for multi-pair emission at the splitter.
+"""Exact few-photon statistics for multi-pair emission at the splitter.
 
-A pulse carrying n pairs puts n photons into each input arm.  Partial
-distinguishability is handled with two internal modes per arm: the idler
-creation operator is split as
+A pulse carrying n pairs puts n signal photons into arm 1 and n idlers
+into arm 2.  With I the pairwise indistinguishability, each idler lies in
+the signals' internal mode with amplitude sqrt(I) and in an orthogonal
+mode otherwise.  Writing t = sqrt(1 - eta) and r = sqrt(eta), a signal
+keeps arm 1 with amplitude t and an idler crosses into it with amplitude
+-i r.  The output photon numbers per arm then follow in closed form in
+three steps:
 
-    b+ = lam * (matched mode) + sqrt(1 - lam^2) * (orthogonal mode),
+1. k ~ Binomial(n, I) idlers share the signals' mode.  Terms of different
+   k stay orthogonal, because the splitter conserves the photon number in
+   the orthogonal mode.
+2. The n signals and k matched idlers interfere as a two-mode
+   beam-splitter problem: p of them leave in arm 1 with probability
+   S^2 C(n+k, n) / C(n+k, p), where
+   S = sum_j (-1)^j C(n, j) C(k, p-j) t^(k-p+2j) r^(n+p-2j)
+   (Campos, Saleh & Teich, Phys. Rev. A 40, 1371 (1989)).
+3. The other n - k idlers route independently: q ~ Binomial(n - k, eta)
+   of them cross into arm 1, so arm 1 holds p + q photons.
 
-with lam^2 = I the pairwise indistinguishability.  The splitter mixes the
-arms mode-by-mode with the -i cross phase; expanding the resulting
-creation-operator polynomial over the four output modes gives every output
-occupation amplitude exactly, and summing out the internal modes gives the
-photon numbers per output arm.  The enumeration runs up to
-MAX_ENUMERATED_PAIRS pairs; ``lnhom.counting`` weights it with the
-pair-number statistics below and turns photon numbers into
+``lnhom.counting`` weights these distributions up to MAX_ENUMERATED_PAIRS
+pairs with the pair-number statistics below and turns photon numbers into
 threshold-detector clicks, so that click table is the one multi-pair
-model, at any mean pair number.  The three-plus tail goes through the
-same enumeration as MAX_ENUMERATED_PAIRS + 1 pairs with zero overlap:
-fully distinguishable photons keep or cross the splitter independently,
-so there it is binomial routing.
+model, at any mean pair number.  The three-plus tail goes through the same
+function as MAX_ENUMERATED_PAIRS + 1 pairs with zero overlap: fully
+distinguishable photons keep or cross the splitter independently, so
+there it is binomial routing.
 """
 
 from __future__ import annotations
@@ -54,37 +62,6 @@ def pair_number_probabilities(mu, statistics="poissonian-pairs", max_pairs=2):
     raise ValueError(f"unknown pair statistics {statistics!r}")
 
 
-def _poly_multiply(p, q):
-    out = defaultdict(complex)
-    for occ1, c1 in p.items():
-        for occ2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(occ1, occ2))
-            out[key] += c1 * c2
-    return out
-
-
-def _pair_state_polynomial(n_pairs, amplitude_overlap, eta):
-    """Creation-operator polynomial of the n-pair output state over the four
-    modes (arm1-matched, arm1-orth, arm2-matched, arm2-orth)."""
-    t = math.sqrt(1.0 - eta)
-    r = math.sqrt(eta)
-    lam = amplitude_overlap
-    ortho = math.sqrt(max(0.0, 1.0 - lam * lam))
-    signal_out = {(1, 0, 0, 0): t + 0j, (0, 0, 1, 0): -1j * r}
-    idler_out = {
-        (1, 0, 0, 0): -1j * r * lam,
-        (0, 0, 1, 0): t * lam + 0j,
-        (0, 1, 0, 0): -1j * r * ortho,
-        (0, 0, 0, 1): t * ortho + 0j,
-    }
-    poly = {(0, 0, 0, 0): 1.0 + 0j}
-    for _ in range(n_pairs):
-        poly = _poly_multiply(poly, signal_out)
-        poly = _poly_multiply(poly, idler_out)
-    norm = 1.0 / math.factorial(n_pairs)
-    return {occ: c * norm for occ, c in poly.items()}
-
-
 def arm_occupation_distribution(n_pairs, indistinguishability, eta=0.5):
     """Photon numbers per output arm of an n-pair pulse, internal modes
     summed out: {(n_arm1, n_arm2): probability}."""
@@ -93,12 +70,19 @@ def arm_occupation_distribution(n_pairs, indistinguishability, eta=0.5):
     check_eta(eta)
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")
-    poly = _pair_state_polynomial(n_pairs, math.sqrt(indistinguishability),
-                                  eta)
+    n, t, r = n_pairs, math.sqrt(1.0 - eta), math.sqrt(eta)
     dist = defaultdict(float)
-    for occ, coeff in poly.items():
-        prob = abs(coeff) ** 2 * math.prod(math.factorial(k) for k in occ)
-        if prob > 0.0:
-            n0, n1, n2, n3 = occ
-            dist[(n0 + n1, n2 + n3)] += prob
+    for k in range(n + 1):
+        split = (math.comb(n, k) * indistinguishability**k
+                 * (1.0 - indistinguishability) ** (n - k))
+        for p in range(n + k + 1):
+            s = sum((-1) ** j * math.comb(n, j) * math.comb(k, p - j)
+                    * t ** (k - p + 2 * j) * r ** (n + p - 2 * j)
+                    for j in range(max(0, p - k), min(n, p) + 1))
+            matched = s * s * math.comb(n + k, n) / math.comb(n + k, p)
+            for q in range(n - k + 1):
+                prob = split * matched * math.comb(n - k, q) * eta**q \
+                    * (1.0 - eta) ** (n - k - q)
+                if prob > 0.0:
+                    dist[(p + q, 2 * n - p - q)] += prob
     return dict(dist)

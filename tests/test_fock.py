@@ -23,6 +23,7 @@ GRID = [
     (1, 0.9801, 0.546), (1, 1.0, 0.3),
     (2, 0.0, 0.5), (2, 0.5, 0.5), (2, 1.0, 0.5),
     (2, 0.9801, 0.546), (2, 0.7, 0.3),
+    (3, 0.7, 0.546),
 ]
 
 # a pair with unit overlap at zero delay
