@@ -5,7 +5,7 @@ confined mode, then the coupled pair for its symmetric/antisymmetric
 supermodes, and turns the index splitting into a coupler beat length.
 Runs at a coarsened 40 nm pitch so the whole script finishes in well
 under a minute; production accuracy needs the 10 nm library default
-(a few seconds per solve).  Field maps land in demo-output/modes/.
+(one to two seconds per solve).  Field maps land in demo-output/modes/.
 """
 
 import pathlib

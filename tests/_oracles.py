@@ -3,10 +3,11 @@
 Everything here is deliberately written by a different route than the
 package code: transcendental equations solved by bisection, integrals by
 trapezoid quadrature, few-photon amplitudes by matrix permanents, 2D modes
-on the full grid with scipy's own shift-invert, and the spectra and mode
-counts of layered maps from their separable form, and least-squares fits
-by MINPACK's Levenberg-Marquardt through scipy.  Tests freeze the numbers
-these produce; the package must then reproduce them.
+on the full grid with scipy's own shift-invert, mirror-half operators
+assembled as sparse Kronecker sums, the spectra and mode counts of layered
+maps from their separable form, and least-squares fits by MINPACK's
+Levenberg-Marquardt through scipy.  Tests freeze the numbers these
+produce; the package must then reproduce them.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ def slab_guided_mode_count(n_core, n_clad, thickness_nm, wavelength_nm):
 
 # --- 2D scalar Helmholtz modes on the full grid, plain scipy --------------
 
-def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
-    """Largest effective indices of the 5-point scalar Helmholtz operator on
-    the whole square-pitch grid ``index[iy, ix]`` with zero-field edges,
-    assembled from its five diagonals and solved by scipy's default
-    shift-invert aimed at the largest index (no symmetry used)."""
+def full_grid_operator(index, pitch_nm, wavelength_nm):
+    """The 5-point scalar Helmholtz operator on the whole square-pitch grid
+    ``index[iy, ix]`` with zero-field edges, assembled from its five
+    diagonals (no symmetry used)."""
     ny, nx = index.shape
     cells = ny * nx
     k0 = 2.0 * math.pi / wavelength_nm
@@ -83,11 +83,40 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
     row[np.arange(1, cells) % nx == 0] = 0.0  # no coupling across grid rows
     column = np.full(cells - nx, link)
     centre = -4.0 * link + (k0 * index.ravel()) ** 2
-    operator = sp.diags([column, row, centre, row, column], [-nx, -1, 0, 1, nx],
-                        format="csc")
-    vals = eigsh(operator, k=count, sigma=(k0 * index.max()) ** 2,
-                 return_eigenvectors=False)
+    return sp.diags([column, row, centre, row, column], [-nx, -1, 0, 1, nx],
+                    format="csc")
+
+
+def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
+    """Largest effective indices of :func:`full_grid_operator`, solved by
+    scipy's default shift-invert aimed at the largest index."""
+    k0 = 2.0 * math.pi / wavelength_nm
+    vals = eigsh(full_grid_operator(index, pitch_nm, wavelength_nm), k=count,
+                 sigma=(k0 * index.max()) ** 2, return_eigenvectors=False)
     return np.sort(np.sqrt(vals) / k0)[::-1]
+
+
+def half_map_operator(half, pitch_nm, wavelength_nm, symmetric):
+    """The 5-point operator on the half map ``half`` right of a mirror plane,
+    as a Kronecker sum of 1D second differences.  For symmetric modes the
+    first column is the centre one: the mirror f[-1] = f[1] doubles its
+    coupling to column 1, and the unknown f[0] / sqrt(2) makes that sqrt(2)
+    each way.  For antisymmetric modes the centre, where the field is zero,
+    is left out."""
+    ny, nx = half.shape
+    k0 = 2.0 * math.pi / wavelength_nm
+    link = 1.0 / pitch_nm**2
+
+    def second_difference(n):
+        return sp.diags([np.full(n - 1, link), np.full(n, -2.0 * link),
+                         np.full(n - 1, link)], [-1, 0, 1], format="lil")
+
+    along_x = second_difference(nx)
+    if symmetric:
+        along_x[0, 1] = along_x[1, 0] = math.sqrt(2.0) * link
+    return (sp.kron(sp.identity(ny), along_x)
+            + sp.kron(second_difference(ny), sp.identity(nx))
+            + sp.diags((k0 * half.ravel()) ** 2)).tocsr()
 
 
 def layered_spectrum(profile, columns, pitch_nm, wavelength_nm):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 import _oracles as oracle
 from lnhom import materials, modes
@@ -340,12 +341,15 @@ def test_inertia_count_matches_arpack_count(top_width_um, count):
 
 
 def test_inertia_count_of_a_dense_symmetric_matrix():
+    # the whole matrix as one dense pivot of the sweep
     rng = np.random.default_rng(3)
     dense = rng.normal(size=(30, 30))
     dense = dense + dense.T
     values = np.linalg.eigvalsh(dense)
+    no_rows = np.empty((0, 30))
     for tau in (-3.0, 0.1, 2.5):
-        assert modes._eigenvalues_above(sp.csc_matrix(dense), tau) \
+        band = (dense - tau * np.eye(30))[None]
+        assert modes._Sweep(no_rows, band, no_rows, 0.0, tau).positives \
             == np.count_nonzero(values > tau)
 
 
@@ -355,8 +359,110 @@ def test_inertia_count_of_a_dense_symmetric_matrix():
     pytest.param([[1.0, 0.0], [0.0, np.nan]], id="nan"),
 ])
 def test_unusable_pivots_raise_convergence_error(matrix):
+    # two 1 x 1 block rows coupled by the off-diagonal entry: the first a
+    # vector pivot, the second a dense one
+    (a, b), (_, d) = matrix
     with pytest.raises(ConvergenceError, match="inertia count"):
-        modes._eigenvalues_above(sp.csc_matrix(np.array(matrix)), 0.0)
+        modes._Sweep(np.array([[a]]), np.array([[[d]]]), np.empty((0, 1)),
+                     b, 0.0)
+
+
+def _block_tridiagonal(top, band, bottom, coupling):
+    blocks = [np.diag(row) for row in top] + list(band) \
+        + [np.diag(row) for row in bottom]
+    neighbours = np.eye(len(blocks), k=1) + np.eye(len(blocks), k=-1)
+    return block_diag(*blocks) \
+        + coupling * np.kron(neighbours, np.eye(len(band[0])))
+
+
+# (vector rows above the band, band rows, vector rows below it)
+@pytest.mark.parametrize("rows", [(3, 2, 3), (0, 2, 3), (3, 2, 0), (0, 1, 0),
+                                  (5, 1, 4)])
+def test_sweep_matches_dense_algebra(rows):
+    rng = np.random.default_rng(sum(rows))
+    n, coupling = 4, 0.7
+    top = rng.normal(size=(rows[0], n))
+    band = rng.normal(size=(rows[1], n, n))
+    band = band + band.transpose(0, 2, 1)
+    bottom = rng.normal(size=(rows[2], n))
+    dense = _block_tridiagonal(top, band, bottom, coupling)
+    sweep = modes._Sweep(top, band.copy(), bottom, coupling, 0.0)
+    assert sweep.positives == np.count_nonzero(np.linalg.eigvalsh(dense) > 0)
+    rhs = rng.normal(size=(sum(rows), n))
+    expected = np.linalg.solve(dense, rhs.ravel())
+    assert np.allclose(sweep.solve(rhs).ravel(), expected, rtol=0.0,
+                       atol=1e-10 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("parity", [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC])
+def test_sweep_solves_the_half_operator(coupler_40nm, parity):
+    map_, _ = coupler_40nm
+    (half,) = [half for p, half in modes._mirror_halves(map_.index)
+               if p == parity]
+    sigma = _mode_shift(map_.index, map_.pitch_nm, 1550.0)
+    operator = oracle.half_map_operator(half, map_.pitch_nm, 1550.0,
+                                        parity == PARITY_SYMMETRIC) \
+        - sigma * sp.identity(half.size)
+    inverse = modes._shifted_inverse(half, map_.pitch_nm,
+                                     2.0 * np.pi / 1550.0, parity, sigma)
+    rhs = np.random.default_rng(1).normal(size=half.size)
+    residual = operator @ inverse.matvec(rhs) - rhs
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def _banded_map(rows):
+    # a small mirror-symmetric map whose grid rows ``rows`` change across x
+    # and whose other rows are uniform
+    rng = np.random.default_rng(7)
+    ny, nx, pitch = 12, 13, 100.0
+    index = np.repeat(rng.uniform(1.4, 2.2, (ny, 1)), nx, axis=1)
+    right = rng.uniform(1.4, 2.2, (ny, nx // 2 + 1))
+    varying = np.hstack([right[:, :0:-1], right])
+    index[rows] = varying[rows]
+    return IndexMap(index=index, x_nm=(np.arange(nx) - nx // 2) * pitch,
+                    y_nm=np.arange(ny) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=0.0)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(slice(None), id="every-row"),
+    pytest.param(slice(0, 3), id="band-at-row-0"),
+    pytest.param(slice(9, 12), id="band-at-last-row"),
+    pytest.param([2, 8], id="uniform-rows-inside-band"),
+])
+def test_banded_maps_match_full_grid_oracle(rows):
+    map_ = _banded_map(rows)
+    full = oracle.full_grid_n_eff(map_.index, map_.pitch_nm, 1550.0)
+    solved = [mode.n_eff for mode in solve_modes(map_, len(full))]
+    assert np.allclose(solved, full, rtol=1e-10, atol=0.0)
+    values = np.linalg.eigvalsh(oracle.full_grid_operator(
+        map_.index, map_.pitch_nm, 1550.0).toarray())
+    # below, between and above the eigenvalues, at the first, middle and
+    # last gaps
+    middle = len(values) // 2
+    for tau in (values[0] - 1e-6, (values[0] + values[1]) / 2,
+                (values[middle - 1] + values[middle]) / 2,
+                (values[-2] + values[-1]) / 2, values[-1] + 1e-6):
+        assert modes._modes_above(map_, tau) == np.count_nonzero(values > tau)
+
+
+@pytest.mark.parametrize("whole_row", [False, True], ids=["cell", "row"])
+def test_unusable_maps_raise(whole_row):
+    # an infinite index reaches the pivots, a dense one for a cell on the
+    # mirror plane and a vector one for a whole row; a NaN one is refused
+    # before, as no map with a NaN compares mirror-symmetric
+    map_ = build_cross_section(reference_geometry(), 1550.0,
+                               grid_pitch_nm=40.0)
+    cells = slice(None) if whole_row else map_.shape[1] // 2
+    infinite, missing = map_.index.copy(), map_.index.copy()
+    infinite[5, cells] = np.inf
+    missing[5, cells] = np.nan
+    with pytest.raises(ConvergenceError, match="inertia count"):
+        modes._modes_above(replace(map_, index=infinite), 1e-5)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        modes._modes_above(replace(map_, index=missing), 1e-5)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        solve_modes(replace(map_, index=missing), 1)
 
 
 def test_single_rib_fundamental_matches_full_grid_oracle():
