@@ -29,12 +29,12 @@ x-varying one gets dense blocks, V^T diag(k0^2 n^2) V + ....  One
 factorisation of (operator - shift) per half eliminates the uniform rows
 from both ends toward the band, where the pivots stay vectors given by the
 continued fractions p_y = d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y,
-then runs a block LDL^T over the band.  A shift-invert solve is one
-product with V, a forward and a back sweep, and one product back.  For N
+then runs a block LDL^T over the band.  ARPACK iterates on the rows'
+coefficients in V, so a shift-invert solve is a forward and a back sweep,
+and V only maps the start vector in and the eigenvectors out.  For N
 columns in the half the factorisation costs band rows x N^3 time and band
 rows x N^2 x 8 B of memory, about 17 MB for a coupler at 10 nm pitch; a
-:func:`~lnhom.geometry.build_cross_section` map has etch_depth / pitch band
-rows.
+build_cross_section map has etch_depth / pitch band rows.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -54,7 +54,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceError, DecoupledWaveguidesError
+from .errors import (ConvergenceError, DecoupledWaveguidesError,
+                     InvalidGeometryError)
 from .geometry import DEFAULT_GRID_PITCH_NM, build_cross_section
 
 PARITY_SYMMETRIC = "symmetric"
@@ -63,8 +64,8 @@ PARITY_ANTISYMMETRIC = "antisymmetric"
 # effective-index gap between the column bound and the shift
 SHIFT_MARGIN = 1e-3
 # most modes a solve may ask for: a sub-micron LN rib or rib pair guides a
-# handful, and ARPACK holds 2k + 1 Lanczos vectors of the half-domain
-# size, so 32 keeps them to at most 65, near 105 MB on a 200k-unknown half
+# handful, and scipy's ARPACK holds max(2k + 1, 20) half-size Lanczos
+# vectors, so 32 keeps them to 65, near 105 MB on a 200k-unknown half
 MAX_MODES = 32
 # ARPACK iteration cap and relative eigenvalue accuracy
 MAX_ITERATIONS = 10_000
@@ -219,34 +220,28 @@ def _half_sweep(half, pitch, k0, parity, shift):
                          shift)
 
 
-def _shifted_inverse(half, pitch, k0, parity, shift):
-    """(operator - shift)^-1 on the half map ``half``, as a
-    :class:`LinearOperator` on its raveled grid: each application moves the
-    grid rows to the x-eigenbasis, runs the sweep and moves them back."""
-    basis, sweep = _half_sweep(half, pitch, k0, parity, shift)
-
-    def solve(vector):
-        return (sweep.solve(vector.reshape(half.shape) @ basis)
-                @ basis.T).ravel()
-
-    return LinearOperator((half.size, half.size), matvec=solve, dtype=float)
-
-
 def _eigenpairs(half, pitch, k0, parity, k, sigma):
     """The ``k`` eigenpairs of the operator on ``half`` nearest ``sigma``,
-    from one sweep of ``op - sigma I``."""
-    inverse = _shifted_inverse(half, pitch, k0, parity, sigma)
+    eigenvectors as grids shaped like ``half``, from one sweep of ``op -
+    sigma I``.  ARPACK iterates on the rows' coefficients in the orthogonal
+    x-eigenbasis V, where a shift-invert step is one sweep solve."""
+    basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
+    inverse = LinearOperator(
+        (half.size, half.size), dtype=float,
+        matvec=lambda vector: sweep.solve(vector.reshape(half.shape)).ravel())
     # a fixed start vector makes every solve bit-reproducible
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, half.size)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
     try:
         # shift-invert eigsh reads its first argument only for its shape and
         # dtype: the operator itself is never applied
-        return eigsh(inverse, k=k, sigma=sigma, which="LM", OPinv=inverse,
-                     v0=start, maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
+        values, vectors = eigsh(inverse, k=k, sigma=sigma, which="LM",
+                                OPinv=inverse, v0=start.ravel(),
+                                maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigen-solver converged {len(exc.eigenvalues)} of {k} eigenpairs "
             f"within {MAX_ITERATIONS} iterations") from exc
+    return values, vectors.T.reshape((k,) + half.shape) @ basis.T
 
 
 def _mode_shift(index, pitch, wavelength):
@@ -262,8 +257,11 @@ def _mode_shift(index, pitch, wavelength):
 def _mirror_halves(index):
     """The half maps right of the mirror plane of ``index``, one per parity:
     with the centre column for symmetric modes, without it for antisymmetric
-    ones.  Raises ``ValueError`` unless the map has an odd number of
+    ones.  Raises :class:`InvalidGeometryError` unless every index is
+    finite, and ``ValueError`` unless the map has an odd number of
     columns, at least 3, and is mirror-symmetric about the centre one."""
+    if not np.isfinite(index).all():
+        raise InvalidGeometryError("map has a non-finite refractive index")
     nx = index.shape[1]
     if nx < 3 or nx % 2 == 0 or not np.array_equal(index, index[:, ::-1]):
         raise ValueError("map must be at least 3 columns wide and "
@@ -308,7 +306,8 @@ def solve_modes(index_map, n_modes=1):
     step is one sweep solve.  Fields are built only for the modes returned.
     Raises ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``]
     and the map has an odd number of columns, at least 3, and is
-    mirror-symmetric about the centre one; raises
+    mirror-symmetric about the centre one (:class:`InvalidGeometryError`
+    if an index is not finite); raises
     :class:`ConvergenceError` if ARPACK needs more than
     ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``, or the
     sweep meets a zero or non-finite pivot.
@@ -327,11 +326,10 @@ def solve_modes(index_map, n_modes=1):
     candidates = []  # (n_eff, parity, half-domain eigenvector)
     for parity, half in halves:
         k = min(n_modes, half.size - 1)
-        vals, vecs = _eigenpairs(half, pitch, k0, parity, k, sigma)
-        for val, vec in zip(vals, vecs.T):
+        for val, vec in zip(*_eigenpairs(half, pitch, k0, parity, k, sigma)):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
             if n_eff > index_map.substrate_index:
-                candidates.append((n_eff, parity, vec.reshape(half.shape)))
+                candidates.append((n_eff, parity, vec))
     candidates.sort(key=lambda candidate: candidate[0], reverse=True)
     solutions = []
     for n_eff, parity, vec in candidates[:n_modes]:

@@ -9,7 +9,8 @@ from scipy.linalg import block_diag
 
 import _oracles as oracle
 from lnhom import materials, modes
-from lnhom.errors import ConvergenceError, DecoupledWaveguidesError
+from lnhom.errors import (ConvergenceError, DecoupledWaveguidesError,
+                          InvalidGeometryError)
 from lnhom.geometry import (IndexMap, WaveguideGeometry, build_cross_section,
                             reference_geometry)
 from lnhom.modes import (PARITY_ANTISYMMETRIC, PARITY_SYMMETRIC, _mode_shift,
@@ -395,7 +396,21 @@ def test_sweep_matches_dense_algebra(rows):
 
 
 @pytest.mark.parametrize("parity", [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC])
+@pytest.mark.parametrize("columns", [40, 41])
+def test_half_sweep_basis_is_orthonormal(parity, columns):
+    # eigsh iterates on coefficients in V: only an orthogonal V makes that
+    # a similarity of the operator on the grid
+    half = np.random.default_rng(columns).uniform(1.4, 2.2, (6, columns))
+    basis, _ = modes._half_sweep(half, 20.0, 2.0 * np.pi / 1550.0, parity,
+                                 0.0)
+    for product in (basis.T @ basis, basis @ basis.T):
+        assert np.allclose(product, np.eye(columns), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("parity", [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC])
 def test_sweep_solves_the_half_operator(coupler_40nm, parity):
+    # the sweep solves on coefficients in the x-eigenbasis V, as eigsh
+    # applies it; moved there and back it inverts the operator on the grid
     map_, _ = coupler_40nm
     (half,) = [half for p, half in modes._mirror_halves(map_.index)
                if p == parity]
@@ -403,10 +418,11 @@ def test_sweep_solves_the_half_operator(coupler_40nm, parity):
     operator = oracle.half_map_operator(half, map_.pitch_nm, 1550.0,
                                         parity == PARITY_SYMMETRIC) \
         - sigma * sp.identity(half.size)
-    inverse = modes._shifted_inverse(half, map_.pitch_nm,
+    basis, sweep = modes._half_sweep(half, map_.pitch_nm,
                                      2.0 * np.pi / 1550.0, parity, sigma)
-    rhs = np.random.default_rng(1).normal(size=half.size)
-    residual = operator @ inverse.matvec(rhs) - rhs
+    rhs = np.random.default_rng(1).normal(size=half.shape)
+    residual = operator @ (sweep.solve(rhs @ basis) @ basis.T).ravel() \
+        - rhs.ravel()
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -448,21 +464,19 @@ def test_banded_maps_match_full_grid_oracle(rows):
 
 @pytest.mark.parametrize("whole_row", [False, True], ids=["cell", "row"])
 def test_unusable_maps_raise(whole_row):
-    # an infinite index reaches the pivots, a dense one for a cell on the
-    # mirror plane and a vector one for a whole row; a NaN one is refused
-    # before, as no map with a NaN compares mirror-symmetric
+    # an infinite or NaN index, in a cell on the mirror plane or across a
+    # whole row, is refused before any factorisation, by the solve and the
+    # count
     map_ = build_cross_section(reference_geometry(), 1550.0,
                                grid_pitch_nm=40.0)
-    cells = slice(None) if whole_row else map_.shape[1] // 2
-    infinite, missing = map_.index.copy(), map_.index.copy()
-    infinite[5, cells] = np.inf
-    missing[5, cells] = np.nan
-    with pytest.raises(ConvergenceError, match="inertia count"):
-        modes._modes_above(replace(map_, index=infinite), 1e-5)
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        modes._modes_above(replace(map_, index=missing), 1e-5)
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        solve_modes(replace(map_, index=missing), 1)
+    for value in (np.inf, np.nan):
+        index = map_.index.copy()
+        index[5, slice(None) if whole_row else map_.shape[1] // 2] = value
+        unusable = replace(map_, index=index)
+        with pytest.raises(InvalidGeometryError, match="non-finite"):
+            modes._modes_above(unusable, 1e-5)
+        with pytest.raises(InvalidGeometryError, match="non-finite"):
+            solve_modes(unusable, 1)
 
 
 def test_single_rib_fundamental_matches_full_grid_oracle():
