@@ -44,8 +44,9 @@ from .reproduce import format_report, run_reproduction
 log = logging.getLogger("lnhom")
 
 _REQUIRED = object()
-# most delay points a scan may ask for, checked before any array is built
-MAX_DELAY_POINTS = 100_000
+# most points a delay, length or wavelength scan may ask for, checked before
+# its axis is built
+MAX_SCAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,18 @@ def _build(cls, keys, params):
 def _check_delay_points(params, minimum):
     if params["delay_points"] < minimum:
         raise ConfigError(f"delay_points must be at least {minimum}")
-    if params["delay_points"] > MAX_DELAY_POINTS:
-        raise ConfigError(f"delay_points must be at most {MAX_DELAY_POINTS}")
+    if params["delay_points"] > MAX_SCAN_POINTS:
+        raise ConfigError(f"delay_points must be at most {MAX_SCAN_POINTS}")
+
+
+def _check_scan_points(first, last, step, name):
+    """Refuse a scan whose axis, np.arange(first, last + step / 2, step),
+    would hold ceil((last - first) / step + 1/2) > ``MAX_SCAN_POINTS``
+    points, before it is built.  The negated comparison fails on a
+    non-finite bound too; the sign of the step and the order of the bounds
+    are left to the scan's own checks."""
+    if not abs(last - first) <= (MAX_SCAN_POINTS - 0.5) * abs(step):
+        raise ConfigError(f"{name} must have at most {MAX_SCAN_POINTS} points")
 
 
 def _delay_axis(params, minimum):
@@ -295,6 +306,8 @@ def _run_coupler_sweep(params, out):
     if params["length_min_um"] < 0 or params["length_step_um"] <= 0:
         raise ConfigError("length sweep needs non-negative start and a "
                           "positive step")
+    _check_scan_points(params["length_min_um"], params["length_max_um"],
+                       params["length_step_um"], "length sweep")
     lengths = np.arange(params["length_min_um"],
                         params["length_max_um"] + 0.5 * params["length_step_um"],
                         params["length_step_um"])
@@ -310,6 +323,9 @@ def _run_coupler_sweep(params, out):
 
 
 def _run_bandwidth(params, out):
+    _check_scan_points(params["wavelength_min_nm"],
+                       params["wavelength_max_nm"], params["step_nm"],
+                       "wavelength scan")
     device = _build(CouplerDevice, _DEVICE_KEYS, params)
     length = params["interaction_length_um"]
     if length is None:

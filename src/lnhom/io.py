@@ -175,7 +175,13 @@ def _read_rows(path, expected_header):
                 f"{Path(path).name}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}"
             )
-        return [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            rows.append(row)
+        return rows
 
 
 def _read_columns(path, expected_header):

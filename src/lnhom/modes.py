@@ -7,31 +7,31 @@ the scalar Helmholtz equation
 
 is discretised with the standard 5-point stencil on the square cells (one
 pitch h for x and y) of an :class:`~lnhom.geometry.IndexMap` and solved as a
-symmetric eigenproblem by shift-invert ARPACK.  The shift sits just above
-the largest effective index of any single grid column, an upper bound on
-every mode because d2/dx2 is negative semi-definite.  Every map is solved
-on half its width: it must be mirror-symmetric about an odd centre column,
-and its right half is solved twice, with a reflecting centre for symmetric
-modes and a zero-field centre for antisymmetric ones, so the boundary
-condition fixes the parity (once, symmetric, when only the fundamental mode
-is asked for).  Each half is asked for the number of modes wanted, no
-more.  Outer boundaries are zero-field: guided modes decay into the padding.
+symmetric eigenproblem by ARPACK on the inverse of (operator - shift), the
+shift just above the top effective index of the 1D profile of row maxima,
+which bounds every mode (:func:`_mode_shift`).  Every map is solved on half
+its width: it must be mirror-symmetric about an odd centre column, and its
+right half is solved twice, with a reflecting centre for symmetric modes
+and a zero-field centre for antisymmetric ones, so the boundary condition
+fixes the parity (once, symmetric, when only the fundamental mode is asked
+for).  Each half is asked for the number of modes wanted, no more.  Outer
+boundaries are zero-field: guided modes decay into the padding.
 
 The cross-section is a stack of full-width layers, and only the etched rib
 rows change across x, so each half is solved layer by layer.  Its 1D x
-second difference is T_x = V Lambda V^T.  With every grid row moved to the
-basis V, the operator is block tridiagonal along y with off-diagonal blocks
-I / h^2, and the diagonal block of a row whose index does not change across
-x is the diagonal Lambda - 2 / h^2 + k0^2 n(y)^2, as in the fast direct
-solvers of separable problems (Buzbee, Golub & Nielson, SIAM J. Numer.
-Anal. 7, 627 (1970)).  Only the band of rows from the first to the last
-x-varying one gets dense blocks, V^T diag(k0^2 n^2) V + ....  One
-factorisation of (operator - shift) per half eliminates the uniform rows
-from both ends toward the band, where the pivots stay vectors given by the
-continued fractions p_y = d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y,
-then runs a block LDL^T over the band.  ARPACK iterates on the rows'
-coefficients in V, so a shift-invert solve is a forward and a back sweep,
-and V only maps the start vector in and the eigenvectors out.  For N
+second difference is T_x = V Lambda V^T, with V in closed form.  With every
+grid row moved to the basis V, the operator is block tridiagonal along y
+with off-diagonal blocks I / h^2, and the diagonal block of a row whose
+index does not change across x is the diagonal Lambda - 2 / h^2 + k0^2
+n(y)^2, as in the fast direct solvers of separable problems (Buzbee, Golub
+& Nielson, SIAM J. Numer. Anal. 7, 627 (1970)).  Only the band of rows
+from the first to the last x-varying one gets dense blocks, V^T diag(k0^2
+n^2) V + ....  One factorisation of (operator - shift) per half eliminates
+the uniform rows from both ends toward the band, where the pivots stay
+vectors given by the continued fractions p_y = d_y - h^-4 / p_(y -+ 1) of
+the row diagonals d_y, then runs a block LDL^T over the band.  ARPACK
+iterates on the rows' coefficients in V, each step a forward and a back
+sweep; V only maps the start vector in and the eigenvectors out.  For N
 columns in the half the factorisation costs band rows x N^3 time and band
 rows x N^2 x 8 B of memory, about 17 MB for a coupler at 10 nm pitch; a
 build_cross_section map has etch_depth / pitch band rows.
@@ -61,7 +61,7 @@ from .geometry import DEFAULT_GRID_PITCH_NM, build_cross_section
 PARITY_SYMMETRIC = "symmetric"
 PARITY_ANTISYMMETRIC = "antisymmetric"
 
-# effective-index gap between the column bound and the shift
+# effective-index gap between the profile bound and the shift
 SHIFT_MARGIN = 1e-3
 # most modes a solve may ask for: a sub-micron LN rib or rib pair guides a
 # handful, and scipy's ARPACK holds max(2k + 1, 20) half-size Lanczos
@@ -187,19 +187,25 @@ class _Sweep:
 
 
 def _half_sweep(half, pitch, k0, parity, shift):
-    """The x-eigenbasis V of the half map ``half`` to the right of the mirror
-    plane (with the centre column first for symmetric modes and without it
-    for antisymmetric ones), and the :class:`_Sweep` of (operator - shift)
-    with every grid row in that basis."""
+    """The x-eigenbasis V of the N-column half map ``half`` right of the
+    mirror plane, and the :class:`_Sweep` of (operator - shift) in it.  T_x =
+    V Lambda V^T in closed form: V[k, j] ~ cos(theta_j k), row 0 / sqrt(2),
+    theta_j = (j + 1/2) pi / N, for symmetric modes (centre column first);
+    V[k, j] ~ sin(theta_j (k + 1)), theta_j = (j + 1) pi / (N + 1), for
+    antisymmetric ones; unit columns; Lambda_j = -(4/h^2) sin^2(theta_j/2)."""
     coupling = 1.0 / pitch**2
-    neighbours = np.full(half.shape[1] - 1, coupling)
+    j = np.arange(half.shape[1])
+    # theta_j = pi p_j / q: phases reduced mod 2 pi in integers stay exact
     if parity == PARITY_SYMMETRIC:
-        # the mirror f[c-1] = f[c+1] doubles the centre-to-neighbour
-        # coupling; solving for f[c] / sqrt(2) keeps the operator symmetric
-        neighbours[0] = np.sqrt(2.0) * coupling
-    eigenvalues, basis = eigh_tridiagonal(np.full(half.shape[1],
-                                                  -2.0 * coupling),
-                                          neighbours)
+        # the unknown f[c] / sqrt(2) keeps the mirrored operator symmetric
+        p, q = 2 * j + 1, 2 * len(j)
+        basis = np.cos(np.pi / q * (np.outer(j, p) % (2 * q)))
+        basis[0] /= np.sqrt(2.0)
+    else:
+        p, q = j + 1, len(j) + 1
+        basis = np.sin(np.pi / q * (np.outer(j + 1, p) % (2 * q)))
+    basis /= np.linalg.norm(basis, axis=0)
+    eigenvalues = -4.0 * coupling * np.sin(np.pi * p / (2 * q)) ** 2
     index2 = k0**2 * half**2  # the operator's diagonal term, per cell
     outer = index2[:, -1]
     diagonals = eigenvalues + (outer - 2.0 * coupling - shift)[:, None]
@@ -223,8 +229,9 @@ def _half_sweep(half, pitch, k0, parity, shift):
 def _eigenpairs(half, pitch, k0, parity, k, sigma):
     """The ``k`` eigenpairs of the operator on ``half`` nearest ``sigma``,
     eigenvectors as grids shaped like ``half``, from one sweep of ``op -
-    sigma I``.  ARPACK iterates on the rows' coefficients in the orthogonal
-    x-eigenbasis V, where a shift-invert step is one sweep solve."""
+    sigma I``: ARPACK in plain mode finds its inverse's largest-magnitude
+    eigenvalues nu, at sigma + 1 / nu, iterating on rows' coefficients in
+    the orthogonal x-eigenbasis V, where one step is one sweep solve."""
     basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
     inverse = LinearOperator(
         (half.size, half.size), dtype=float,
@@ -232,25 +239,20 @@ def _eigenpairs(half, pitch, k0, parity, k, sigma):
     # a fixed start vector makes every solve bit-reproducible
     start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
     try:
-        # shift-invert eigsh reads its first argument only for its shape and
-        # dtype: the operator itself is never applied
-        values, vectors = eigsh(inverse, k=k, sigma=sigma, which="LM",
-                                OPinv=inverse, v0=start.ravel(),
+        values, vectors = eigsh(inverse, k=k, which="LM", v0=start.ravel(),
                                 maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigen-solver converged {len(exc.eigenvalues)} of {k} eigenpairs "
             f"within {MAX_ITERATIONS} iterations") from exc
-    return values, vectors.T.reshape((k,) + half.shape) @ basis.T
+    return sigma + 1.0 / values, vectors.T.reshape((k,) + half.shape) @ basis.T
 
 
 def _mode_shift(index, pitch, wavelength):
-    """Shift-invert target (beta^2) just above every eigenvalue of the map."""
-    # the distinct columns, told apart by their bytes; the max over them
-    # does not depend on their order
-    columns = {column.tobytes(): column for column in index.T}
-    n_top = max(_profile_effective_index(column, pitch, wavelength)
-                for column in columns.values())
+    """Shift-invert target (beta^2) just above every eigenvalue of the map:
+    the profile of row maxima dominates every column cell by cell, so the
+    operator lies below T_x (x) I + I (x) (T_y + D_max), and T_x <= 0."""
+    n_top = _profile_effective_index(index.max(axis=1), pitch, wavelength)
     return (2.0 * np.pi / wavelength * (n_top + SHIFT_MARGIN)) ** 2
 
 
@@ -301,16 +303,14 @@ def solve_modes(index_map, n_modes=1):
     mirror-symmetric.  More modes ask each half for ``n_modes`` eigenpairs:
     a mode among the top ``n_modes`` has fewer above it, so is among its
     own half's top ``n_modes``.  Each half is factorised once, by the
-    layer-by-layer sweep of the module docstring (band rows x N^3 time and
-    band rows x N^2 x 8 B for N columns in the half), and every ARPACK
-    step is one sweep solve.  Fields are built only for the modes returned.
-    Raises ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``]
-    and the map has an odd number of columns, at least 3, and is
-    mirror-symmetric about the centre one (:class:`InvalidGeometryError`
-    if an index is not finite); raises
-    :class:`ConvergenceError` if ARPACK needs more than
-    ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``, or the
-    sweep meets a zero or non-finite pivot.
+    layer-by-layer sweep of the module docstring, and every ARPACK step is
+    one sweep solve.  Fields are built only for the modes returned.  Raises
+    ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``] and the map
+    has an odd number of columns, at least 3, and is mirror-symmetric about
+    the centre one (:class:`InvalidGeometryError` if an index is not
+    finite); raises :class:`ConvergenceError` if ARPACK needs more than
+    ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``, or the sweep
+    meets a zero or non-finite pivot.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")

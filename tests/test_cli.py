@@ -367,7 +367,29 @@ def test_too_many_delay_points_fail_before_any_allocation(tmp_path, capsys,
     out = tmp_path / "out"
     assert main([scenario, "--config", config, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: delay_points must be at most {cli.MAX_DELAY_POINTS}\n")
+        f"config error: delay_points must be at most {cli.MAX_SCAN_POINTS}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scenario, text, name", [
+    # 5.5e14 lengths (3.91 PiB) and 2e13 wavelengths (146 TiB) as float64
+    pytest.param("coupler-sweep", "length_step_um = 1e-12\n", "length sweep",
+                 id="coupler-sweep-petabyte"),
+    pytest.param("bandwidth", "step_nm = 1e-12\n", "wavelength scan",
+                 id="bandwidth-petabyte"),
+    pytest.param("coupler-sweep", "length_max_um = inf\n", "length sweep",
+                 id="coupler-sweep-inf"),
+    pytest.param("bandwidth", "wavelength_min_nm = nan\n", "wavelength scan",
+                 id="bandwidth-nan"),
+])
+def test_too_long_scan_axis_fails_before_it_is_built(tmp_path, capsys,
+                                                      scenario, text, name):
+    config = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {name} must have at most {cli.MAX_SCAN_POINTS} "
+        "points\n")
     assert not any(out.iterdir())
 
 
@@ -390,6 +412,23 @@ def test_non_finite_data_cell_is_a_data_error(tmp_path, capsys, scenario,
     assert main([scenario, "--config", config,
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scenario, text, message", [
+    pytest.param("fit-dip",
+                 "delay_ps,stage_um,coincidences\n-1.0,,4\n0.0,,2,7\n",
+                 "expected 3 fields, got 4", id="fit-dip-extra-field"),
+    pytest.param("fit-coupling", "length_um,ratio\n0.0,0.5\n10.0\n",
+                 "expected 2 fields, got 1", id="fit-coupling-short-row"),
+])
+def test_ragged_data_row_is_a_data_error(tmp_path, capsys, scenario, text,
+                                         message):
+    csv = tmp_path / "data.csv"
+    csv.write_text(text, encoding="utf-8")
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    assert main([scenario, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {csv}:3: {message}\n"
 
 
 def test_fit_dip_wrong_header_is_a_data_error(tmp_path, capsys):

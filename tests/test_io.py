@@ -2,6 +2,7 @@
 and header validation."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,23 @@ def test_empty_file_is_rejected(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         read_power_ratio_csv(path)
+
+
+@pytest.mark.parametrize("text, read, fields", [
+    pytest.param("delay_ps,stage_um,coincidences\n-1.0,,4\n0.0,,2,7\n",
+                 read_delay_scan_csv, 4, id="delay-scan-extra-field"),
+    pytest.param("delay_ps,stage_um,coincidences\n-1.0,,4\n0.0,2\n",
+                 read_delay_scan_csv, 2, id="delay-scan-short-row"),
+    pytest.param("length_um,ratio\n0.0,0.5\n10.0\n",
+                 read_power_ratio_csv, 1, id="power-ratio-short-row"),
+])
+def test_ragged_row_is_rejected_with_its_line(tmp_path, text, read, fields):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = len(text.split("\n")[0].split(","))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: expected {expected} fields, got {fields}")):
+        read(path)
 
 
 def test_mixed_value_column_reads_as_probabilities(tmp_path):

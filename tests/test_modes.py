@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, eigh_tridiagonal
 
 import _oracles as oracle
 from lnhom import materials, modes
@@ -180,10 +180,13 @@ def test_asymmetric_map_with_mirror_plane_rejected():
             solve_modes(map_, 1)
 
 
-@pytest.mark.parametrize("case", ["slab", "single rib", "coupler"])
+@pytest.mark.parametrize("case", ["slab", "single rib", "coupler", "banded"])
 def test_shift_lies_above_every_mode(case):
     if case == "slab":
         map_ = _slab_map()
+    elif case == "banded":
+        # every row varies across x, so no column dominates the others
+        map_ = _banded_map(slice(None))
     else:
         gap = None if case == "single rib" else 2.3
         map_ = build_cross_section(reference_geometry(gap_um=gap), 1550.0,
@@ -194,6 +197,10 @@ def test_shift_lies_above_every_mode(case):
     assert sols
     for solution in sols:
         assert (k0 * solution.n_eff) ** 2 < sigma
+    if case == "banded":
+        top = np.linalg.eigvalsh(oracle.full_grid_operator(
+            map_.index, map_.pitch_nm, 1550.0).toarray())[-1]
+        assert top < sigma
 
 
 def _unique_column_shift(index, pitch, wavelength):
@@ -399,12 +406,29 @@ def test_sweep_matches_dense_algebra(rows):
 @pytest.mark.parametrize("columns", [40, 41])
 def test_half_sweep_basis_is_orthonormal(parity, columns):
     # eigsh iterates on coefficients in V: only an orthogonal V makes that
-    # a similarity of the operator on the grid
+    # a similarity of the operator on the grid; and V must diagonalise the
+    # half's x second difference T_x, assembled here with the sqrt(2)
+    # centre coupling of the symmetric half
+    pitch = 20.0
     half = np.random.default_rng(columns).uniform(1.4, 2.2, (6, columns))
-    basis, _ = modes._half_sweep(half, 20.0, 2.0 * np.pi / 1550.0, parity,
+    basis, _ = modes._half_sweep(half, pitch, 2.0 * np.pi / 1550.0, parity,
                                  0.0)
     for product in (basis.T @ basis, basis @ basis.T):
         assert np.allclose(product, np.eye(columns), rtol=0.0, atol=1e-13)
+    link = 1.0 / pitch**2
+    neighbours = np.full(columns - 1, link)
+    if parity == PARITY_SYMMETRIC:
+        neighbours[0] *= np.sqrt(2.0)
+    along_x = (np.diag(np.full(columns, -2.0 * link))
+               + np.diag(neighbours, 1) + np.diag(neighbours, -1))
+    tolerance = 1e-13 * np.linalg.norm(along_x, 2)
+    spectral = basis.T @ along_x @ basis
+    eigenvalues = np.diag(spectral)
+    assert np.allclose(spectral, np.diag(eigenvalues), rtol=0.0,
+                       atol=tolerance)
+    assert np.allclose(np.sort(eigenvalues),
+                       eigh_tridiagonal(np.diag(along_x), neighbours)[0],
+                       rtol=0.0, atol=tolerance)
 
 
 @pytest.mark.parametrize("parity", [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC])
