@@ -263,13 +263,17 @@ def _check_delay_points(params, minimum):
         raise ConfigError(f"delay_points must be at most {MAX_SCAN_POINTS}")
 
 
-def _check_scan_points(first, last, step, name):
-    """Refuse a scan whose axis, np.arange(first, last + step / 2, step),
-    would hold ceil((last - first) / step + 1/2) > ``MAX_SCAN_POINTS``
-    points, before it is built.  The negated comparison fails on a
-    non-finite bound too; the sign of the step and the order of the bounds
-    are left to the scan's own checks."""
-    if not abs(last - first) <= (MAX_SCAN_POINTS - 0.5) * abs(step):
+def _check_scan_points(params, first, last, step, name):
+    """Refuse a scan from ``params[first]`` to ``params[last]`` whose step
+    ``params[step]`` is not finite and positive, naming its key, then one
+    whose axis, np.arange(first, last + step / 2, step), would hold
+    ceil((last - first) / step + 1/2) > ``MAX_SCAN_POINTS`` points, before
+    it is built.  The negated comparison fails on a non-finite bound too;
+    the order of the bounds is left to the scan's own checks."""
+    if not 0.0 < params[step] < np.inf:
+        raise ConfigError(f"{step} must be finite and positive")
+    if not abs(params[last] - params[first]) \
+            <= (MAX_SCAN_POINTS - 0.5) * params[step]:
         raise ConfigError(f"{name} must have at most {MAX_SCAN_POINTS} points")
 
 
@@ -303,11 +307,10 @@ def _run_modes(params, out):
 
 
 def _run_coupler_sweep(params, out):
-    if params["length_min_um"] < 0 or params["length_step_um"] <= 0:
-        raise ConfigError("length sweep needs non-negative start and a "
-                          "positive step")
-    _check_scan_points(params["length_min_um"], params["length_max_um"],
-                       params["length_step_um"], "length sweep")
+    if params["length_min_um"] < 0:
+        raise ConfigError("length sweep needs a non-negative start")
+    _check_scan_points(params, "length_min_um", "length_max_um",
+                       "length_step_um", "length sweep")
     lengths = np.arange(params["length_min_um"],
                         params["length_max_um"] + 0.5 * params["length_step_um"],
                         params["length_step_um"])
@@ -323,9 +326,8 @@ def _run_coupler_sweep(params, out):
 
 
 def _run_bandwidth(params, out):
-    _check_scan_points(params["wavelength_min_nm"],
-                       params["wavelength_max_nm"], params["step_nm"],
-                       "wavelength scan")
+    _check_scan_points(params, "wavelength_min_nm", "wavelength_max_nm",
+                       "step_nm", "wavelength scan")
     device = _build(CouplerDevice, _DEVICE_KEYS, params)
     length = params["interaction_length_um"]
     if length is None:

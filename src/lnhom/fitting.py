@@ -323,8 +323,8 @@ def normalized_scan(scan, fit_result):
 
 def fresnel_reflectivity(n_eff):
     """Normal-incidence facet reflectivity from the mode's effective index."""
-    if n_eff <= 0:
-        raise ValueError("n_eff must be positive")
+    if not 0.0 < n_eff < math.inf:
+        raise ValueError("n_eff must be finite and positive")
     return ((n_eff - 1.0) / (n_eff + 1.0)) ** 2
 
 

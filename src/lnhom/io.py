@@ -18,7 +18,6 @@ fabricating them would bake in a pass-geometry guess.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -172,7 +171,7 @@ def _read_rows(path, expected_header):
             raise ValueError(f"{path}: empty CSV, header row is mandatory") from None
         if header != expected_header:
             raise ValueError(
-                f"{Path(path).name}: expected header {','.join(expected_header)}, "
+                f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}"
             )
         rows = []

@@ -24,17 +24,18 @@ grid row moved to the basis V, the operator is block tridiagonal along y
 with off-diagonal blocks I / h^2, and the diagonal block of a row whose
 index does not change across x is the diagonal Lambda - 2 / h^2 + k0^2
 n(y)^2, as in the fast direct solvers of separable problems (Buzbee, Golub
-& Nielson, SIAM J. Numer. Anal. 7, 627 (1970)).  Only the band of rows
-from the first to the last x-varying one gets dense blocks, V^T diag(k0^2
-n^2) V + ....  One factorisation of (operator - shift) per half eliminates
-the uniform rows from both ends toward the band, where the pivots stay
-vectors given by the continued fractions p_y = d_y - h^-4 / p_(y -+ 1) of
-the row diagonals d_y, then runs a block LDL^T over the band.  ARPACK
-iterates on the rows' coefficients in V, each step a forward and a back
-sweep; V only maps the start vector in and the eigenvectors out.  For N
-columns in the half the factorisation costs band rows x N^3 time and band
-rows x N^2 x 8 B of memory, about 17 MB for a coupler at 10 nm pitch; a
-build_cross_section map has etch_depth / pitch band rows.
+& Nielson, SIAM J. Numer. Anal. 7, 627 (1970)).  Only the x-varying rows
+get dense blocks, V^T diag(k0^2 n^2) V + ....  One block LDL^T of
+(operator - shift) per half eliminates the rows in one order: the uniform
+rows above the first x-varying one downward and those below the last
+upward, whose pivots stay vectors given by the continued fractions p_y =
+d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y, then the rows from the
+first x-varying one to the last, whose pivots are dense.  ARPACK iterates
+on the rows' coefficients in V, each step one forward and one back pass
+over that order; V only maps the start vector in and the eigenvectors
+out.  For N columns in the half each dense row costs the factorisation N^3
+time and N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm
+pitch; a build_cross_section map has etch_depth / pitch dense rows.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -91,19 +92,6 @@ def _unusable_pivot(at):
                             "pivot")
 
 
-def _chain_inverse_pivots(diagonals, coupling, at):
-    """Reciprocal pivots of rows with diagonal blocks ``diagonals``, each
-    coupled to the next by ``coupling`` I, eliminated in order: the
-    continued fractions p_y = d_y - coupling^2 / p_(y - 1)."""
-    inverse = np.empty_like(diagonals)
-    for y, row in enumerate(diagonals):
-        pivot = row - coupling**2 * inverse[y - 1] if y else row
-        if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
-            raise _unusable_pivot(at)
-        inverse[y] = 1.0 / pivot
-    return inverse
-
-
 def _dense_pivot(block, at):
     """Inverse of the symmetric pivot ``block`` and its number of positive
     eigenvalues, from its Bunch-Kaufman factorisation P L D L^T P^T: those
@@ -126,73 +114,75 @@ def _dense_pivot(block, at):
 
 
 class _Sweep:
-    """Block LDL^T of the symmetric block-tridiagonal matrix whose block rows
-    are, from first to last: rows with the diagonal blocks diag(``top[y]``),
-    rows with the dense blocks ``band[i]`` and rows with the diagonal blocks
-    diag(``bottom[y]``), every row coupled to the next by ``coupling`` I.
-    The ``top`` rows are eliminated downward and the ``bottom`` rows upward,
-    so their pivots stay vectors, and the band last; ``band``, an array of
-    at least one block, is overwritten with the inverses of its pivots.
-    ``positives`` counts the positive eigenvalues of the matrix
-    (Sylvester).  Raises :class:`ConvergenceError`, naming the shift ``at``,
-    on a zero or non-finite pivot."""
+    """Block LDL^T of the symmetric block-tridiagonal matrix with one
+    diagonal block per row, ``blocks[y]``: a vector v for diag(v) or a dense
+    matrix, every row coupled to the next by ``coupling`` I.  The rows are
+    eliminated in one order: those above the first dense row downward,
+    those below the last dense row upward, then the rows between, each into
+    its neighbour toward the end of that order.  So the vector rows outside
+    the dense ones keep vector pivots, and only a vector row between two
+    dense rows takes a dense one.  ``blocks`` and its arrays are overwritten
+    with the inverses of the pivots.  ``positives`` counts the positive
+    eigenvalues of the matrix (Sylvester).  Raises :class:`ConvergenceError`,
+    naming the shift ``at``, on a zero or non-finite pivot."""
 
-    def __init__(self, top, band, bottom, coupling, at):
-        self.coupling = coupling
-        self.top = _chain_inverse_pivots(top, coupling, at)
-        self.bottom = _chain_inverse_pivots(bottom[::-1], coupling, at)[::-1]
-        self.band = band
-        diagonal = np.diag_indices(band.shape[1])
-        if len(top):
-            band[0][diagonal] -= coupling**2 * self.top[-1]
-        if len(bottom):
-            band[-1][diagonal] -= coupling**2 * self.bottom[0]
-        self.positives = (np.count_nonzero(self.top > 0.0)
-                          + np.count_nonzero(self.bottom > 0.0))
-        for i, block in enumerate(band):
-            if i:
-                block -= coupling**2 * band[i - 1]
-            band[i], positives = _dense_pivot(block, at)
+    def __init__(self, blocks, coupling, at):
+        dense = [y for y, block in enumerate(blocks) if block.ndim == 2]
+        first, last = (dense[0], dense[-1]) if dense else [len(blocks) - 1] * 2
+        # each row with the neighbour it is eliminated into (none for last)
+        steps = [(y, y + 1 if y < last else y - 1) for y in
+                 [*range(first), *range(len(blocks) - 1, last, -1),
+                  *range(first, last)]] + [(last, None)]
+        self.coupling, self.positives = coupling, 0
+        for y, to in steps:
+            if blocks[y].ndim == 2:  # inverse kept in the block's memory:
+                # a new array per pivot took 5 MB more peak RSS at 10 nm
+                blocks[y][...], positives = _dense_pivot(blocks[y], at)
+            elif np.all(np.isfinite(blocks[y]) & (blocks[y] != 0.0)):
+                blocks[y] = 1.0 / blocks[y]
+                positives = np.count_nonzero(blocks[y] > 0.0)
+            else:
+                raise _unusable_pivot(at)
             self.positives += positives
+            if to is not None:
+                update = coupling**2 * blocks[y]
+                if blocks[to].ndim < update.ndim:  # fill-in
+                    blocks[to] = np.diag(blocks[to])
+                if update.ndim < blocks[to].ndim:
+                    blocks[to][np.diag_indices(len(update))] -= update
+                else:
+                    blocks[to] -= update
+        self.steps = [(y, to, blocks[y]) for y, to in steps]
 
     def solve(self, rows):
         """The matrix's inverse applied to ``rows``, one vector per block
         row."""
         x = np.array(rows, dtype=float)
-        c, top, band, bottom = self.coupling, self.top, self.band, self.bottom
-        start, stop = len(top), len(top) + len(band)
+        c = self.coupling
         # forward: x becomes D^-1 L^-1 rows
-        for y in range(start):
-            if y:
-                x[y] -= c * x[y - 1]
-            x[y] *= top[y]
-        for y in range(len(x) - 1, stop - 1, -1):
-            if y < len(x) - 1:
-                x[y] -= c * x[y + 1]
-            x[y] *= bottom[y - stop]
-        if stop < len(x):
-            x[stop - 1] -= c * x[stop]
-        for y in range(start, stop):
-            if y:
-                x[y] -= c * x[y - 1]
-            x[y] = band[y - start] @ x[y]
+        for y, to, inverse in self.steps:
+            if inverse.ndim == 2:
+                x[y] = inverse @ x[y]
+            else:
+                x[y] *= inverse
+            if to is not None:
+                x[to] -= c * x[y]
         # back: x becomes L^-T x
-        for y in range(stop - 2, start - 1, -1):
-            x[y] -= c * (band[y - start] @ x[y + 1])
-        for y in range(start - 1, -1, -1):
-            x[y] -= c * top[y] * x[y + 1]
-        for y in range(stop, len(x)):
-            x[y] -= c * bottom[y - stop] * x[y - 1]
+        for y, to, inverse in reversed(self.steps[:-1]):
+            x[y] -= c * (inverse @ x[to]) if inverse.ndim == 2 \
+                else c * inverse * x[to]
         return x
 
 
 def _half_sweep(half, pitch, k0, parity, shift):
     """The x-eigenbasis V of the N-column half map ``half`` right of the
-    mirror plane, and the :class:`_Sweep` of (operator - shift) in it.  T_x =
-    V Lambda V^T in closed form: V[k, j] ~ cos(theta_j k), row 0 / sqrt(2),
-    theta_j = (j + 1/2) pi / N, for symmetric modes (centre column first);
-    V[k, j] ~ sin(theta_j (k + 1)), theta_j = (j + 1) pi / (N + 1), for
-    antisymmetric ones; unit columns; Lambda_j = -(4/h^2) sin^2(theta_j/2)."""
+    mirror plane, and the :class:`_Sweep` of (operator - shift) in it, one
+    block per grid row: a vector for a row uniform across x, V^T diag(k0^2
+    n^2) V + ... for one that varies.  T_x = V Lambda V^T in closed form:
+    V[k, j] ~ cos(theta_j k), row 0 / sqrt(2), theta_j = (j + 1/2) pi / N,
+    for symmetric modes (centre column first); V[k, j] ~ sin(theta_j (k +
+    1)), theta_j = (j + 1) pi / (N + 1), for antisymmetric ones; unit
+    columns; Lambda_j = -(4/h^2) sin^2(theta_j/2)."""
     coupling = 1.0 / pitch**2
     j = np.arange(half.shape[1])
     # theta_j = pi p_j / q: phases reduced mod 2 pi in integers stay exact
@@ -207,23 +197,17 @@ def _half_sweep(half, pitch, k0, parity, shift):
     basis /= np.linalg.norm(basis, axis=0)
     eigenvalues = -4.0 * coupling * np.sin(np.pi * p / (2 * q)) ** 2
     index2 = k0**2 * half**2  # the operator's diagonal term, per cell
-    outer = index2[:, -1]
-    diagonals = eigenvalues + (outer - 2.0 * coupling - shift)[:, None]
-    varying = np.flatnonzero(np.any(index2 != outer[:, None], axis=1))
-    # a map uniform in x has no band; its last row stands in for one
-    start, stop = (varying[0], varying[-1] + 1) if varying.size \
-        else (len(half) - 1, len(half))
-    band = np.zeros((stop - start,) + basis.shape)
-    for block, row, diagonal in zip(band, index2[start:stop],
-                                    diagonals[start:stop]):
-        # V^T diag(row) V: its outer-column part is already in ``diagonal``,
+    outer = index2[:, -1:]
+    blocks = list(eigenvalues + (outer - 2.0 * coupling - shift))
+    for y in np.flatnonzero(np.any(index2 != outer, axis=1)):
+        # V^T diag(row) V: the vector block holds its outer-column part,
         # the rest comes from the columns that differ from the outer one
-        columns = np.flatnonzero(row != row[-1])
+        columns = np.flatnonzero(index2[y] != outer[y])
         rows = basis[columns]
-        block[...] = (rows.T * (row[columns] - row[-1])) @ rows
-        block[np.diag_indices(len(block))] += diagonal
-    return basis, _Sweep(diagonals[:start], band, diagonals[stop:], coupling,
-                         shift)
+        block = (rows.T * (index2[y, columns] - outer[y])) @ rows
+        block[np.diag_indices(len(block))] += blocks[y]
+        blocks[y] = block
+    return basis, _Sweep(blocks, coupling, shift)
 
 
 def _eigenpairs(half, pitch, k0, parity, k, sigma):

@@ -393,6 +393,19 @@ def test_too_long_scan_axis_fails_before_it_is_built(tmp_path, capsys,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scenario, key", [
+    ("coupler-sweep", "length_step_um"), ("bandwidth", "step_nm")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_scan_step_names_its_key(tmp_path, capsys, scenario, key,
+                                            value):
+    config = _write(tmp_path, "c.cfg", f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key} must be finite and positive\n")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("scenario, header, row, message", [
     ("fit-coupling", "length_um,ratio", "{x!r},{y!r}",
      "power ratios must be finite"),
@@ -439,6 +452,29 @@ def test_fit_dip_wrong_header_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "expected header" in err
+
+
+def test_wrong_header_names_the_file_as_given(tmp_path, capsys,
+                                              monkeypatch):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "dip.csv").write_text("delay_ps,coincidences\n0.0,5\n",
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = _write(tmp_path, "c.cfg", "input_csv = d/dip.csv\n")
+    assert main(["fit-dip", "--config", config, "--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: d/dip.csv: expected header")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_fp_loss_refuses_a_non_finite_n_eff(tmp_path, capsys, value):
+    config = _write(tmp_path, "c.cfg",
+                    f"contrast = 0.06\nlength_cm = 1.0\nn_eff = {value}\n")
+    out = tmp_path / "out"
+    assert main(["fp-loss", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: n_eff must be finite and positive\n")
+    assert not any(out.iterdir())
 
 
 def test_fit_dip_writes_normalized_scan(tmp_path):

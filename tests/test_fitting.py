@@ -382,8 +382,9 @@ def test_loss_inputs_are_validated():
             fabry_perot_fringes(0.0, 4.85, length, 0.13)
     with pytest.raises(ValueError):
         fringe_contrast(np.zeros(5))
-    with pytest.raises(ValueError):
-        fresnel_reflectivity(0.0)
+    for n_eff in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fresnel_reflectivity(n_eff)
 
 
 def test_fresnel_reflectivity_hand_value():

@@ -354,10 +354,8 @@ def test_inertia_count_of_a_dense_symmetric_matrix():
     dense = rng.normal(size=(30, 30))
     dense = dense + dense.T
     values = np.linalg.eigvalsh(dense)
-    no_rows = np.empty((0, 30))
     for tau in (-3.0, 0.1, 2.5):
-        band = (dense - tau * np.eye(30))[None]
-        assert modes._Sweep(no_rows, band, no_rows, 0.0, tau).positives \
+        assert modes._Sweep([dense - tau * np.eye(30)], 0.0, tau).positives \
             == np.count_nonzero(values > tau)
 
 
@@ -371,32 +369,31 @@ def test_unusable_pivots_raise_convergence_error(matrix):
     # vector pivot, the second a dense one
     (a, b), (_, d) = matrix
     with pytest.raises(ConvergenceError, match="inertia count"):
-        modes._Sweep(np.array([[a]]), np.array([[[d]]]), np.empty((0, 1)),
-                     b, 0.0)
+        modes._Sweep([np.array([a]), np.array([[d]])], b, 0.0)
 
 
-def _block_tridiagonal(top, band, bottom, coupling):
-    blocks = [np.diag(row) for row in top] + list(band) \
-        + [np.diag(row) for row in bottom]
+def _block_tridiagonal(blocks, coupling):
     neighbours = np.eye(len(blocks), k=1) + np.eye(len(blocks), k=-1)
-    return block_diag(*blocks) \
-        + coupling * np.kron(neighbours, np.eye(len(band[0])))
+    return block_diag(*[np.diag(block) if block.ndim == 1 else block
+                        for block in blocks]) \
+        + coupling * np.kron(neighbours, np.eye(len(blocks[0])))
 
 
-# (vector rows above the band, band rows, vector rows below it)
-@pytest.mark.parametrize("rows", [(3, 2, 3), (0, 2, 3), (3, 2, 0), (0, 1, 0),
-                                  (5, 1, 4)])
+# one letter per block row, v a vector (diagonal) block and d a dense one;
+# the last two cases: no dense row, and vector rows between two dense ones
+@pytest.mark.parametrize("rows", [tuple(kinds) for kinds in (
+    "vvvddvvv", "ddvvv", "vvvdd", "d", "vvvvvdvvvv", "vvvv", "vdvvdv")])
 def test_sweep_matches_dense_algebra(rows):
-    rng = np.random.default_rng(sum(rows))
+    rng = np.random.default_rng(len(rows))
     n, coupling = 4, 0.7
-    top = rng.normal(size=(rows[0], n))
-    band = rng.normal(size=(rows[1], n, n))
-    band = band + band.transpose(0, 2, 1)
-    bottom = rng.normal(size=(rows[2], n))
-    dense = _block_tridiagonal(top, band, bottom, coupling)
-    sweep = modes._Sweep(top, band.copy(), bottom, coupling, 0.0)
+    blocks = []
+    for kind in rows:
+        block = rng.normal(size=n if kind == "v" else (n, n))
+        blocks.append(block if kind == "v" else block + block.T)
+    dense = _block_tridiagonal(blocks, coupling)
+    sweep = modes._Sweep(blocks, coupling, 0.0)
     assert sweep.positives == np.count_nonzero(np.linalg.eigvalsh(dense) > 0)
-    rhs = rng.normal(size=(sum(rows), n))
+    rhs = rng.normal(size=(len(rows), n))
     expected = np.linalg.solve(dense, rhs.ravel())
     assert np.allclose(sweep.solve(rhs).ravel(), expected, rtol=0.0,
                        atol=1e-10 * np.abs(expected).max())
