@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from lnhom import io, reference
-from lnhom.coupler import splitting_ratio, with_interaction_length
+from lnhom.coupler import splitting_ratio
 from lnhom.fitting import (PowerRatioSeries, coupling_length_statistics,
                            fabry_perot_fringes, fabry_perot_loss,
                            fit_coupling_sinusoid, fresnel_reflectivity,
@@ -32,11 +32,9 @@ SEED = 20240814
 def synthetic_port_series(rng):
     """Independently noisy cross- and bar-port fractions for 12 fabricated
     interaction lengths of the same device."""
-    device = reference.reference_device()
     lengths = np.linspace(*reference.INTERACTION_LENGTH_SERIES_UM, 12)
-    cross = np.array([splitting_ratio(with_interaction_length(device, L),
-                                      reference.CHARACTERIZATION_WAVELENGTH_NM)
-                      for L in lengths])
+    cross = splitting_ratio(reference.reference_device(),
+                            reference.CHARACTERIZATION_WAVELENGTH_NM, lengths)
 
     def noisy(clean):
         jitter = 1.0 + NOISE * rng.standard_normal(clean.size)

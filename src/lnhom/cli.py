@@ -24,8 +24,7 @@ import numpy as np
 
 from . import io as lio
 from . import reference as ref
-from .coupler import (CouplerDevice, bandwidth_scan, length_for_ratio,
-                      splitting_ratio, with_interaction_length)
+from .coupler import CouplerDevice, length_for_ratio, splitting_ratio
 from .counting import DetectorModel, SourceModel, simulate_counts
 from .errors import ConfigError
 from .fitting import (MIN_DIP_POINTS, PowerRatioSeries, fabry_perot_loss,
@@ -263,18 +262,23 @@ def _check_delay_points(params, minimum):
         raise ConfigError(f"delay_points must be at most {MAX_SCAN_POINTS}")
 
 
-def _check_scan_points(params, first, last, step, name):
-    """Refuse a scan from ``params[first]`` to ``params[last]`` whose step
-    ``params[step]`` is not finite and positive, naming its key, then one
-    whose axis, np.arange(first, last + step / 2, step), would hold
-    ceil((last - first) / step + 1/2) > ``MAX_SCAN_POINTS`` points, before
-    it is built.  The negated comparison fails on a non-finite bound too;
-    the order of the bounds is left to the scan's own checks."""
+def _scan_axis(params, first, last, step, name):
+    """The axis np.arange(first, last + step / 2, step) of a scan from
+    ``params[first]`` to ``params[last]`` in steps of ``params[step]``.
+
+    Refuses, naming its keys, a step that is not finite and positive, then
+    an axis that would hold ceil((last - first) / step + 1/2) >
+    ``MAX_SCAN_POINTS`` points, before it is built (the negated comparison
+    fails on a non-finite bound too), then bounds in reversed order."""
     if not 0.0 < params[step] < np.inf:
         raise ConfigError(f"{step} must be finite and positive")
     if not abs(params[last] - params[first]) \
             <= (MAX_SCAN_POINTS - 0.5) * params[step]:
         raise ConfigError(f"{name} must have at most {MAX_SCAN_POINTS} points")
+    if params[first] > params[last]:
+        raise ConfigError(f"{first} must not exceed {last}")
+    return np.arange(params[first], params[last] + 0.5 * params[step],
+                     params[step])
 
 
 def _delay_axis(params, minimum):
@@ -309,34 +313,29 @@ def _run_modes(params, out):
 def _run_coupler_sweep(params, out):
     if params["length_min_um"] < 0:
         raise ConfigError("length sweep needs a non-negative start")
-    _check_scan_points(params, "length_min_um", "length_max_um",
-                       "length_step_um", "length sweep")
-    lengths = np.arange(params["length_min_um"],
-                        params["length_max_um"] + 0.5 * params["length_step_um"],
-                        params["length_step_um"])
+    lengths = _scan_axis(params, "length_min_um", "length_max_um",
+                         "length_step_um", "length sweep")
     if lengths.size < 2:
         raise ConfigError("length sweep needs at least two points")
     device = _build(CouplerDevice, _DEVICE_KEYS, params)
-    ratios = [splitting_ratio(with_interaction_length(device, L),
-                              params["wavelength_nm"]) for L in lengths]
-    series = PowerRatioSeries(lengths, ratios)
-    lio.write_power_ratio_csv(out / "power_ratio.csv", series)
+    ratios = splitting_ratio(device, params["wavelength_nm"], lengths)
+    lio.write_power_ratio_csv(out / "power_ratio.csv",
+                              PowerRatioSeries(lengths, ratios))
     return [f"points = {lengths.size}",
             f"wavelength_nm = {params['wavelength_nm']!r}"]
 
 
 def _run_bandwidth(params, out):
-    _check_scan_points(params, "wavelength_min_nm", "wavelength_max_nm",
-                       "step_nm", "wavelength scan")
+    wavelengths = _scan_axis(params, "wavelength_min_nm", "wavelength_max_nm",
+                             "step_nm", "wavelength scan")
     device = _build(CouplerDevice, _DEVICE_KEYS, params)
     length = params["interaction_length_um"]
     if length is None:
         length = length_for_ratio(device, 0.5, params["design_order"])
-    curve = bandwidth_scan(with_interaction_length(device, length),
-                           params["wavelength_min_nm"],
-                           params["wavelength_max_nm"], params["step_nm"])
-    lio.write_splitting_curve_csv(out / "splitting_curve.csv", curve)
-    deviation = float(np.max(np.abs(curve.eta - 0.5)))
+    eta = splitting_ratio(device, wavelengths, length)
+    lio.write_splitting_curve_csv(out / "splitting_curve.csv", wavelengths,
+                                  eta)
+    deviation = float(np.max(np.abs(eta - 0.5)))
     return [f"interaction_length_um = {length!r}",
             f"max_deviation_from_balanced = {deviation!r}"]
 

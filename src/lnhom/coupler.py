@@ -4,7 +4,7 @@ Power exchange over an interaction length L_I (plus a bend-region offset
 L_0 acting as extra effective length) is governed by the accumulated
 coupling phase
 
-    theta(lambda) = kappa(lambda) * (L_I + L_0),
+    theta(lambda, L_I) = kappa(lambda) * (L_I + L_0),
     kappa(lambda) = kappa0 + slope * (lambda - lambda0),
 
 with the cross-port power fraction eta = sin^2(theta).  ``kappa0`` comes
@@ -12,6 +12,9 @@ from the beat length at the reference wavelength, kappa0 = pi / (2 L_c).
 The kappa slope is the first-order expansion of kappa = pi delta_n / lambda
 around lambda0 for a supermode index splitting delta_n that varies linearly
 with slope s: slope = (1000 pi s - kappa0) / lambda0.
+A device holds the beat length, its dispersion and L_0; L_I is an argument
+of the phase, the ratio and the transfer matrix, so a scan over
+interaction length and one over wavelength are the same broadcast call.
 Cross coupling carries the -i quadrature phase of the symmetric coupler
 convention; two-photon coincidence rates do not depend on that choice.
 """
@@ -19,7 +22,7 @@ convention; two-photon coincidence rates do not depend on that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +42,6 @@ class CouplerDevice:
     coupling_length_um: float
     reference_wavelength_nm: float = 1550.0
     delta_n_slope_per_nm: float = 0.0
-    interaction_length_um: float = 0.0
     bend_offset_um: float = 0.0
 
     def __post_init__(self):
@@ -50,9 +52,6 @@ class CouplerDevice:
                              "positive")
         if not math.isfinite(self.delta_n_slope_per_nm):
             raise ValueError("delta_n_slope_per_nm must be finite")
-        if not 0 <= self.interaction_length_um < math.inf:
-            raise ValueError("interaction_length_um must be finite and "
-                             "non-negative")
         if not 0 <= self.bend_offset_um < math.inf:
             raise ValueError("bend_offset_um must be finite and non-negative")
 
@@ -70,23 +69,36 @@ class CouplerDevice:
             )
         return kappa if np.ndim(wavelength_nm) else float(kappa)
 
-    def coupling_phase(self, wavelength_nm):
-        """Accumulated phase theta = kappa(lambda) (L_I + L_0)."""
-        total = self.interaction_length_um + self.bend_offset_um
-        return self.coupling_rate_per_um(wavelength_nm) * total
+    def coupling_phase(self, wavelength_nm, interaction_length_um):
+        """Accumulated phase theta = kappa(lambda) (L_I + L_0) for an
+        interaction length L_I in um; broadcasts over wavelength and
+        length, and is a float when both are scalars."""
+        length = np.asarray(interaction_length_um, dtype=float)
+        if not np.all((length >= 0.0) & (length < math.inf)):
+            raise ValueError("interaction_length_um must be finite and "
+                             "non-negative")
+        if not length.ndim:
+            length = float(length)
+        return self.coupling_rate_per_um(wavelength_nm) \
+            * (length + self.bend_offset_um)
 
 
-def transfer_matrix(device, wavelength_nm):
+def transfer_matrix(device, wavelength_nm, interaction_length_um):
     """2x2 unitary mapping input to output waveguide amplitudes."""
-    theta = device.coupling_phase(wavelength_nm)
+    theta = device.coupling_phase(wavelength_nm, interaction_length_um)
     return np.array([[math.cos(theta), -1j * math.sin(theta)],
                      [-1j * math.sin(theta), math.cos(theta)]])
 
 
-def splitting_ratio(device, wavelength_nm):
-    """Cross-port power fraction eta = sin^2(theta); bar port gets 1 - eta."""
-    theta = device.coupling_phase(wavelength_nm)
-    return np.sin(theta) ** 2 if np.ndim(theta) else math.sin(theta) ** 2
+def splitting_ratio(device, wavelength_nm, interaction_length_um):
+    """Cross-port power fraction eta = sin^2(theta); bar port gets 1 - eta.
+
+    Broadcasts over wavelength and interaction length.  A scalar is squared
+    by the same ufunc as an array, so each element of a broadcast call
+    equals the scalar call at its point bit for bit."""
+    eta = np.square(np.sin(device.coupling_phase(wavelength_nm,
+                                                 interaction_length_um)))
+    return eta if np.ndim(eta) else float(eta)
 
 
 def _branch_phase(target_eta, order):
@@ -118,30 +130,3 @@ def length_for_ratio(device, target_eta, order=0):
             f"interaction length with bend offset {device.bend_offset_um} um"
         )
     return length
-
-
-def with_interaction_length(device, interaction_length_um):
-    """Copy of ``device`` at a different interaction length."""
-    return replace(device, interaction_length_um=interaction_length_um)
-
-
-@dataclass(frozen=True)
-class SplittingCurve:
-    """Tabulated splitting ratio versus wavelength."""
-
-    wavelength_nm: np.ndarray
-    eta: np.ndarray
-
-
-def bandwidth_scan(device, wavelength_min_nm, wavelength_max_nm, step_nm=0.5):
-    """Splitting ratio sampled over [min, max] inclusive with the given step."""
-    if wavelength_min_nm > wavelength_max_nm:
-        raise ValueError("wavelength range is inverted")
-    if step_nm <= 0:
-        raise ValueError("step_nm must be positive")
-    wl = np.arange(wavelength_min_nm, wavelength_max_nm + 0.5 * step_nm, step_nm)
-    # linear kappa: positivity at the endpoints covers the whole range
-    device.coupling_rate_per_um(wavelength_min_nm)
-    device.coupling_rate_per_um(wavelength_max_nm)
-    theta = device.coupling_phase(wl)
-    return SplittingCurve(wavelength_nm=wl, eta=np.sin(theta) ** 2)

@@ -95,10 +95,10 @@ def write_mode_field_csv(path, index_map, mode):
     write_field_csv(path, index_map.x_nm, index_map.y_nm, mode.field)
 
 
-def write_splitting_curve_csv(path, curve):
+def write_splitting_curve_csv(path, wavelength_nm, eta):
     _write_columns(path, ["wavelength_nm", "eta"],
-                   np.asarray(curve.wavelength_nm, dtype=float),
-                   np.asarray(curve.eta, dtype=float))
+                   np.asarray(wavelength_nm, dtype=float),
+                   np.asarray(eta, dtype=float))
 
 
 def write_delay_scan_csv(path, scan):
@@ -112,17 +112,19 @@ def write_delay_scan_csv(path, scan):
 
 def read_delay_scan_csv(path):
     """Read a delay scan; integer coincidence columns are treated as raw
-    counts, anything else as (unnormalized) probabilities."""
-    rows = _read_rows(path, ["delay_ps", "stage_um", "coincidences"])
-    delays = np.array([float(r[0]) for r in rows])
-    stages = [r[1] for r in rows]
-    raw = [r[2] for r in rows]
-    integer_counts = all(_is_integer_literal(v) for v in raw)
-    values = np.array([int(v) for v in raw], dtype=np.int64) if integer_counts \
-        else np.array([float(v) for v in raw])
-    stage_um = None
-    if all(s != "" for s in stages):
-        stage_um = np.array([float(s) for s in stages])
+    counts, anything else as (unnormalized) probabilities.  Stage positions
+    are given on every row or on none."""
+    lines, (delays, stages, raw) = _read_columns(
+        path, ["delay_ps", "stage_um", "coincidences"])
+    delays = _floats(path, lines, "delay_ps", delays)
+    given = [stage != "" for stage in stages]
+    if any(given) and not all(given):
+        raise ValueError(f"{path}:{lines[given.index(not given[0])]}: "
+                         "stage_um must be given on every row or on none")
+    values = np.array([int(v) for v in raw], dtype=np.int64) \
+        if all(_is_integer_literal(v) for v in raw) \
+        else _floats(path, lines, "coincidences", raw)
+    stage_um = _floats(path, lines, "stage_um", stages) if all(given) else None
     return DelayScan(delay_ps=delays, values=values, stage_um=stage_um)
 
 
@@ -133,8 +135,10 @@ def write_power_ratio_csv(path, series):
 
 
 def read_power_ratio_csv(path):
-    lengths, ratios = _read_columns(path, ["length_um", "ratio"])
-    return PowerRatioSeries(interaction_length_um=lengths, ratio=ratios)
+    lines, (lengths, ratios) = _read_columns(path, ["length_um", "ratio"])
+    return PowerRatioSeries(
+        interaction_length_um=_floats(path, lines, "length_um", lengths),
+        ratio=_floats(path, lines, "ratio", ratios))
 
 
 def write_fit_report(path, result):
@@ -162,7 +166,9 @@ def _is_integer_literal(text):
         return False
 
 
-def _read_rows(path, expected_header):
+def _read_columns(path, expected_header):
+    """The line number of each data row, and the text cells of each
+    column."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -174,16 +180,24 @@ def _read_rows(path, expected_header):
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}"
             )
-        rows = []
+        lines, rows = [], []
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected "
                                  f"{len(header)} fields, got {len(row)}")
+            lines.append(reader.line_num)
             rows.append(row)
-        return rows
+    return lines, list(zip(*rows)) or [()] * len(header)
 
 
-def _read_columns(path, expected_header):
-    rows = _read_rows(path, expected_header)
-    columns = list(zip(*rows))
-    return tuple(np.array([float(v) for v in col]) for col in columns)
+def _floats(path, lines, name, cells):
+    """Column ``name`` as floats; a cell that is not a number is refused
+    with its file, line and column."""
+    values = []
+    for line, cell in zip(lines, cells):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{path}:{line}: {name} {cell!r} is not a "
+                             "number") from None
+    return np.array(values)

@@ -69,16 +69,17 @@ def reference_device():
     The supermode splitting is taken wavelength-independent, which already
     reproduces the published 1%-flatness of the order-0 design over
     1540-1560 nm through the chromatic 1/lambda term alone; the bend offset
-    is reconstructed so the 257 um device hits the measured ratio on its
-    half-period branch.
+    is reconstructed so that an interaction length of
+    ``INTERACTION_LENGTH_UM`` (257 um) hits the measured ratio on its
+    half-period branch.  The interaction length is not part of the device:
+    callers pass it to ``splitting_ratio`` and ``transfer_matrix``.
     """
     device = CouplerDevice(
         COUPLING_LENGTH_UM,
         reference_wavelength_nm=CHARACTERIZATION_WAVELENGTH_NM,
-        interaction_length_um=INTERACTION_LENGTH_UM,
     )
     # with no bend offset yet, length_for_ratio gives the whole effective
-    # length the branch needs; the offset is its excess over the fixed length
+    # length the branch needs; the offset is its excess over the section
     offset = length_for_ratio(device, SPLITTING_RATIO, COUPLING_BRANCH) \
         - INTERACTION_LENGTH_UM
     return replace(device, bend_offset_um=offset)

@@ -9,6 +9,7 @@ import pytest
 from lnhom import cli, modes, reproduce
 from lnhom import reference as ref
 from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
+from lnhom.coupler import splitting_ratio
 from lnhom.errors import ConfigError, UnidentifiableDataError
 from lnhom.fitting import MIN_DIP_POINTS
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
@@ -406,6 +407,36 @@ def test_non_finite_scan_step_names_its_key(tmp_path, capsys, scenario, key,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scenario, first, last", [
+    ("coupler-sweep", "length_min_um", "length_max_um"),
+    ("bandwidth", "wavelength_min_nm", "wavelength_max_nm")])
+def test_reversed_scan_bounds_name_both_keys(tmp_path, capsys, scenario, first,
+                                             last):
+    low, high = (SCENARIO_SCHEMAS[scenario][key].default
+                 for key in (first, last))
+    config = _write(tmp_path, "c.cfg",
+                    f"{first} = {high!r}\n{last} = {low!r}\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {first} must not exceed {last}\n")
+    assert not any(out.iterdir())
+
+
+def test_bandwidth_at_an_explicit_interaction_length(tmp_path):
+    # the reference device at its measured 257 um section
+    device = ref.reference_device()
+    config = _write(tmp_path, "c.cfg",
+                    f"bend_offset_um = {device.bend_offset_um!r}\n"
+                    "interaction_length_um = 257\n")
+    out = tmp_path / "out"
+    assert main(["bandwidth", "--config", config, "--out", str(out)]) == 0
+    assert _report(out)["interaction_length_um"] == "257.0"
+    rows = dict(line.split(",") for line in (out / "splitting_curve.csv")
+                .read_text(encoding="utf-8").splitlines()[1:])
+    assert float(rows["1550.0"]) == splitting_ratio(device, 1550.0, 257.0)
+
+
 @pytest.mark.parametrize("scenario, header, row, message", [
     ("fit-coupling", "length_um,ratio", "{x!r},{y!r}",
      "power ratios must be finite"),
@@ -427,12 +458,18 @@ def test_non_finite_data_cell_is_a_data_error(tmp_path, capsys, scenario,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# a row the reader cannot take: ragged, or with a cell that is not a number
 @pytest.mark.parametrize("scenario, text, message", [
     pytest.param("fit-dip",
                  "delay_ps,stage_um,coincidences\n-1.0,,4\n0.0,,2,7\n",
                  "expected 3 fields, got 4", id="fit-dip-extra-field"),
     pytest.param("fit-coupling", "length_um,ratio\n0.0,0.5\n10.0\n",
                  "expected 2 fields, got 1", id="fit-coupling-short-row"),
+    pytest.param("fit-dip",
+                 "delay_ps,stage_um,coincidences\n-1.0,,4\nabc,,2\n",
+                 "delay_ps 'abc' is not a number", id="fit-dip-text-delay"),
+    pytest.param("fit-coupling", "length_um,ratio\n0.0,0.5\n10.0,x\n",
+                 "ratio 'x' is not a number", id="fit-coupling-text-ratio"),
 ])
 def test_ragged_data_row_is_a_data_error(tmp_path, capsys, scenario, text,
                                          message):

@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from lnhom.coupler import SplittingCurve
 from lnhom.fitting import FitResult, PowerRatioSeries
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, DelayScan
 from lnhom.io import (
@@ -24,18 +23,16 @@ from lnhom.io import (
 
 
 def test_splitting_curve_roundtrip_is_exact(tmp_path):
-    curve = SplittingCurve(
-        wavelength_nm=np.linspace(1500.0, 1600.0, 11),
-        eta=np.linspace(0.1, 0.9, 11) ** 2,
-    )
+    wavelength_nm = np.linspace(1500.0, 1600.0, 11)
+    eta = np.linspace(0.1, 0.9, 11) ** 2
     path = tmp_path / "curve.csv"
-    write_splitting_curve_csv(path, curve)
+    write_splitting_curve_csv(path, wavelength_nm, eta)
     with open(path, encoding="utf-8", newline="") as handle:
         header, *rows = csv.reader(handle)
     assert header == ["wavelength_nm", "eta"]
     np.testing.assert_array_equal([float(row[0]) for row in rows],
-                                  curve.wavelength_nm)
-    np.testing.assert_array_equal([float(row[1]) for row in rows], curve.eta)
+                                  wavelength_nm)
+    np.testing.assert_array_equal([float(row[1]) for row in rows], eta)
 
 
 def test_delay_scan_roundtrip_preserves_counts_dtype(tmp_path):
@@ -82,11 +79,18 @@ def test_power_ratio_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.ratio, series.ratio)
 
 
+def test_header_only_power_ratio_csv_reads_as_an_empty_series(tmp_path):
+    path = tmp_path / "ratios.csv"
+    path.write_text("length_um,ratio\n", encoding="utf-8")
+    back = read_power_ratio_csv(path)
+    assert back.interaction_length_um.shape == back.ratio.shape == (0,)
+
+
 def test_written_files_are_utf8_with_lf_endings(tmp_path):
-    curve = SplittingCurve(np.array([1550.0]), np.array([0.5]))
     scan = DelayScan(np.array([0.0]), np.array([3], dtype=np.int64))
     series = PowerRatioSeries(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
-    write_splitting_curve_csv(tmp_path / "a.csv", curve)
+    write_splitting_curve_csv(tmp_path / "a.csv", np.array([1550.0]),
+                              np.array([0.5]))
     write_delay_scan_csv(tmp_path / "b.csv", scan)
     write_power_ratio_csv(tmp_path / "c.csv", series)
     for name in ("a.csv", "b.csv", "c.csv"):
@@ -146,12 +150,17 @@ def test_mixed_value_column_reads_as_probabilities(tmp_path):
     assert back.values.dtype.kind == "f"
 
 
-def test_partially_blank_stage_column_is_dropped(tmp_path):
+def test_partially_blank_stage_column_is_refused(tmp_path):
+    # dropping the column would lose every stage position given
     path = tmp_path / "partial.csv"
-    path.write_text(
-        "delay_ps,stage_um,coincidences\n-1.0,10.0,4\n0.0,,2\n1.0,30.0,4\n",
-        encoding="utf-8")
-    assert read_delay_scan_csv(path).stage_um is None
+    for rows in ("-1.0,10.0,4\n0.0,,2\n1.0,30.0,4\n",
+                 "-1.0,,4\n0.0,20.0,2\n1.0,,4\n"):
+        path.write_text(f"delay_ps,stage_um,coincidences\n{rows}",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            read_delay_scan_csv(path)
+        assert str(error.value) \
+            == f"{path}:3: stage_um must be given on every row or on none"
 
 
 def test_field_csv_layout_and_validation(tmp_path):

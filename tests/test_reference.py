@@ -20,7 +20,8 @@ PREDICTED_RAW_VISIBILITY = 0.9612382138838335
 
 def test_reference_device_reproduces_the_measured_ratio():
     device = ref.reference_device()
-    assert splitting_ratio(device, 1550.0) == pytest.approx(0.546, abs=1e-9)
+    assert splitting_ratio(device, 1550.0, ref.INTERACTION_LENGTH_UM) \
+        == pytest.approx(0.546, abs=1e-9)
 
 
 def test_bend_offset_sits_on_the_declared_branch():
