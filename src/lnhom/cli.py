@@ -312,7 +312,7 @@ def _run_modes(params, out):
 
 def _run_coupler_sweep(params, out):
     if params["length_min_um"] < 0:
-        raise ConfigError("length sweep needs a non-negative start")
+        raise ConfigError("length_min_um must be non-negative")
     lengths = _scan_axis(params, "length_min_um", "length_max_um",
                          "length_step_um", "length sweep")
     if lengths.size < 2:

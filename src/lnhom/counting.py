@@ -10,9 +10,10 @@ n photons clicks with probability 1 - (1 - efficiency)^n, and a dark
 count, independent of the photons and of the other arm, can click it
 too.  The pulses where either arm clicks are then an exact Bernoulli
 process, drawn as its geometric gaps, and one uniform per pulse picks its
-click pattern.  Each arm's clicks pass a non-paralyzable dead time,
-walked as a path through the clicks in compiled code, which marks the
-counted ones.  A coincidence is a clicking pulse counted on both arms.
+click pattern.  Each arm's clicks pass a non-paralyzable dead time: every
+click points to the first one its blind window lets through, and walkers
+that follow those pointers, all in step, mark the counted ones.  A
+coincidence is a clicking pulse counted on both arms.
 The cost of a point thus scales with its clicks, not its pulses.  Every
 delay point owns an independent child stream of the master seed, so
 points can be evaluated in any order, or in parallel, and still
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
@@ -183,14 +182,24 @@ def _apply_dead_time(clicks, blind_step):
     pulses.  Returns the mask of the counted clicks.
 
     Each click points to the first click outside its blind window (node
-    ``clicks.size`` stands for past the end); the counted clicks are the
-    path from the first click, walked in compiled code.  Distinct clicks
-    leave room for at most blind_step - 1 others inside one window, so
-    the pointer is found by that many shifted-slice comparisons, stopping
-    once no window holds another click, or by one binary search per click.
-    One slice pass measured 1/14 to 1/29 of the binary search over 1e4 to
-    1e6 clicks (numpy 2.4, 2 cores), against log2 of the click count of 13
-    to 20, so the slices run while blind_step - 1 <= log2(clicks.size).
+    ``clicks.size`` stands for past the end).  Distinct clicks leave room
+    for at most blind_step - 1 others inside one window, so the pointer is
+    found by that many shifted-slice comparisons, stopping once no window
+    holds another click, or by one binary search per click.  One slice pass
+    measured 1/14 to 1/29 of the binary search over 1e4 to 1e6 clicks
+    (numpy 2.4, 2 cores), against log2 of the click count of 13 to 20, so
+    the slices run while blind_step - 1 <= log2(clicks.size).
+
+    A click after a gap of at least blind_step is counted, since no window
+    reaches it, and starts a cluster; the cluster's counted clicks are the
+    path of pointers from it to the next cluster's start.  Walkers from
+    every start follow the pointers together, marking each click they
+    reach, so the rounds are the counted clicks of the longest cluster, at
+    most its L clicks.  When L^2 exceeds the click count, the
+    pointers are first composed into a table that jumps 2^K counted clicks,
+    K = floor(log2(L) / 2): walkers on it mark every 2^K-th counted click,
+    and walkers from those marks the rest, in fewer than 3 sqrt(L) + 2
+    rounds in all.
     """
     size = clicks.size
     if blind_step <= 1 or size == 0:
@@ -200,6 +209,7 @@ def _apply_dead_time(clicks, blind_step):
     blind_step = min(blind_step, int(clicks[-1]) + 1)
     reach = clicks + blind_step
     if blind_step - 1 <= math.log2(size):
+        # int32: the slice sums ran twice as fast as with int64 (numpy 2.4)
         following = np.arange(1, size + 1, dtype=np.int32)
         for shift in range(1, blind_step):
             inside = clicks[shift:] < reach[:-shift]
@@ -208,16 +218,38 @@ def _apply_dead_time(clicks, blind_step):
             following[:-shift] += inside
     else:
         following = np.searchsorted(clicks, reach).astype(np.int32)
-    # int32 indices are what the graph routines use, so scipy neither scans
-    # nor copies them, and the walk never reads the broadcast weights
-    edges = np.arange(size + 2, dtype=np.int32)
-    edges[-1] = size
-    graph = csr_matrix((np.broadcast_to(1.0, size), following, edges),
-                       shape=(size + 1, size + 1))
-    path = breadth_first_order(graph, 0, return_predecessors=False)
-    counted = np.zeros(size, dtype=bool)
-    counted[path[:-1]] = True
-    return counted
+    # past the end counts as marked, so walkers stop there too
+    counted = np.empty(size + 1, dtype=bool)
+    counted[0] = counted[-1] = True
+    np.greater_equal(np.diff(clicks), blind_step, out=counted[1:-1])
+    starts = np.flatnonzero(counted[:-1])
+    longest = int(np.diff(starts, append=size).max())
+
+    def walk(table, at):
+        # the walkers' clicks, round by round, until each meets a marked one
+        reached = [at]
+        while at.size:
+            at = table[at]
+            at = at[~counted[at]]
+            counted[at] = True
+            reached.append(at)
+        return reached
+
+    if longest * longest <= size:
+        walk(following, starts)
+    else:
+        # a pointer to a cluster's start ends past the end instead, so no
+        # composed pointer leaves its cluster and the rounds stay bounded;
+        # composing intp pointers ran three times as fast as int32 ones
+        step = np.empty(size + 1, dtype=np.intp)
+        step[:-1] = following
+        step[-1] = size
+        step[counted[step]] = size
+        jump = step
+        for _ in range((longest.bit_length() - 1) // 2):
+            jump = jump[jump]
+        walk(step, np.concatenate(walk(jump, starts)))
+    return counted[:-1]
 
 
 def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):

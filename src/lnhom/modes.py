@@ -7,13 +7,14 @@ the scalar Helmholtz equation
 
 is discretised with the standard 5-point stencil on the square cells (one
 pitch h for x and y) of an :class:`~lnhom.geometry.IndexMap` and solved as a
-symmetric eigenproblem by ARPACK on the inverse of (operator - shift), the
-shift just above the top effective index of the 1D profile of row maxima,
-which bounds every mode (:func:`_mode_shift`).  Every map is solved on half
-its width: it must be mirror-symmetric about an odd centre column, and its
-right half is solved twice, with a reflecting centre for symmetric modes
-and a zero-field centre for antisymmetric ones, so the boundary condition
-fixes the parity (once, symmetric, when only the fundamental mode is asked
+symmetric eigenproblem, on numpy alone, by a Lanczos iteration
+(:func:`eigsh`) on the inverse of (operator - shift), the shift just above
+the top effective index of the 1D profile of row maxima, which bounds every
+mode (:func:`_mode_shift`).  Every map is solved on half its width: it
+must be mirror-symmetric about an odd centre column, and its right half is
+solved twice, with a reflecting centre for symmetric modes and a
+zero-field centre for antisymmetric ones, so the boundary condition fixes
+the parity (once, symmetric, when only the fundamental mode is asked
 for).  Each half is asked for the number of modes wanted, no more.  Outer
 boundaries are zero-field: guided modes decay into the padding.
 
@@ -30,12 +31,15 @@ get dense blocks, V^T diag(k0^2 n^2) V + ....  One block LDL^T of
 rows above the first x-varying one downward and those below the last
 upward, whose pivots stay vectors given by the continued fractions p_y =
 d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y, then the rows from the
-first x-varying one to the last, whose pivots are dense.  ARPACK iterates
-on the rows' coefficients in V, each step one forward and one back pass
-over that order; V only maps the start vector in and the eigenvectors
-out.  For N columns in the half each dense row costs the factorisation N^3
-time and N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm
-pitch; a build_cross_section map has etch_depth / pitch dense rows.
+first x-varying one to the last, whose pivots are dense.  With the shift
+above the spectrum every pivot is negative definite, and each is inverted
+by the same elimination on halves of it, which proves it so.  The Lanczos
+iteration runs on the rows' coefficients in V, each step one forward and
+one back pass over that order; V only maps the start vector in and the
+eigenvectors out.  For N columns in the half each dense row costs the
+factorisation N^3 time and N^2 x 8 B of memory, about 17 MB in all for a
+coupler at 10 nm pitch; a build_cross_section map has etch_depth / pitch
+dense rows.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -43,7 +47,7 @@ eigenvalues of the operator above tau equals the number of positive pivots
 of an LDL^T factorisation of (operator - tau I), so the same sweep shifted
 to tau counts every mode above the cutoff exactly, with no cap: the
 positive entries of its vector pivots plus the positive eigenvalues of its
-dense ones.
+dense ones (:func:`_dense_pivot`).
 """
 
 from __future__ import annotations
@@ -51,9 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (ConvergenceError, DecoupledWaveguidesError,
                      InvalidGeometryError)
@@ -65,12 +66,17 @@ PARITY_ANTISYMMETRIC = "antisymmetric"
 # effective-index gap between the profile bound and the shift
 SHIFT_MARGIN = 1e-3
 # most modes a solve may ask for: a sub-micron LN rib or rib pair guides a
-# handful, and scipy's ARPACK holds max(2k + 1, 20) half-size Lanczos
-# vectors, so 32 keeps them to 65, near 105 MB on a 200k-unknown half
+# handful, and the Lanczos basis of eigsh holds max(2k + 1, 20) + 1
+# half-size vectors, so 32 keeps it to 66, near 105 MB on a 200k-unknown half
 MAX_MODES = 32
-# ARPACK iteration cap and relative eigenvalue accuracy
+# restart cycles of that capped basis, and the Ritz residual, relative to
+# its eigenvalue, at which an eigenpair has converged
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
+# order at which _negative_definite_inverse stops halving a block: inverting
+# a 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
+# (3.1 and 3.6 ms down to 32 and 128; numpy 2.4, one BLAS thread, x86_64)
+DEFINITE_ORDER = 64
 # supermode index splitting below which two ribs count as decoupled
 DEGENERACY_TOLERANCE = 1e-9
 # effective-index margin a rib mode needs above the slab cutoff
@@ -92,25 +98,45 @@ def _unusable_pivot(at):
                             "pivot")
 
 
+def _negative_definite_inverse(block):
+    """Inverse of the symmetric ``block`` by the same elimination as
+    :class:`_Sweep`, on halves of it: with the leading half's inverse X,
+    W = X B and the Schur complement S = D - B^T W of [[A, B], [B^T, D]],
+    the inverse is [[X + W S^-1 W^T, -W S^-1], [-S^-1 W^T, S^-1]].  At the
+    ``DEFINITE_ORDER`` that ends the halving, the Cholesky factor of -block
+    must exist; so by Sylvester's law each Schur complement, and the whole
+    block, is negative definite, which keeps the unpivoted elimination
+    stable.  Raises ``np.linalg.LinAlgError`` if one is not."""
+    if len(block) <= DEFINITE_ORDER:
+        np.linalg.cholesky(-block)
+        return np.linalg.inv(block)
+    h = len(block) // 2
+    leading = _negative_definite_inverse(block[:h, :h])
+    w = leading @ block[:h, h:]
+    trailing = _negative_definite_inverse(block[h:, h:] - block[h:, :h] @ w)
+    coupling = -(w @ trailing)
+    inverse = np.empty_like(block)
+    inverse[:h, :h] = leading - coupling @ w.T
+    inverse[:h, h:] = coupling
+    inverse[h:, :h] = coupling.T
+    inverse[h:, h:] = trailing
+    return inverse
+
+
 def _dense_pivot(block, at):
     """Inverse of the symmetric pivot ``block`` and its number of positive
-    eigenvalues, from its Bunch-Kaufman factorisation P L D L^T P^T: those
-    of D by Sylvester, one for each positive 1 x 1 pivot and one for each
-    2 x 2 pivot, whose determinant Bunch-Kaufman keeps negative (Bunch &
-    Kaufman, Math. Comp. 31, 163 (1977))."""
+    eigenvalues: none for a negative definite one, as every pivot of the
+    shift-invert sweep is, and those ``eigvalsh`` finds for any other."""
     if not np.all(np.isfinite(block)):
         raise _unusable_pivot(at)
-    lwork = int(dsytrf_lwork(len(block), lower=1)[0])
-    factor, swaps, info = dsytrf(block, lower=1, lwork=lwork)
-    if info == 0:
-        inverse, info = dsytri(factor, swaps, lower=1)
-    if info != 0:  # D has an exactly zero pivot
-        raise _unusable_pivot(at)
-    positives = (np.count_nonzero((swaps > 0) & (factor.diagonal() > 0.0))
-                 + np.count_nonzero(swaps < 0) // 2)
-    inverse = np.tril(inverse)
-    inverse += np.tril(inverse, -1).T
-    return inverse, positives
+    try:
+        return _negative_definite_inverse(block), 0
+    except np.linalg.LinAlgError:
+        positives = np.count_nonzero(np.linalg.eigvalsh(block) > 0.0)
+    try:
+        return np.linalg.inv(block), positives
+    except np.linalg.LinAlgError:  # an exactly singular pivot
+        raise _unusable_pivot(at) from None
 
 
 class _Sweep:
@@ -210,26 +236,107 @@ def _half_sweep(half, pitch, k0, parity, shift):
     return basis, _Sweep(blocks, coupling, shift)
 
 
+def eigsh(apply, start, *, k):
+    """The ``k`` largest-magnitude eigenvalues of the symmetric linear map
+    ``apply`` (an array shaped like ``start`` to another), descending in
+    magnitude, and their unit eigenvectors stacked along a new first axis.
+
+    Lanczos iteration from ``start``, with each new vector orthogonalised
+    against the whole basis twice (Parlett, The Symmetric Eigenvalue
+    Problem, 1980, ch. 13).  The Ritz pairs (theta, y) of the basis come
+    from the basis' projection of ``apply``; one has converged when its
+    residual |beta s_last| is at most ``EIGEN_TOLERANCE`` |theta|.  Each
+    pair is kept from the first step at which it and every larger one have
+    converged: the steps do not depend on ``k``, so neither do the pairs
+    kept.  The basis holds at most ncv = max(2k + 1, 20) vectors; a full
+    one restarts thick, from its (ncv + 1) // 2 largest Ritz vectors and
+    the residual direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)).  Raises :class:`ConvergenceError`, with the number of pairs
+    converged, if ``MAX_ITERATIONS`` bases do not converge ``k``.
+
+    The start vector's Krylov space holds one eigenvector of each
+    eigenvalue.  The other eigenvectors of a repeated one enter the basis
+    through rounding, or from a random direction once the basis spans an
+    invariant space, and may overtake kept pairs: a kept pair whose Ritz
+    vector has left its place is kept again, with every pair after it,
+    from that step.  A basis that can hold the whole space returns only once
+    it does, so it holds every copy; a larger space can return a repeated
+    eigenvalue fewer times than it repeats, if its other eigenvectors enter
+    after ``k`` pairs have converged.  In a mirror half an eigenvalue
+    repeats only under a further symmetry, such as that of a uniform square
+    map.
+    """
+    size = start.size
+    ncv = min(max(2 * k + 1, 20), size)
+    basis = np.empty((ncv + 1, size))
+    basis[0] = start.ravel() / np.linalg.norm(start)
+    projected = np.zeros((ncv, ncv))  # basis^T apply basis
+    rng = np.random.default_rng(0)
+    values, vectors = [], []
+    tracked = np.zeros((0, 0))  # the kept pairs' Ritz coefficients
+    first = 0  # the basis vectors kept over the restarts
+    for _ in range(MAX_ITERATIONS):
+        for j in range(first, ncv):
+            vector = apply(basis[j].reshape(start.shape)).ravel()
+            coefficients = np.zeros(j + 1)
+            for _ in range(2):
+                step = basis[:j + 1] @ vector
+                vector -= step @ basis[:j + 1]
+                coefficients += step
+            projected[:j + 1, j] = projected[j, :j + 1] = coefficients
+            beta = np.linalg.norm(vector)
+            # the second pass removed more than it left: the basis spans an
+            # invariant space, and the rounding left over is no direction
+            exhausted = np.linalg.norm(step) > beta
+            thetas, ritz = np.linalg.eigh(projected[:j + 1, :j + 1])
+            order = np.argsort(-np.abs(thetas), kind="stable")
+            thetas, ritz = thetas[order], ritz[:, order]
+            # a kept pair whose Ritz vector left its place was overtaken by
+            # an eigenvector seen late: keep the pairs before it only
+            moved = np.abs(np.sum(ritz[:len(tracked), :len(values)] * tracked,
+                                  axis=0)) < 0.5
+            del values[int(moved.argmax()) if moved.any() else len(values):]
+            del vectors[len(values):]
+            converged = np.abs(beta * ritz[-1]) <= \
+                EIGEN_TOLERANCE * np.abs(thetas)
+            leading = j + 1 if converged.all() else int(converged.argmin())
+            for i in range(len(values), leading):
+                values.append(thetas[i])
+                vectors.append(ritz[:, i] @ basis[:j + 1])
+            # a basis that can hold the whole space first does, so it holds
+            # every copy of a repeated eigenvalue
+            if len(values) >= k and (ncv < size or j + 1 == size):
+                return (np.array(values[:k]),
+                        np.array(vectors[:k]).reshape((k,) + start.shape))
+            tracked = ritz[:, :len(values)]
+            if exhausted:  # go on from a random direction
+                vector = rng.uniform(-1.0, 1.0, size)
+                for _ in range(2):
+                    vector -= (basis[:j + 1] @ vector) @ basis[:j + 1]
+                beta = np.linalg.norm(vector)
+            basis[j + 1] = vector / beta
+        first = (ncv + 1) // 2
+        basis[:first] = ritz[:, :first].T @ basis[:ncv]
+        basis[first] = basis[ncv]
+        projected[:] = 0.0
+        projected[np.diag_indices(first)] = thetas[:first]
+        tracked = np.eye(first, len(values))
+    raise ConvergenceError(
+        f"eigen-solver converged {min(len(values), k)} of {k} eigenpairs "
+        f"within {MAX_ITERATIONS} iterations")
+
+
 def _eigenpairs(half, pitch, k0, parity, k, sigma):
     """The ``k`` eigenpairs of the operator on ``half`` nearest ``sigma``,
     eigenvectors as grids shaped like ``half``, from one sweep of ``op -
-    sigma I``: ARPACK in plain mode finds its inverse's largest-magnitude
+    sigma I``: :func:`eigsh` finds its inverse's largest-magnitude
     eigenvalues nu, at sigma + 1 / nu, iterating on rows' coefficients in
     the orthogonal x-eigenbasis V, where one step is one sweep solve."""
     basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
-    inverse = LinearOperator(
-        (half.size, half.size), dtype=float,
-        matvec=lambda vector: sweep.solve(vector.reshape(half.shape)).ravel())
     # a fixed start vector makes every solve bit-reproducible
     start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
-    try:
-        values, vectors = eigsh(inverse, k=k, which="LM", v0=start.ravel(),
-                                maxiter=MAX_ITERATIONS, tol=EIGEN_TOLERANCE)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"eigen-solver converged {len(exc.eigenvalues)} of {k} eigenpairs "
-            f"within {MAX_ITERATIONS} iterations") from exc
-    return sigma + 1.0 / values, vectors.T.reshape((k,) + half.shape) @ basis.T
+    values, vectors = eigsh(sweep.solve, start, k=k)
+    return sigma + 1.0 / values, vectors @ basis.T
 
 
 def _mode_shift(index, pitch, wavelength):
@@ -287,13 +394,18 @@ def solve_modes(index_map, n_modes=1):
     mirror-symmetric.  More modes ask each half for ``n_modes`` eigenpairs:
     a mode among the top ``n_modes`` has fewer above it, so is among its
     own half's top ``n_modes``.  Each half is factorised once, by the
-    layer-by-layer sweep of the module docstring, and every ARPACK step is
-    one sweep solve.  Fields are built only for the modes returned.  Raises
-    ``ValueError`` unless ``n_modes`` lies in [1, ``MAX_MODES``] and the map
-    has an odd number of columns, at least 3, and is mirror-symmetric about
-    the centre one (:class:`InvalidGeometryError` if an index is not
-    finite); raises :class:`ConvergenceError` if ARPACK needs more than
-    ``MAX_ITERATIONS`` iterations to reach ``EIGEN_TOLERANCE``, or the sweep
+    layer-by-layer sweep of the module docstring, and every Lanczos step is
+    one sweep solve.  Up to 9 modes share one Lanczos basis size, so a
+    mode's n_eff and field are the same, bit for bit, for every such
+    ``n_modes`` that returns it.  Fields are built only for the modes
+    returned.  On a half of more than max(2 n_modes + 1, 20) cells, an
+    n_eff that repeats within it can come back fewer times than it repeats
+    (see :func:`eigsh`).  Raises ``ValueError`` unless
+    ``n_modes`` lies in [1, ``MAX_MODES``] and the map has an odd number of
+    columns, at least 3, and is mirror-symmetric about the centre one
+    (:class:`InvalidGeometryError` if an index is not finite); raises
+    :class:`ConvergenceError` if the Lanczos basis needs more than
+    ``MAX_ITERATIONS`` restarts to reach ``EIGEN_TOLERANCE``, or the sweep
     meets a zero or non-finite pivot.
     """
     if n_modes < 1:
@@ -309,7 +421,7 @@ def solve_modes(index_map, n_modes=1):
     sigma = _mode_shift(index, pitch, wavelength)
     candidates = []  # (n_eff, parity, half-domain eigenvector)
     for parity, half in halves:
-        k = min(n_modes, half.size - 1)
+        k = min(n_modes, half.size)
         for val, vec in zip(*_eigenpairs(half, pitch, k0, parity, k, sigma)):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
             if n_eff > index_map.substrate_index:
@@ -362,9 +474,9 @@ def supermode_coupling_length(geometry, wavelength_nm, *,
 def _profile_effective_index(profile, pitch_nm, wavelength_nm):
     """Largest effective index of a 1D layered index profile (0 if unbound)."""
     k0 = 2.0 * np.pi / wavelength_nm
-    top = eigh_tridiagonal(k0**2 * profile**2 - 2.0 / pitch_nm**2,
-                           np.full(profile.size - 1, 1.0 / pitch_nm**2),
-                           select="i", select_range=(profile.size - 1,) * 2)[0][0]
+    coupling = np.full(profile.size - 1, 1.0 / pitch_nm**2)
+    top = np.linalg.eigvalsh(np.diag(k0**2 * profile**2 - 2.0 / pitch_nm**2)
+                             + np.diag(coupling, 1) + np.diag(coupling, -1))[-1]
     return float(np.sqrt(max(top, 0.0)) / k0)
 
 

@@ -423,6 +423,15 @@ def test_reversed_scan_bounds_name_both_keys(tmp_path, capsys, scenario, first,
     assert not any(out.iterdir())
 
 
+def test_negative_sweep_start_names_its_key(tmp_path, capsys):
+    config = _write(tmp_path, "c.cfg", "length_min_um = -10\n")
+    out = tmp_path / "out"
+    assert main(["coupler-sweep", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: length_min_um must be non-negative\n")
+    assert not any(out.iterdir())
+
+
 def test_bandwidth_at_an_explicit_interaction_length(tmp_path):
     # the reference device at its measured 257 um section
     device = ref.reference_device()

@@ -84,6 +84,39 @@ def test_homogeneous_medium_plane_wave_limit():
                                           abs=1e-6)
 
 
+@pytest.mark.parametrize("n_modes", [8, 16, 32])
+@pytest.mark.parametrize("shape, pitch", [
+    pytest.param(shape, pitch, id=f"{shape[0]}x{shape[1]}-{pitch:g}nm")
+    for shape, pitch in (((3, 3), 400.0), ((7, 7), 150.0), ((7, 7), 200.0),
+                         ((11, 11), 150.0), ((7, 15), 100.0))])
+def test_uniform_map_repeats_no_mode_more_than_it_repeats(shape, pitch,
+                                                          n_modes):
+    # a uniform map's spectrum is mu_x(i) + mu_y(j), with mu as above; where
+    # the two grids share eigenvalues, as in a square, modes repeat within a
+    # mirror half.  No mode may come back more often than it repeats, nor a
+    # value that is not a mode, and every copy must come back when the
+    # Lanczos basis can hold a whole half, max(2 n_modes + 1, 20) vectors
+    rows, columns = shape
+    map_ = IndexMap(index=np.full(shape, 2.0),
+                    x_nm=np.arange(columns) * pitch,
+                    y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=0.0)
+    k0 = 2.0 * np.pi / 1550.0
+    mu = [2.0 / pitch**2 * (1.0 - np.cos(np.pi * np.arange(1, cells + 1)
+                                         / (cells + 1)))
+          for cells in shape]
+    beta2 = np.sort((k0**2 * 2.0**2 - mu[0][:, None] - mu[1][None, :]).ravel())
+    exact = np.sqrt(beta2[beta2 > 0.0][::-1]) / k0
+    unmatched = list(exact)
+    solved = [mode.n_eff for mode in solve_modes(map_, n_modes)]
+    assert solved == sorted(solved, reverse=True)
+    for n_eff in solved:
+        nearest = int(np.abs(np.array(unmatched) - n_eff).argmin())
+        assert abs(unmatched.pop(nearest) - n_eff) <= 1e-10 * n_eff
+    if (columns // 2 + 1) * rows <= max(2 * n_modes + 1, 20):
+        assert np.allclose(solved, exact[:n_modes], rtol=1e-10, atol=0.0)
+
+
 def test_slab_matches_transcendental_oracle(slab_modes):
     # the x-uniform slab separates: each eigenvalue is one x eigenvalue (a
     # sine between the zero-field edges) plus one y eigenvalue, and the y
@@ -238,16 +271,15 @@ def _counting(monkeypatch, name):
 def test_fundamental_solves_the_symmetric_half_only(coupler_40nm,
                                                     monkeypatch):
     # Perron-Frobenius: the top mode is symmetric, so one eigensolve finds
-    # it; ARPACK converges one more eigenpair for two modes, so the two
-    # solves agree to rounding, not bit for bit
+    # it; the eigensolve keeps each pair from the step where it converged,
+    # so the two solves agree bit for bit
     map_, (sym, _) = coupler_40nm
     calls = _counting(monkeypatch, "eigsh")
     (fundamental,) = solve_modes(map_, 1)
     assert len(calls) == 1
     assert fundamental.parity == PARITY_SYMMETRIC
-    assert fundamental.n_eff == pytest.approx(sym.n_eff, rel=1e-12)
-    assert np.allclose(fundamental.field, sym.field, rtol=0.0,
-                       atol=1e-12 * np.abs(sym.field).max())
+    assert fundamental.n_eff == sym.n_eff
+    assert np.array_equal(fundamental.field, sym.field)
     solve_modes(map_, 2)
     assert len(calls) == 3
 
@@ -279,9 +311,8 @@ def test_more_modes_extend_fewer(coupler_40nm):
         assert len(more) == len(fewer) + 1
         for a, b in zip(fewer, more):
             assert a.parity == b.parity
-            assert a.n_eff == pytest.approx(b.n_eff, rel=1e-12)
-            assert np.allclose(a.field, b.field, rtol=0.0,
-                               atol=1e-12 * np.abs(b.field).max())
+            assert a.n_eff == b.n_eff
+            assert np.array_equal(a.field, b.field)
     # the top n_eff of each parity does not move by a bit with the number
     # of eigenpairs its half was asked for
     for run in runs[1:]:
