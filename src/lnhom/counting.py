@@ -264,8 +264,11 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
     delays = np.asarray(delays_ps, dtype=float)
     n_pulses = source.pulses_per_run
 
-    blind_step = max(1, math.ceil(detectors.dead_time_ns
-                                  / source.repetition_period_ns))
+    # a window past the last pulse counts as the whole run, which also
+    # keeps an overflowing ratio out of ceil
+    blind_step = max(1, math.ceil(min(detectors.dead_time_ns
+                                      / source.repetition_period_ns,
+                                      n_pulses)))
 
     streams = np.random.SeedSequence(seed).spawn(delays.size)
     counts = np.zeros(delays.size, dtype=np.int64)

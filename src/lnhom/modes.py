@@ -15,8 +15,9 @@ must be mirror-symmetric about an odd centre column, and its right half is
 solved twice, with a reflecting centre for symmetric modes and a
 zero-field centre for antisymmetric ones, so the boundary condition fixes
 the parity (once, symmetric, when only the fundamental mode is asked
-for).  Each half is asked for the number of modes wanted, no more.  Outer
-boundaries are zero-field: guided modes decay into the padding.
+for).  Each half is asked for the number of modes wanted, no more, and
+for one, its top mode, by the beat length.  Outer boundaries are
+zero-field: guided modes decay into the padding.
 
 The cross-section is a stack of full-width layers, and only the etched rib
 rows change across x, so each half is solved layer by layer.  Its 1D x
@@ -33,21 +34,21 @@ upward, whose pivots stay vectors given by the continued fractions p_y =
 d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y, then the rows from the
 first x-varying one to the last, whose pivots are dense.  With the shift
 above the spectrum every pivot is negative definite, and each is inverted
-by the same elimination on halves of it, which proves it so.  The Lanczos
-iteration runs on the rows' coefficients in V, each step one forward and
-one back pass over that order; V only maps the start vector in and the
-eigenvectors out.  For N columns in the half each dense row costs the
-factorisation N^3 time and N^2 x 8 B of memory, about 17 MB in all for a
-coupler at 10 nm pitch; a build_cross_section map has etch_depth / pitch
-dense rows.
+by the same elimination on halves of it, whose Cholesky leaves prove it
+so (:func:`_pivot_inverse`).  The Lanczos iteration runs on the rows'
+coefficients in V, each step one forward and one back pass over that
+order; V only maps the start vector in and the eigenvectors out.  For N
+columns in the half each dense row costs the factorisation N^3 time and
+N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm pitch; a
+build_cross_section map has etch_depth / pitch dense rows.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
 eigenvalues of the operator above tau equals the number of positive pivots
 of an LDL^T factorisation of (operator - tau I), so the same sweep shifted
 to tau counts every mode above the cutoff exactly, with no cap: the
-positive entries of its vector pivots plus the positive eigenvalues of its
-dense ones (:func:`_dense_pivot`).
+positive entries of its vector pivots plus, by the same law on the halving
+of each dense pivot, the positive eigenvalues of its leaves.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ MAX_MODES = 32
 # its eigenvalue, at which an eigenpair has converged
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
-# order at which _negative_definite_inverse stops halving a block: inverting
-# a 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
+# order at which _pivot_inverse stops halving a block: inverting a
+# 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
 # (3.1 and 3.6 ms down to 32 and 128; numpy 2.4, one BLAS thread, x86_64)
 DEFINITE_ORDER = 64
 # supermode index splitting below which two ribs count as decoupled
@@ -98,45 +99,43 @@ def _unusable_pivot(at):
                             "pivot")
 
 
-def _negative_definite_inverse(block):
-    """Inverse of the symmetric ``block`` by the same elimination as
-    :class:`_Sweep`, on halves of it: with the leading half's inverse X,
-    W = X B and the Schur complement S = D - B^T W of [[A, B], [B^T, D]],
-    the inverse is [[X + W S^-1 W^T, -W S^-1], [-S^-1 W^T, S^-1]].  At the
-    ``DEFINITE_ORDER`` that ends the halving, the Cholesky factor of -block
-    must exist; so by Sylvester's law each Schur complement, and the whole
-    block, is negative definite, which keeps the unpivoted elimination
-    stable.  Raises ``np.linalg.LinAlgError`` if one is not."""
-    if len(block) <= DEFINITE_ORDER:
-        np.linalg.cholesky(-block)
-        return np.linalg.inv(block)
-    h = len(block) // 2
-    leading = _negative_definite_inverse(block[:h, :h])
-    w = leading @ block[:h, h:]
-    trailing = _negative_definite_inverse(block[h:, h:] - block[h:, :h] @ w)
-    coupling = -(w @ trailing)
-    inverse = np.empty_like(block)
-    inverse[:h, :h] = leading - coupling @ w.T
-    inverse[:h, h:] = coupling
-    inverse[h:, :h] = coupling.T
-    inverse[h:, h:] = trailing
-    return inverse
-
-
-def _dense_pivot(block, at):
-    """Inverse of the symmetric pivot ``block`` and its number of positive
-    eigenvalues: none for a negative definite one, as every pivot of the
-    shift-invert sweep is, and those ``eigvalsh`` finds for any other."""
-    if not np.all(np.isfinite(block)):
+def _pivot_inverse(block, at):
+    """Inverse of the symmetric pivot ``block`` (a vector v for diag(v)) and
+    its number of positive eigenvalues.  A dense one is inverted by the
+    sweep's elimination on halves: with X the inverse of A, W = X B and S =
+    D - B^T W, [[A, B], [B^T, D]]^-1 = [[X + W S^-1 W^T, -W S^-1], [-S^-1
+    W^T, S^-1]], and A and S hold its positive eigenvalues (Sylvester).  A
+    leaf of at most ``DEFINITE_ORDER`` takes Cholesky and ``inv`` if it is
+    negative definite, as every pivot of the shift-invert sweep is, and
+    ``eigh`` if not.  Raises :class:`ConvergenceError`, naming the shift
+    ``at``, on a non-finite block or a zero eigenvalue."""
+    if not np.isfinite(block).all():
         raise _unusable_pivot(at)
-    try:
-        return _negative_definite_inverse(block), 0
-    except np.linalg.LinAlgError:
-        positives = np.count_nonzero(np.linalg.eigvalsh(block) > 0.0)
-    try:
-        return np.linalg.inv(block), positives
-    except np.linalg.LinAlgError:  # an exactly singular pivot
-        raise _unusable_pivot(at) from None
+    if block.ndim == 1:
+        values = block
+    elif len(block) > DEFINITE_ORDER:
+        h = len(block) // 2
+        leading, positives = _pivot_inverse(block[:h, :h], at)
+        w = leading @ block[:h, h:]
+        trailing, more = _pivot_inverse(block[h:, h:] - block[h:, :h] @ w, at)
+        coupling = -(w @ trailing)
+        inverse = np.empty_like(block)
+        inverse[:h, :h] = leading - coupling @ w.T
+        inverse[:h, h:] = coupling
+        inverse[h:, :h] = coupling.T
+        inverse[h:, h:] = trailing
+        return inverse, positives + more
+    else:
+        try:
+            np.linalg.cholesky(-block)
+            return np.linalg.inv(block), 0
+        except np.linalg.LinAlgError:
+            values, vectors = np.linalg.eigh(block)
+    if not np.all(values != 0.0):
+        raise _unusable_pivot(at)
+    inverse = (1.0 / values if block.ndim == 1
+               else (vectors / values) @ vectors.T)
+    return inverse, np.count_nonzero(values > 0.0)
 
 
 class _Sweep:
@@ -161,14 +160,9 @@ class _Sweep:
                   *range(first, last)]] + [(last, None)]
         self.coupling, self.positives = coupling, 0
         for y, to in steps:
-            if blocks[y].ndim == 2:  # inverse kept in the block's memory:
-                # a new array per pivot took 5 MB more peak RSS at 10 nm
-                blocks[y][...], positives = _dense_pivot(blocks[y], at)
-            elif np.all(np.isfinite(blocks[y]) & (blocks[y] != 0.0)):
-                blocks[y] = 1.0 / blocks[y]
-                positives = np.count_nonzero(blocks[y] > 0.0)
-            else:
-                raise _unusable_pivot(at)
+            # inverses overwrite their pivots: new arrays for the vector
+            # ones alone took 31 MB more peak RSS in a 10 nm modes run
+            blocks[y][...], positives = _pivot_inverse(blocks[y], at)
             self.positives += positives
             if to is not None:
                 update = coupling**2 * blocks[y]
@@ -326,17 +320,29 @@ def eigsh(apply, start, *, k):
         f"within {MAX_ITERATIONS} iterations")
 
 
-def _eigenpairs(half, pitch, k0, parity, k, sigma):
-    """The ``k`` eigenpairs of the operator on ``half`` nearest ``sigma``,
-    eigenvectors as grids shaped like ``half``, from one sweep of ``op -
-    sigma I``: :func:`eigsh` finds its inverse's largest-magnitude
-    eigenvalues nu, at sigma + 1 / nu, iterating on rows' coefficients in
-    the orthogonal x-eigenbasis V, where one step is one sweep solve."""
-    basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
-    # a fixed start vector makes every solve bit-reproducible
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
-    values, vectors = eigsh(sweep.solve, start, k=k)
-    return sigma + 1.0 / values, vectors @ basis.T
+def _top_modes(index_map, halves, n_modes):
+    """(n_eff, parity, eigenvector as a grid shaped like its half) of the
+    top ``n_modes`` eigenpairs of each (parity, half map) in ``halves``
+    that lie above the map's ``substrate_index``.  Each half takes one
+    sweep of (operator - sigma), sigma the map's :func:`_mode_shift`:
+    :func:`eigsh` finds the inverse's largest-magnitude eigenvalues nu, at
+    sigma + 1 / nu, iterating on rows' coefficients in the orthogonal
+    x-eigenbasis V, where one step is one sweep solve."""
+    wavelength, pitch = index_map.wavelength_nm, index_map.pitch_nm
+    k0 = 2.0 * np.pi / wavelength
+    sigma = _mode_shift(index_map.index, pitch, wavelength)
+    candidates = []
+    for parity, half in halves:
+        basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
+        # a fixed start vector makes every solve bit-reproducible
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
+        values, vectors = eigsh(sweep.solve, start, k=min(n_modes, half.size))
+        vectors = vectors @ basis.T  # drops the coefficients before next half
+        for val, vec in zip(sigma + 1.0 / values, vectors):
+            n_eff = float(np.sqrt(max(val, 0.0)) / k0)
+            if n_eff > index_map.substrate_index:
+                candidates.append((n_eff, parity, vec))
+    return candidates
 
 
 def _mode_shift(index, pitch, wavelength):
@@ -412,20 +418,10 @@ def solve_modes(index_map, n_modes=1):
         raise ValueError("n_modes must be at least 1")
     if n_modes > MAX_MODES:
         raise ValueError(f"n_modes must be at most {MAX_MODES}")
-    wavelength = index_map.wavelength_nm
-    k0 = 2.0 * np.pi / wavelength
-    index, pitch = index_map.index, index_map.pitch_nm
-    halves = _mirror_halves(index)
-    if n_modes == 1:
-        halves = halves[:1]
-    sigma = _mode_shift(index, pitch, wavelength)
-    candidates = []  # (n_eff, parity, half-domain eigenvector)
-    for parity, half in halves:
-        k = min(n_modes, half.size)
-        for val, vec in zip(*_eigenpairs(half, pitch, k0, parity, k, sigma)):
-            n_eff = float(np.sqrt(max(val, 0.0)) / k0)
-            if n_eff > index_map.substrate_index:
-                candidates.append((n_eff, parity, vec))
+    pitch = index_map.pitch_nm
+    # one mode needs only the symmetric half, the first
+    halves = _mirror_halves(index_map.index)[:n_modes]
+    candidates = _top_modes(index_map, halves, n_modes)
     candidates.sort(key=lambda candidate: candidate[0], reverse=True)
     solutions = []
     for n_eff, parity, vec in candidates[:n_modes]:
@@ -450,17 +446,19 @@ def supermode_coupling_length(geometry, wavelength_nm, *,
     """Coupling length (um) of a two-rib coupler from its supermode splitting
     on the default cross-section (TE core index, 2 um padding).
 
-    Solves the strongest symmetric and antisymmetric supermodes and raises
-    :class:`DecoupledWaveguidesError` when either is missing or the splitting
-    is below ``DEGENERACY_TOLERANCE`` (effectively decoupled waveguides).
+    Asks each mirror half for its top eigenpair only: by Perron-Frobenius,
+    as in :func:`solve_modes`, each half's top eigenvector is positive on
+    the half, so it is the fundamental supermode of that half's parity.
+    Raises :class:`DecoupledWaveguidesError` when either is not guided or
+    the splitting is below ``DEGENERACY_TOLERANCE`` (effectively decoupled
+    waveguides).
     """
     if geometry.gap_um is None:
         raise ValueError("geometry has no gap: not a two-waveguide coupler")
     index_map = build_cross_section(geometry, wavelength_nm,
                                     grid_pitch_nm=grid_pitch_nm)
-    n_eff = {}
-    for mode in solve_modes(index_map, 2):
-        n_eff.setdefault(mode.parity, mode.n_eff)
+    n_eff = {parity: n for n, parity, _ in
+             _top_modes(index_map, _mirror_halves(index_map.index), 1)}
     if len(n_eff) < 2:
         raise DecoupledWaveguidesError("fewer than two guided supermodes found; waveguides "
                                        "are effectively decoupled at this gap")

@@ -282,6 +282,24 @@ def test_dead_time_longer_than_the_run_counts_only_the_first_click():
     np.testing.assert_array_equal(scan.values, [1, 1, 1])
 
 
+def test_dead_time_whose_period_ratio_overflows_blinds_the_whole_run():
+    # 1e308 / 0.1 overflows to inf; a window reaching past the last pulse
+    # counts what one of exactly the run's length counts
+    fast = SourceModel(mean_pairs_per_pulse=0.5, pulses_per_run=20_000,
+                       statistics="thermal-pairs", repetition_period_ns=0.1)
+    delays = np.linspace(-4.0, 4.0, 7)
+    for dark in (0.01, 1.0):
+        scans = [simulate_counts(STATE, 0.5, fast,
+                                 DetectorModel(efficiency=0.9,
+                                               dead_time_ns=dead_time_ns,
+                                               dark_count_probability=dark),
+                                 delays, seed=21).values
+                 for dead_time_ns in (1e308, 0.1 * 20_000)]
+        np.testing.assert_array_equal(scans[0], scans[1])
+    # every pulse clicks both arms: the first pulse is each point's count
+    np.testing.assert_array_equal(scans[0], np.ones(7))
+
+
 def test_dead_time_oracle_counts_a_long_run_once_per_window():
     run = np.zeros(20, dtype=bool)
     run[:14] = True

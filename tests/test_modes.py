@@ -256,12 +256,13 @@ def test_shift_matches_unique_column_reference(case):
 
 
 def _counting(monkeypatch, name):
-    """Replace ``modes.<name>`` by a wrapper that counts its calls."""
+    """Replace ``modes.<name>`` by a wrapper that records the keyword
+    arguments of each call."""
     calls = []
     real = getattr(modes, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(modes, name, counted)
@@ -290,16 +291,10 @@ def test_each_half_is_asked_for_exactly_n_modes(coupler_40nm, n_modes,
     # the top n_modes of the two halves together hold the top n_modes
     # overall, so no half needs spare eigenpairs
     map_, _ = coupler_40nm
-    asked = []
-    real = modes.eigsh
-
-    def spy(*args, **kwargs):
-        asked.append(kwargs["k"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(modes, "eigsh", spy)
+    calls = _counting(monkeypatch, "eigsh")
     solve_modes(map_, n_modes)
-    assert asked == [n_modes] * (1 if n_modes == 1 else 2)
+    assert [call["k"] for call in calls] == \
+        [n_modes] * (1 if n_modes == 1 else 2)
 
 
 def test_more_modes_extend_fewer(coupler_40nm):
@@ -380,14 +375,27 @@ def test_inertia_count_matches_arpack_count(top_width_um, count):
 
 
 def test_inertia_count_of_a_dense_symmetric_matrix():
-    # the whole matrix as one dense pivot of the sweep
+    # the whole matrix as one dense pivot of the sweep, shifted below,
+    # inside and above its spectrum; 30 ends the pivot's halving at once,
+    # 131 and 300 halve it two and three times, to leaves of at most
+    # DEFINITE_ORDER = 64
     rng = np.random.default_rng(3)
-    dense = rng.normal(size=(30, 30))
-    dense = dense + dense.T
-    values = np.linalg.eigvalsh(dense)
-    for tau in (-3.0, 0.1, 2.5):
-        assert modes._Sweep([dense - tau * np.eye(30)], 0.0, tau).positives \
-            == np.count_nonzero(values > tau)
+    for size in (30, 131, 300):
+        dense = rng.normal(size=(size, size))
+        dense = dense + dense.T
+        values = np.linalg.eigvalsh(dense)
+        for tau in (values[0] - 1.0, -3.0, 0.1, 2.5, values[-1] + 1.0):
+            shifted = dense - tau * np.eye(size)
+            sweep = modes._Sweep([shifted.copy()], 0.0, tau)
+            assert sweep.positives == np.count_nonzero(values > tau)
+            rhs = rng.normal(size=(1, size))
+            expected = np.linalg.solve(shifted, rhs[0])
+            # the shift-invert sweep's pivots are negative definite; the
+            # unpivoted halving of an indefinite one, which only the count
+            # meets, grows its rounding error with the leaves' condition
+            rtol = 1e-12 if tau > values[-1] else 1e-7
+            assert np.allclose(sweep.solve(rhs)[0], expected, rtol=0.0,
+                               atol=rtol * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("matrix", [
@@ -551,6 +559,44 @@ def test_reference_coupling_length_in_band(supermodes_20nm):
     sym, anti = supermodes_20nm["modes"]
     length = coupling_length_from_indices(sym.n_eff, anti.n_eff, 1550.0)
     assert 90.0 < length < 180.0
+
+
+def test_beat_length_asks_each_half_for_its_top_mode(coupler_40nm,
+                                                      monkeypatch):
+    # the top eigenpair of a half is kept at the same Lanczos step whatever
+    # k, so one per half gives the pair of solve_modes(map_, 2) bit for bit
+    map_, (sym, anti) = coupler_40nm
+    calls = _counting(monkeypatch, "eigsh")
+    length = supermode_coupling_length(reference_geometry(gap_um=2.3),
+                                       1550.0, grid_pitch_nm=40.0)
+    assert [call["k"] for call in calls] == [1, 1]
+    assert length == coupling_length_from_indices(sym.n_eff, anti.n_eff,
+                                                  1550.0)
+
+
+def test_beat_length_pairs_the_top_mode_of_each_parity(monkeypatch):
+    # a uniform box taller than wide: its second mode, one half-wave across
+    # x and two along y, is symmetric too, so the top two modes share a
+    # parity; the beat length still pairs the top mode of each
+    rows, columns, pitch = 29, 9, 200.0
+    map_ = IndexMap(index=np.full((rows, columns), 2.0),
+                    x_nm=np.arange(columns) * pitch,
+                    y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=0.0)
+    assert [mode.parity for mode in solve_modes(map_, 2)] == \
+        [PARITY_SYMMETRIC] * 2
+    monkeypatch.setattr(modes, "build_cross_section",
+                        lambda *args, **kwargs: map_)
+    k0 = 2.0 * np.pi / 1550.0
+    mu = [2.0 / pitch**2 * (1.0 - np.cos(np.pi * np.arange(1, 3)
+                                         / (cells + 1)))
+          for cells in (rows, columns)]
+    # sine harmonics 1 and 2 across x: the top symmetric and antisymmetric
+    sym, anti = np.sqrt(k0**2 * 2.0**2 - mu[0][0] - mu[1]) / k0
+    length = supermode_coupling_length(reference_geometry(gap_um=2.3),
+                                       1550.0)
+    assert length == pytest.approx(
+        coupling_length_from_indices(sym, anti, 1550.0), rel=1e-8)
 
 
 def test_coupling_length_increases_with_gap():
