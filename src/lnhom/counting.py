@@ -17,7 +17,16 @@ coincidence is a clicking pulse counted on both arms.
 The cost of a point thus scales with its clicks, not its pulses.  Every
 delay point owns an independent child stream of the master seed, so
 points can be evaluated in any order, or in parallel, and still
-reproduce bit-for-bit.
+reproduce bit-for-bit.  A scan whose points expect at least
+``POOL_MIN_CLICKS`` clicking pulses each runs them on a thread pool, one
+worker per CPU the process may use; numpy releases the GIL in the bulk
+work.  The click tables are built on the calling thread first, so only
+numpy runs on the pool.  A point's working set peaks at about 17 bytes
+per clicking pulse, while its click train is drawn as float64 gaps and
+int64 indices; it keeps int32 indices after that.  That is about 6 MB
+per point in flight when a third of 10^6 pulses click (thermal mu = 0.5).
+Sparser scans run their points in a loop, since below the floor the
+threads' overhead outweighs the work they share.
 
 The same click table, taken at zero and at far delay, gives the model's
 own dip visibility (``model_visibility``), the one multi-pair visibility
@@ -25,7 +34,9 @@ in the package.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +44,13 @@ import numpy as np
 from .fock import (MAX_ENUMERATED_PAIRS, PAIR_STATISTICS,
                    arm_occupation_distribution, pair_number_probabilities)
 from .hom import DelayScan, check_eta, spectral_overlap
+
+# Expected clicking pulses per delay point from which a scan runs its points
+# on a thread pool.  Per point of a 50-point scan, a loop and a 2-thread
+# pool took on a 2-core Xeon (numpy 2.4) 0.7-1.2 and 1.2-1.3 ms at 11k
+# clicks (reproduce-paper's points), 2.2-2.9 and 2.3 ms at 33k, 3.9-4.0
+# and 2.6 ms at 50k, and 21-25 and 11-12 ms at 334k.
+POOL_MIN_CLICKS = 30_000
 
 
 @dataclass(frozen=True)
@@ -209,15 +227,20 @@ def _apply_dead_time(clicks, blind_step):
     blind_step = min(blind_step, int(clicks[-1]) + 1)
     reach = clicks + blind_step
     if blind_step - 1 <= math.log2(size):
-        # int32: the slice sums ran twice as fast as with int64 (numpy 2.4)
+        # int32: the slice sums ran twice as fast as with int64 (numpy 2.4);
+        # one mask buffer serves every shift
         following = np.arange(1, size + 1, dtype=np.int32)
+        inside = np.empty(size - 1, dtype=bool)
         for shift in range(1, blind_step):
-            inside = clicks[shift:] < reach[:-shift]
-            if not inside.any():
+            within = np.less(clicks[shift:], reach[:-shift],
+                             out=inside[:size - shift])
+            if not within.any():
                 break
-            following[:-shift] += inside
+            following[:-shift] += within
+        del inside
     else:
         following = np.searchsorted(clicks, reach).astype(np.int32)
+    del reach
     # past the end counts as marked, so walkers stop there too
     counted = np.empty(size + 1, dtype=bool)
     counted[0] = counted[-1] = True
@@ -252,16 +275,61 @@ def _apply_dead_time(clicks, blind_step):
     return counted[:-1]
 
 
+def _worker_count(points):
+    """Threads for a pooled scan: the CPUs this process may run on, at most
+    one per point."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, points))
+
+
+def _count_point(child_seed, edges, n_pulses, blind_step):
+    """Coincidences of one delay point from its child seed and cumulative
+    click table [P1, P1 + P12, P(any)]; numpy alone, safe on any thread."""
+    rng = np.random.default_rng(child_seed)
+    clicking = _clicking_pulses(rng, n_pulses, edges[-1])
+    if n_pulses + blind_step <= np.iinfo(np.int32).max:
+        # half the bytes per index; the dead-time veto adds blind_step to
+        # an index, so that sum must fit too
+        clicking = clicking.astype(np.int32)
+    # one uniform u per clicking pulse: u * P(any) below the second edge
+    # clicks arm 1, at or above the first edge arm 2, so both arms click
+    # between the two edges
+    pattern = rng.random(clicking.size)
+    pattern *= edges[-1]
+    on1, on2 = pattern < edges[1], pattern >= edges[0]
+    # each array is freed once used, to keep the points in flight small
+    del pattern
+    clicks1, clicks2 = np.compress(on1, clicking), np.compress(on2, clicking)
+    del clicking
+    counted1 = _apply_dead_time(clicks1, blind_step)
+    del clicks1
+    counted2 = _apply_dead_time(clicks2, blind_step)
+    del clicks2
+    # each arm's clicks where the other arm clicks too are the same pulses
+    # in the same order
+    return np.count_nonzero(np.compress(np.compress(on1, on2), counted1)
+                            & np.compress(np.compress(on2, on1), counted2))
+
+
 def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
     """Coincidence counts over a delay scan; returns a counts DelayScan.
 
     Every delay point runs the source's ``pulses_per_run`` pulses.
     ``seed`` is mandatory: identical inputs and seed give identical counts.
+    ``delays_ps`` must be a non-empty, strictly increasing 1D axis without
+    NaN; it is checked before any point is simulated.
     """
     if seed is None:
         raise ValueError("seed is required for reproducible simulation")
     check_eta(eta)
     delays = np.asarray(delays_ps, dtype=float)
+    if np.isnan(delays).any():
+        raise ValueError("delays_ps must not hold NaN")
+    scan = DelayScan(delay_ps=delays,
+                     values=np.zeros(delays.shape, dtype=np.int64))
     n_pulses = source.pulses_per_run
 
     # a window past the last pulse counts as the whole run, which also
@@ -270,26 +338,24 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
                                       / source.repetition_period_ns,
                                       n_pulses)))
 
+    # the tables call public fock and hom functions, which bench/tracer.py
+    # times on one span stack, so they are built here, on the calling
+    # thread, and only numpy runs on the pool
+    tables = [np.cumsum(_click_pattern_probabilities(
+        spectral_overlap(state, float(delay)), eta, source, detectors))
+        for delay in delays]
     streams = np.random.SeedSequence(seed).spawn(delays.size)
-    counts = np.zeros(delays.size, dtype=np.int64)
-    for point, child in enumerate(streams):
-        rng = np.random.default_rng(child)
-        edges = np.cumsum(_click_pattern_probabilities(
-            spectral_overlap(state, float(delays[point])), eta, source,
-            detectors))
-        clicking = _clicking_pulses(rng, n_pulses, edges[-1])
-        # one uniform u per clicking pulse: u * P(any) below the second
-        # edge clicks arm 1, at or above the first edge arm 2, so both
-        # arms click between the two edges
-        pattern = rng.random(clicking.size) * edges[-1]
-        on1, on2 = pattern < edges[1], pattern >= edges[0]
-        counted1, counted2 = (_apply_dead_time(np.compress(on, clicking),
-                                               blind_step)
-                              for on in (on1, on2))
-        # each arm's clicks where the other arm clicks too are the same
-        # pulses in the same order
-        counts[point] = np.count_nonzero(
-            np.compress(np.compress(on1, on2), counted1)
-            & np.compress(np.compress(on2, on1), counted2))
 
-    return DelayScan(delay_ps=delays, values=counts)
+    def count(child, edges):
+        return _count_point(child, edges, n_pulses, blind_step)
+
+    clicks = n_pulses * np.mean([edges[-1] for edges in tables])
+    if clicks < POOL_MIN_CLICKS:
+        scan.values[:] = list(map(count, streams, tables))
+    else:
+        # concurrent.futures loads its thread module here, on first use,
+        # so a CLI start that counts no bright scan never imports it
+        with concurrent.futures.ThreadPoolExecutor(
+                _worker_count(delays.size)) as pool:
+            scan.values[:] = list(pool.map(count, streams, tables))
+    return scan

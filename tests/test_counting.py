@@ -2,12 +2,14 @@
 probabilities, and the detector imperfections."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import _oracles as oracle
+import lnhom.counting as counting
 from lnhom.counting import (DetectorModel, SourceModel, _apply_dead_time,
                             _click_pattern_probabilities, _clicking_pulses,
                             simulate_counts)
@@ -86,6 +88,80 @@ def test_bright_scan_keeps_the_prefix_property():
     short_scan = simulate_counts(STATE, 0.5, _bright_source(),
                                  BRIGHT_DETECTORS, long_axis[:4], seed=7)
     np.testing.assert_array_equal(short_scan.values, long_scan.values[:4])
+
+
+# thermal mu = 0.5 over 120 000 pulses: 41 000 clicking pulses per point,
+# above the floor from which the points run on the thread pool; the axis
+# is asymmetric, so a point paired with its mirror's table shows
+POOLED_DELAYS = np.array([-3.0, -0.5, 0.0, 0.25, 2.0])
+# this scan's counts as the one-point-at-a-time loop gave them before the
+# pool existed
+POOLED_COUNTS = [6362, 4595, 1800, 2741, 6278]
+
+
+def _pooled_scan():
+    return simulate_counts(STATE, 0.5, _bright_source(120_000),
+                           BRIGHT_DETECTORS, POOLED_DELAYS, seed=27)
+
+
+def _on_main_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["loop", "1 worker",
+                                                       "2 workers"])
+def test_pooled_and_looped_points_count_alike(monkeypatch, workers):
+    threads = []
+    count_point = counting._count_point
+
+    def spy(*args):
+        threads.append(_on_main_thread())
+        return count_point(*args)
+
+    monkeypatch.setattr(counting, "_count_point", spy)
+    if workers is None:
+        monkeypatch.setattr(counting, "POOL_MIN_CLICKS", np.inf)
+    else:
+        monkeypatch.setattr(counting, "_worker_count", lambda points: workers)
+    scan = _pooled_scan()
+    assert scan.values.tolist() == POOLED_COUNTS
+    # the loop runs every point on the calling thread, the pool none, so
+    # the scan is above the floor
+    assert threads == [workers is None] * POOLED_DELAYS.size
+
+
+def test_traced_public_functions_run_on_the_calling_thread(monkeypatch):
+    calls = []
+    for name in ("spectral_overlap", "pair_number_probabilities",
+                 "arm_occupation_distribution"):
+        def spy(*args, _wrapped=getattr(counting, name), **kwargs):
+            calls.append(_on_main_thread())
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(counting, name, spy)
+    monkeypatch.setattr(counting, "_worker_count", lambda points: 2)
+    assert _pooled_scan().values.tolist() == POOLED_COUNTS
+    assert calls and all(calls)
+
+
+@pytest.mark.parametrize("delays, message", [
+    (0.0, "non-empty 1D"),
+    ([], "non-empty 1D"),
+    ([[0.0, 1.0], [2.0, 3.0]], "non-empty 1D"),
+    ([np.nan], "delays_ps"),
+    ([-1.0, np.nan, 1.0], "delays_ps"),
+    ([1.0, 0.0], "strictly increasing"),
+    ([0.0, 0.0], "strictly increasing"),
+], ids=["scalar", "empty", "2D", "NaN", "NaN inside", "decreasing",
+        "repeated"])
+def test_delay_axis_is_checked_before_any_point(monkeypatch, delays, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a point was simulated")
+
+    monkeypatch.setattr(counting, "spectral_overlap", unreachable)
+    monkeypatch.setattr(counting, "_count_point", unreachable)
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(STATE, 0.5, _bright_source(), BRIGHT_DETECTORS,
+                        delays, seed=1)
 
 
 def test_seed_is_mandatory():
@@ -330,6 +406,16 @@ def test_dead_time_matches_the_dense_oracle(train, blind_step):
     clicks = np.flatnonzero(raw)
     np.testing.assert_array_equal(clicks[_apply_dead_time(clicks, blind_step)],
                                   expected)
+
+
+@pytest.mark.parametrize("blind_step", [2, 6, 12, 77, 100_000])
+@pytest.mark.parametrize("train", [0.001, 0.3, 1.0, "edges"])
+def test_dead_time_on_int32_indices_matches_int64(train, blind_step):
+    # the points narrow their click indices to int32 before the veto
+    clicks = np.flatnonzero(_click_train(train))
+    np.testing.assert_array_equal(
+        _apply_dead_time(clicks.astype(np.int32), blind_step),
+        _apply_dead_time(clicks, blind_step))
 
 
 # --- model validation ------------------------------------------------------
