@@ -21,10 +21,13 @@ reproduce bit-for-bit.  A scan whose points expect at least
 ``POOL_MIN_CLICKS`` clicking pulses each runs them on a thread pool, one
 worker per CPU the process may use; numpy releases the GIL in the bulk
 work.  The click tables are built on the calling thread first, so only
-numpy runs on the pool.  A point's working set peaks at about 17 bytes
-per clicking pulse, while its click train is drawn as float64 gaps and
-int64 indices; it keeps int32 indices after that.  That is about 6 MB
-per point in flight when a third of 10^6 pulses click (thermal mu = 0.5).
+numpy runs on the pool.  A point draws its exponentials and its pattern
+uniforms, and splits its clicks between the arms, ``DRAW_CHUNK`` at a
+time, so no step holds a whole train of float64 draws or intp indices.
+Its click train peaks at about 12 bytes per clicking pulse, as int64
+indices while they narrow to int32, and the point at about 14, in the
+first arm's dead-time veto.  That is about 4.8 MB per point in flight
+when a third of 10^6 pulses click (thermal mu = 0.5).
 Sparser scans run their points in a loop, since below the floor the
 threads' overhead outweighs the work they share.
 
@@ -51,6 +54,12 @@ from .hom import DelayScan, check_eta, spectral_overlap
 # clicks (reproduce-paper's points), 2.2-2.9 and 2.3 ms at 33k, 3.9-4.0
 # and 2.6 ms at 50k, and 21-25 and 11-12 ms at 334k.
 POOL_MIN_CLICKS = 30_000
+# Exponentials or uniforms a delay point draws per call, and clicks it
+# splits between the arms per call, so its float64 draws hold at most two
+# such chunks, 1 MB, at a time.  A 335k-click bright point's train took
+# 7.8 ms drawn at once and 5.0 ms in chunks of this size (one thread, min
+# of 7, numpy 2.4, x86_64); a Generator yields the same stream either way.
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,9 @@ def _clicking_pulses(rng, n_pulses, probability):
     each gap is floor(E / -log1p(-probability)) + 1 for a standard
     exponential E.  A batch covers the rest of the train with four
     standard deviations to spare; one that ends before the last pulse is
-    followed by another.
+    followed by another.  Its int64 train is allocated once and filled
+    from exponentials drawn ``DRAW_CHUNK`` at a time, by as many as each
+    draw returns.
     """
     if probability <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -178,13 +189,18 @@ def _clicking_pulses(rng, n_pulses, probability):
         # remaining + 1 gaps of at least one pulse always pass the end
         size = min(math.ceil(expected + 4.0 * math.sqrt(expected)) + 1,
                    remaining + 1)
-        gaps = rng.standard_exponential(size)
-        # a gap of n_pulses, or an infinite one at a denormal rate, passes
-        # the end; the clamp keeps the cast and the sum inside int64
-        with np.errstate(over="ignore"):
-            gaps /= rate
-        np.minimum(gaps, n_pulses, out=gaps)
-        train = gaps.astype(np.int64)
+        train = np.empty(size, dtype=np.int64)
+        filled = 0
+        while filled < size:
+            gaps = rng.standard_exponential(min(DRAW_CHUNK, size - filled))
+            # a gap of n_pulses, or an infinite one at a denormal rate,
+            # passes the end; the clamp keeps the cast and the sum inside
+            # int64
+            with np.errstate(over="ignore"):
+                gaps /= rate
+            np.minimum(gaps, n_pulses, out=gaps)
+            train[filled:filled + gaps.size] = gaps
+            filled += gaps.size
         train += 1
         train[0] += last
         np.cumsum(train, out=train)
@@ -246,7 +262,9 @@ def _apply_dead_time(clicks, blind_step):
     counted[0] = counted[-1] = True
     np.greater_equal(np.diff(clicks), blind_step, out=counted[1:-1])
     starts = np.flatnonzero(counted[:-1])
-    longest = int(np.diff(starts, append=size).max())
+    # the last cluster runs to the end; np.diff with append= would copy
+    # starts, 0.6 MB more at a 220k-click arm's peak
+    longest = max(int(np.diff(starts).max(initial=0)), size - int(starts[-1]))
 
     def walk(table, at):
         # the walkers' clicks, round by round, until each meets a marked one
@@ -285,6 +303,37 @@ def _worker_count(points):
     return max(1, min(cpus, points))
 
 
+def _arm_masks(rng, size, edges):
+    """Which of ``size`` clicking pulses click arm 1 and which arm 2, from
+    the cumulative click table ``edges`` [P1, P1 + P12, P(any)]: one
+    uniform u per pulse, drawn ``DRAW_CHUNK`` at a time straight into the
+    masks; u * P(any) below the second edge clicks arm 1, at or above the
+    first edge arm 2, so both arms click between the two edges."""
+    on1, on2 = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    pattern = np.empty(min(DRAW_CHUNK, size))
+    for first in range(0, size, DRAW_CHUNK):
+        chunk = rng.random(out=pattern[:min(DRAW_CHUNK, size - first)])
+        chunk *= edges[-1]
+        np.less(chunk, edges[1], out=on1[first:first + chunk.size])
+        np.greater_equal(chunk, edges[0], out=on2[first:first + chunk.size])
+    return on1, on2
+
+
+def _select(mask, values):
+    """``np.compress(mask, values)``, one ``DRAW_CHUNK`` at a time:
+    ``compress`` builds an intp index per value it keeps, which over a
+    whole bright arm was the peak of a point, 1.7 MB at 220k clicks.
+    Boolean indexing builds none, but took four times as long."""
+    selected = np.empty(np.count_nonzero(mask), dtype=values.dtype)
+    end = 0
+    for first in range(0, values.size, DRAW_CHUNK):
+        part = np.compress(mask[first:first + DRAW_CHUNK],
+                           values[first:first + DRAW_CHUNK])
+        selected[end:end + part.size] = part
+        end += part.size
+    return selected
+
+
 def _count_point(child_seed, edges, n_pulses, blind_step):
     """Coincidences of one delay point from its child seed and cumulative
     click table [P1, P1 + P12, P(any)]; numpy alone, safe on any thread."""
@@ -294,15 +343,9 @@ def _count_point(child_seed, edges, n_pulses, blind_step):
         # half the bytes per index; the dead-time veto adds blind_step to
         # an index, so that sum must fit too
         clicking = clicking.astype(np.int32)
-    # one uniform u per clicking pulse: u * P(any) below the second edge
-    # clicks arm 1, at or above the first edge arm 2, so both arms click
-    # between the two edges
-    pattern = rng.random(clicking.size)
-    pattern *= edges[-1]
-    on1, on2 = pattern < edges[1], pattern >= edges[0]
+    on1, on2 = _arm_masks(rng, clicking.size, edges)
     # each array is freed once used, to keep the points in flight small
-    del pattern
-    clicks1, clicks2 = np.compress(on1, clicking), np.compress(on2, clicking)
+    clicks1, clicks2 = _select(on1, clicking), _select(on2, clicking)
     del clicking
     counted1 = _apply_dead_time(clicks1, blind_step)
     del clicks1

@@ -35,20 +35,23 @@ d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y, then the rows from the
 first x-varying one to the last, whose pivots are dense.  With the shift
 above the spectrum every pivot is negative definite, and each is inverted
 by the same elimination on halves of it, whose Cholesky leaves prove it
-so (:func:`_pivot_inverse`).  The Lanczos iteration runs on the rows'
+so (:func:`_definite_inverse`).  The Lanczos iteration runs on the rows'
 coefficients in V, each step one forward and one back pass over that
 order; V only maps the start vector in and the eigenvectors out.  For N
 columns in the half each dense row costs the factorisation N^3 time and
 N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm pitch; a
-build_cross_section map has etch_depth / pitch dense rows.
+build_cross_section map has etch_depth / pitch dense rows.  The halves
+are solved one after the other, and each half's sweep and basis are freed
+before the next is factorised, so one half is resident at a time.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
 eigenvalues of the operator above tau equals the number of positive pivots
 of an LDL^T factorisation of (operator - tau I), so the same sweep shifted
 to tau counts every mode above the cutoff exactly, with no cap: the
-positive entries of its vector pivots plus, by the same law on the halving
-of each dense pivot, the positive eigenvalues of its leaves.
+positive entries of its vector pivots plus the positive eigenvalues of
+each dense pivot that is not negative definite, which is inverted whole
+by ``eigh`` (:func:`_pivot_inverse`).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ MAX_MODES = 32
 # its eigenvalue, at which an eigenpair has converged
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
-# order at which _pivot_inverse stops halving a block: inverting a
+# order at which _definite_inverse stops halving a block: inverting a
 # 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
 # (3.1 and 3.6 ms down to 32 and 128; numpy 2.4, one BLAS thread, x86_64)
 DEFINITE_ORDER = 64
@@ -99,36 +102,46 @@ def _unusable_pivot(at):
                             "pivot")
 
 
+def _definite_inverse(block):
+    """Inverse of the negative definite symmetric ``block`` by the sweep's
+    elimination on halves: with X the inverse of A, W = X B and S = D - B^T
+    W, [[A, B], [B^T, D]]^-1 = [[X + W S^-1 W^T, -W S^-1], [-S^-1 W^T,
+    S^-1]], and the block is negative definite if and only if A and S are
+    (Sylvester).  A leaf of at most ``DEFINITE_ORDER`` takes Cholesky, which
+    proves it so, and ``inv``.  Raises ``numpy.linalg.LinAlgError`` if a
+    leaf is not negative definite."""
+    if len(block) <= DEFINITE_ORDER:
+        np.linalg.cholesky(-block)
+        return np.linalg.inv(block)
+    h = len(block) // 2
+    leading = _definite_inverse(block[:h, :h])
+    w = leading @ block[:h, h:]
+    trailing = _definite_inverse(block[h:, h:] - block[h:, :h] @ w)
+    coupling = -(w @ trailing)
+    inverse = np.empty_like(block)
+    inverse[:h, :h] = leading - coupling @ w.T
+    inverse[:h, h:] = coupling
+    inverse[h:, :h] = coupling.T
+    inverse[h:, h:] = trailing
+    return inverse
+
+
 def _pivot_inverse(block, at):
     """Inverse of the symmetric pivot ``block`` (a vector v for diag(v)) and
-    its number of positive eigenvalues.  A dense one is inverted by the
-    sweep's elimination on halves: with X the inverse of A, W = X B and S =
-    D - B^T W, [[A, B], [B^T, D]]^-1 = [[X + W S^-1 W^T, -W S^-1], [-S^-1
-    W^T, S^-1]], and A and S hold its positive eigenvalues (Sylvester).  A
-    leaf of at most ``DEFINITE_ORDER`` takes Cholesky and ``inv`` if it is
-    negative definite, as every pivot of the shift-invert sweep is, and
-    ``eigh`` if not.  Raises :class:`ConvergenceError`, naming the shift
-    ``at``, on a non-finite block or a zero eigenvalue."""
+    its number of positive eigenvalues.  A dense one that is negative
+    definite, as every pivot of the shift-invert sweep is, is inverted by
+    :func:`_definite_inverse`; any other, whole, by ``eigh``, whose
+    eigenvalues give the count: halving it without pivoting would lose
+    digits with the condition of its halves.  Raises
+    :class:`ConvergenceError`, naming the shift ``at``, on a non-finite
+    block or a zero eigenvalue."""
     if not np.isfinite(block).all():
         raise _unusable_pivot(at)
     if block.ndim == 1:
         values = block
-    elif len(block) > DEFINITE_ORDER:
-        h = len(block) // 2
-        leading, positives = _pivot_inverse(block[:h, :h], at)
-        w = leading @ block[:h, h:]
-        trailing, more = _pivot_inverse(block[h:, h:] - block[h:, :h] @ w, at)
-        coupling = -(w @ trailing)
-        inverse = np.empty_like(block)
-        inverse[:h, :h] = leading - coupling @ w.T
-        inverse[:h, h:] = coupling
-        inverse[h:, :h] = coupling.T
-        inverse[h:, h:] = trailing
-        return inverse, positives + more
     else:
         try:
-            np.linalg.cholesky(-block)
-            return np.linalg.inv(block), 0
+            return _definite_inverse(block), 0
         except np.linalg.LinAlgError:
             values, vectors = np.linalg.eigh(block)
     if not np.all(values != 0.0):
@@ -338,6 +351,9 @@ def _top_modes(index_map, halves, n_modes):
         start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
         values, vectors = eigsh(sweep.solve, start, k=min(n_modes, half.size))
         vectors = vectors @ basis.T  # drops the coefficients before next half
+        # the next half is factorised with this one's sweep, basis and
+        # start vector freed, so one half is resident at a time
+        del basis, sweep, start
         for val, vec in zip(sigma + 1.0 / values, vectors):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
             if n_eff > index_map.substrate_index:

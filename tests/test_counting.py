@@ -2,6 +2,7 @@
 probabilities, and the detector imperfections."""
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -128,6 +129,23 @@ def test_pooled_and_looped_points_count_alike(monkeypatch, workers):
     # the loop runs every point on the calling thread, the pool none, so
     # the scan is above the floor
     assert threads == [workers is None] * POOLED_DELAYS.size
+
+
+# thermal mu = 0.5 over 700 000 pulses: 241 000 clicking pulses per point,
+# so every point draws its train and its patterns in four DRAW_CHUNKs
+CHUNKED_DELAYS = np.array([-1.5, 0.0, 4.0])
+# this scan's counts as the whole-train draws gave them before the chunks
+CHUNKED_COUNTS = [36655, 10353, 36445]
+
+
+def test_bright_points_across_draw_chunks_keep_their_counts():
+    source = _bright_source(700_000)
+    clicks = source.pulses_per_run * np.sum(_click_pattern_probabilities(
+        spectral_overlap(STATE, 0.0), 0.5, source, BRIGHT_DETECTORS))
+    assert clicks > 3 * counting.DRAW_CHUNK
+    scan = simulate_counts(STATE, 0.5, source, BRIGHT_DETECTORS,
+                           CHUNKED_DELAYS, seed=28)
+    assert scan.values.tolist() == CHUNKED_COUNTS
 
 
 def test_traced_public_functions_run_on_the_calling_thread(monkeypatch):
@@ -262,6 +280,45 @@ def test_click_trains_follow_the_bernoulli_patterns(probability, batches):
     assert chi2.sf(statistic, 2**n_pulses - 1) > 1e-3
     if batches == "one gap each":
         assert rng.requests > draws
+
+
+def _whole_train(rng, n_pulses, probability):
+    """The click-train sampler as it drew each batch in one call, before
+    the draws came in chunks."""
+    rate = -math.log1p(-probability)
+    batches, last = [], -1
+    while last < n_pulses - 1:
+        remaining = n_pulses - 1 - last
+        expected = remaining * probability
+        size = min(math.ceil(expected + 4.0 * math.sqrt(expected)) + 1,
+                   remaining + 1)
+        gaps = rng.standard_exponential(size)
+        with np.errstate(over="ignore"):
+            gaps /= rate
+        np.minimum(gaps, n_pulses, out=gaps)
+        train = gaps.astype(np.int64)
+        train += 1
+        train[0] += last
+        np.cumsum(train, out=train)
+        last = int(train[-1])
+        batches.append(train)
+    batches[-1] = train[:np.searchsorted(train, n_pulses)]
+    return batches[0] if len(batches) == 1 else np.concatenate(batches)
+
+
+# batches of about 0.5, 1.5 and 3.1 DRAW_CHUNKs, and of one draw past a
+# chunk's end (2^16 pulses, whose batch is capped at n_pulses + 1)
+@pytest.mark.parametrize("n_pulses, probability", [
+    (100_000, 0.3), (300_000, 0.33), (10**6, 0.2), (2**16, 1.0 - 1e-3)])
+def test_chunked_click_trains_match_whole_draws(n_pulses, probability):
+    for seed in range(3):
+        chunked, whole = (np.random.default_rng(seed) for _ in range(2))
+        train = _clicking_pulses(chunked, n_pulses, probability)
+        assert train.dtype == np.int64
+        np.testing.assert_array_equal(
+            train, _whole_train(whole, n_pulses, probability))
+        # the pattern uniforms that follow come from the same stream
+        assert chunked.random() == whole.random()
 
 
 def test_click_trains_at_the_probability_limits():

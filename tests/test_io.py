@@ -9,7 +9,9 @@ import pytest
 
 from lnhom.fitting import FitResult, PowerRatioSeries
 from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, DelayScan
+import lnhom.io as lio
 from lnhom.io import (
+    ROW_BLOCK,
     _write_columns,
     read_delay_scan_csv,
     read_power_ratio_csv,
@@ -232,7 +234,7 @@ _EDGE_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05,
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 5), (2, 0),
-                                   (0, 3)])
+                                   (0, 3), (2 * ROW_BLOCK + 3, 5)])
 @pytest.mark.parametrize("kind", ["repeated", "distinct"])
 def test_field_csv_matches_repr_oracle(tmp_path, shape, kind):
     # byte for byte: the header, then x,y,value as each float's repr for
@@ -254,6 +256,29 @@ def test_field_csv_matches_repr_oracle(tmp_path, shape, kind):
         for i in range(ny) for j in range(nx))
     write_field_csv(tmp_path / "field.csv", x, y, values)
     assert (tmp_path / "field.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_field_csv_formats_a_row_block_at_a_time(tmp_path, monkeypatch):
+    # no more than ROW_BLOCK grid rows of cell text exist at once; the
+    # antisymmetric rows send their magnitudes through _cell_text again
+    sizes = []
+    cell_text = lio._cell_text
+
+    def spy(column):
+        sizes.append(np.asarray(column).size)
+        return cell_text(column)
+
+    monkeypatch.setattr(lio, "_cell_text", spy)
+    ny, nx = 3 * ROW_BLOCK + 1, 9
+    half = np.random.default_rng(5).normal(size=(ny, nx // 2))
+    values = np.hstack([-half[:, ::-1], np.zeros((ny, 1)), half])
+    x, y = np.arange(nx) * 10.0, np.arange(ny) * 10.0
+    write_field_csv(tmp_path / "field.csv", x, y, values)
+    assert max(sizes) <= ROW_BLOCK * nx
+    assert sizes.count(ROW_BLOCK * nx) >= 2 * 3
+    with open(tmp_path / "field.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [float(row[2]) for row in rows] == values.ravel().tolist()
 
 
 def test_unequal_columns_are_rejected(tmp_path):

@@ -1,5 +1,6 @@
 """Finite-difference mode solver against analytic oracles and invariants."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -297,6 +298,31 @@ def test_each_half_is_asked_for_exactly_n_modes(coupler_40nm, n_modes,
         [n_modes] * (1 if n_modes == 1 else 2)
 
 
+@pytest.mark.parametrize("run", ["solve", "beat length", "count"])
+def test_one_mirror_half_is_resident_at_a_time(coupler_40nm, run,
+                                               monkeypatch):
+    # each half's sweep is freed before the next half is factorised
+    map_, _ = coupler_40nm
+    sweeps, alive = [], []
+    real = modes._half_sweep
+
+    def spy(*args):
+        alive.append([sweep() is not None for sweep in sweeps])
+        basis, sweep = real(*args)
+        sweeps.append(weakref.ref(sweep))
+        return basis, sweep
+
+    monkeypatch.setattr(modes, "_half_sweep", spy)
+    if run == "solve":
+        solve_modes(map_, 2)
+    elif run == "beat length":
+        supermode_coupling_length(reference_geometry(gap_um=2.3), 1550.0,
+                                  grid_pitch_nm=40.0)
+    else:
+        modes._modes_above(map_, _mode_shift(map_.index, 40.0, 1550.0))
+    assert alive == [[], [False]]
+
+
 def test_more_modes_extend_fewer(coupler_40nm):
     map_, _ = coupler_40nm
     runs = [solve_modes(map_, n_modes) for n_modes in (1, 2, 3, 4)]
@@ -396,6 +422,22 @@ def test_inertia_count_of_a_dense_symmetric_matrix():
             rtol = 1e-12 if tau > values[-1] else 1e-7
             assert np.allclose(sweep.solve(rhs)[0], expected, rtol=0.0,
                                atol=rtol * np.abs(expected).max())
+
+
+def test_indefinite_pivot_is_inverted_to_rounding():
+    # a 260 x 260 pivot, as wide as the 10 nm reference rib's symmetric
+    # half, shifted into its spectrum: halved without pivoting, its
+    # inverse left residuals of 2e-10 to 7e-6
+    rng = np.random.default_rng(4)
+    size = 260
+    dense = rng.normal(size=(size, size))
+    dense = dense + dense.T
+    values = np.linalg.eigvalsh(dense)
+    for tau in (-3.0, 0.1, 2.5):
+        shifted = dense - tau * np.eye(size)
+        inverse, positives = modes._pivot_inverse(shifted.copy(), tau)
+        assert positives == np.count_nonzero(values > tau)
+        assert np.abs(inverse @ shifted - np.eye(size)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("matrix", [
