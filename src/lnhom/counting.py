@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -76,6 +77,10 @@ class SourceModel:
         if not 0.0 <= self.mean_pairs_per_pulse < math.inf:
             raise ValueError("mean_pairs_per_pulse must be finite and "
                              "non-negative")
+        # a bool is an Integral, and True would run one pulse
+        if isinstance(self.pulses_per_run, bool) or \
+                not isinstance(self.pulses_per_run, numbers.Integral):
+            raise ValueError("pulses_per_run must be an integer")
         if self.pulses_per_run < 1:
             raise ValueError("pulses_per_run must be at least 1")
         if self.statistics not in PAIR_STATISTICS:

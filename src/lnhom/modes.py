@@ -37,8 +37,8 @@ above the spectrum every pivot is negative definite, and each is inverted
 by the same elimination on halves of it, whose Cholesky leaves prove it
 so (:func:`_definite_inverse`).  The Lanczos iteration runs on the rows'
 coefficients in V, each step one forward and one back pass over that
-order; V only maps the start vector in and the eigenvectors out.  For N
-columns in the half each dense row costs the factorisation N^3 time and
+order; its start is built in V, so V only maps the eigenvectors out.  For
+N columns in the half each dense row costs the factorisation N^3 time and
 N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm pitch; a
 build_cross_section map has etch_depth / pitch dense rows.  The halves
 are solved one after the other, and each half's sweep and basis are freed
@@ -56,6 +56,7 @@ by ``eigh`` (:func:`_pivot_inverse`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,8 @@ MAX_MODES = 32
 # its eigenvalue, at which an eigenpair has converged
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
+# step of the Weyl sequence (_weyl) that a solve starts and restarts from
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # order at which _definite_inverse stops halving a block: inverting a
 # 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
 # (3.1 and 3.6 ms down to 32 and 128; numpy 2.4, one BLAS thread, x86_64)
@@ -243,6 +246,15 @@ def _half_sweep(half, pitch, k0, parity, shift):
     return basis, _Sweep(blocks, coupling, shift)
 
 
+def _weyl(count, step, skip=0):
+    """The ``count`` terms after the first ``skip`` of the Weyl sequence 2
+    frac(i ``step``) - 1, i = 1, 2, ....  For an irrational ``step`` the
+    terms fill (-1, 1) evenly and never repeat (Weyl, Math. Ann. 77, 313
+    (1916)), so a solver that starts or restarts from them needs no random
+    numbers, and its bits do not hang on a generator's stream."""
+    return 2.0 * np.modf(np.arange(skip + 1, skip + count + 1) * step)[0] - 1.0
+
+
 def eigsh(apply, start, *, k):
     """The ``k`` largest-magnitude eigenvalues of the symmetric linear map
     ``apply`` (an array shaped like ``start`` to another), descending in
@@ -263,7 +275,7 @@ def eigsh(apply, start, *, k):
 
     The start vector's Krylov space holds one eigenvector of each
     eigenvalue.  The other eigenvectors of a repeated one enter the basis
-    through rounding, or from a random direction once the basis spans an
+    through rounding, or from a new direction once the basis spans an
     invariant space, and may overtake kept pairs: a kept pair whose Ritz
     vector has left its place is kept again, with every pair after it,
     from that step.  A basis that can hold the whole space returns only once
@@ -271,14 +283,18 @@ def eigsh(apply, start, *, k):
     eigenvalue fewer times than it repeats, if its other eigenvectors enter
     after ``k`` pairs have converged.  In a mirror half an eigenvalue
     repeats only under a further symmetry, such as that of a uniform square
-    map.
+    map.  The i-th new direction is the :func:`_weyl` sequence that
+    :func:`_top_modes` starts from, advanced by i terms, so every call
+    gives the same bits.  Its phase moves by frac(i a), a = (sqrt(5) - 1)
+    / 2, distinct for each i and, for the first few, far from 0 and 1
+    whatever ``start.size``, so none repeats the start or another.
     """
     size = start.size
     ncv = min(max(2 * k + 1, 20), size)
     basis = np.empty((ncv + 1, size))
     basis[0] = start.ravel() / np.linalg.norm(start)
     projected = np.zeros((ncv, ncv))  # basis^T apply basis
-    rng = np.random.default_rng(0)
+    restarts = 0  # the new directions taken
     values, vectors = [], []
     tracked = np.zeros((0, 0))  # the kept pairs' Ritz coefficients
     first = 0  # the basis vectors kept over the restarts
@@ -316,8 +332,12 @@ def eigsh(apply, start, *, k):
                 return (np.array(values[:k]),
                         np.array(vectors[:k]).reshape((k,) + start.shape))
             tracked = ritz[:, :len(values)]
-            if exhausted:  # go on from a random direction
-                vector = rng.uniform(-1.0, 1.0, size)
+            if exhausted:  # go on from a new direction
+                # advancing by whole start lengths would move the phase by
+                # frac(i size a), near 0 where size is a Fibonacci number:
+                # at 21 and 55 cells that direction lay in the basis
+                restarts += 1
+                vector = _weyl(size, _GOLDEN, restarts)
                 for _ in range(2):
                     vector -= (basis[:j + 1] @ vector) @ basis[:j + 1]
                 beta = np.linalg.norm(vector)
@@ -347,8 +367,9 @@ def _top_modes(index_map, halves, n_modes):
     candidates = []
     for parity, half in halves:
         basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
-        # a fixed start vector makes every solve bit-reproducible
-        start = np.random.default_rng(0).uniform(-1.0, 1.0, half.shape) @ basis
+        # a fixed start, the half's coefficients in V drawn from the golden
+        # Weyl sequence, makes every solve bit-reproducible
+        start = _weyl(half.size, _GOLDEN).reshape(half.shape)
         values, vectors = eigsh(sweep.solve, start, k=min(n_modes, half.size))
         vectors = vectors @ basis.T  # drops the coefficients before next half
         # the next half is factorised with this one's sweep, basis and
@@ -422,14 +443,17 @@ def solve_modes(index_map, n_modes=1):
     ``n_modes`` that returns it.  Fields are built only for the modes
     returned.  On a half of more than max(2 n_modes + 1, 20) cells, an
     n_eff that repeats within it can come back fewer times than it repeats
-    (see :func:`eigsh`).  Raises ``ValueError`` unless
-    ``n_modes`` lies in [1, ``MAX_MODES``] and the map has an odd number of
-    columns, at least 3, and is mirror-symmetric about the centre one
-    (:class:`InvalidGeometryError` if an index is not finite); raises
+    (see :func:`eigsh`).  Raises ``ValueError`` unless ``n_modes`` is an
+    integer, not a bool, in [1, ``MAX_MODES``] and the map has an odd
+    number of columns, at least 3, and is mirror-symmetric about the centre
+    one (:class:`InvalidGeometryError` if an index is not finite); raises
     :class:`ConvergenceError` if the Lanczos basis needs more than
     ``MAX_ITERATIONS`` restarts to reach ``EIGEN_TOLERANCE``, or the sweep
     meets a zero or non-finite pivot.
     """
+    # a bool is an Integral; a float, even 2.0, would fail in the slicing
+    if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral):
+        raise ValueError("n_modes must be an integer")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     if n_modes > MAX_MODES:

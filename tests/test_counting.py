@@ -488,6 +488,20 @@ def test_source_model_validation():
         SourceModel(mean_pairs_per_pulse=0.01, repetition_period_ns=0.0)
 
 
+@pytest.mark.parametrize("pulses", [2.5, 2.0, True, np.True_, "1000"])
+def test_source_model_refuses_a_non_integer_pulse_count(pulses):
+    # a bool is an Integral, but True would run one pulse
+    with pytest.raises(ValueError, match="pulses_per_run must be an integer"):
+        SourceModel(mean_pairs_per_pulse=0.01, pulses_per_run=pulses)
+
+
+def test_source_model_accepts_numpy_integer_pulse_counts():
+    scans = [simulate_counts(STATE, 0.5, _source(0.01, pulses), IDEAL,
+                             [-5.0, 0.0, 5.0], seed=1)
+             for pulses in (20_000, np.int64(20_000))]
+    np.testing.assert_array_equal(scans[0].values, scans[1].values)
+
+
 def test_detector_model_validation():
     with pytest.raises(ValueError):
         DetectorModel(efficiency=1.2)

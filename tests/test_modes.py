@@ -1,5 +1,6 @@
 """Finite-difference mode solver against analytic oracles and invariants."""
 
+import sys
 import weakref
 from dataclasses import replace
 
@@ -693,6 +694,23 @@ def test_invalid_mode_count(monkeypatch):
             solve_modes(_uniform_map(), n_modes)
 
 
+@pytest.mark.parametrize("n_modes", [2.5, 2.0, True, np.True_])
+def test_non_integer_mode_count_refused_before_any_factorisation(
+        n_modes, monkeypatch):
+    def never_called(*args, **kwargs):
+        raise AssertionError("a half was factorised")
+
+    monkeypatch.setattr(modes, "_half_sweep", never_called)
+    with pytest.raises(ValueError, match="n_modes must be an integer"):
+        solve_modes(_uniform_map(), n_modes)
+
+
+def test_numpy_integer_mode_count_accepted(coupler_40nm):
+    map_, solutions = coupler_40nm
+    assert [mode.n_eff for mode in solve_modes(map_, np.int64(2))] == \
+        [mode.n_eff for mode in solutions]
+
+
 def test_grid_convergence_at_default_pitch():
     # halving the default 10 nm pitch moves the fundamental index by < 5e-4
     geometry = reference_geometry()
@@ -710,3 +728,117 @@ def test_field_peak_positive_sign_convention(slab_modes):
     for solution in sols:
         peak = solution.field.ravel()[np.abs(solution.field).argmax()]
         assert peak > 0
+
+
+# --- fixed start and restart directions ------------------------------------
+
+@pytest.fixture
+def no_random_numbers(monkeypatch):
+    """Make every ``numpy.random.default_rng`` call fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver run drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 4])
+def test_solves_draw_no_random_numbers(coupler_40nm, n_modes,
+                                       no_random_numbers):
+    map_, (sym, anti) = coupler_40nm
+    solutions = solve_modes(map_, n_modes)
+    assert [mode.n_eff for mode in solutions[:2]] == \
+        [sym.n_eff, anti.n_eff][:n_modes]
+
+
+def test_beat_length_and_mode_count_draw_no_random_numbers(
+        no_random_numbers):
+    length = supermode_coupling_length(reference_geometry(gap_um=2.3),
+                                       1550.0, grid_pitch_nm=40.0)
+    assert 90.0 < length < 180.0
+    assert guided_mode_count(reference_geometry(), 1550.0,
+                             grid_pitch_nm=20.0) == 1
+
+
+@pytest.mark.parametrize("shape, pitch", [((7, 7), 150.0), ((11, 11), 150.0),
+                                          ((7, 15), 100.0)])
+def test_repeated_modes_draw_no_random_numbers(shape, pitch,
+                                               no_random_numbers):
+    # at 32 modes the Lanczos basis holds a whole half of each map, and
+    # spans an invariant space before it is full, so eigsh takes new
+    # directions: once on the 28-cell symmetric half of the 7 x 7 map, twice
+    # on the 55-cell antisymmetric one of 11 x 11, four times on the 49-cell
+    # antisymmetric one of 7 x 15
+    test_uniform_map_repeats_no_mode_more_than_it_repeats(shape, pitch, 32)
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (7, 15), (11, 11)])
+def test_restart_directions_are_new_and_leave_the_basis(shape, monkeypatch):
+    # each direction eigsh goes on from must differ from the ones before
+    # it, and must keep a share of its length after the two passes that
+    # orthogonalise it against the basis, or it adds no direction.  The
+    # directions come from the 28- and 21-cell halves of 7 x 7, the 49-cell
+    # one of 7 x 15 and the 55-cell one of 11 x 11; the start's sequence
+    # advanced by 21 or 55 terms, Fibonacci numbers, lay in the basis of
+    # those halves
+    directions = []
+    real = modes._weyl
+
+    def spy(count, step, skip=0):
+        vector = real(count, step, skip)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "eigsh":
+            basis = caller.f_locals["basis"][:caller.f_locals["j"] + 1]
+            # eigsh orthogonalises the vector in place
+            directions.append((vector.copy(), basis.copy()))
+        return vector
+
+    monkeypatch.setattr(modes, "_weyl", spy)
+    rows, columns = shape
+    pitch = 100.0
+    map_ = IndexMap(index=np.full((rows, columns), 2.0),
+                    x_nm=np.arange(columns) * pitch,
+                    y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=0.0)
+    solve_modes(map_, 32)
+    assert len(directions) >= 2
+    for i, (vector, basis) in enumerate(directions):
+        assert vector.size in (rows * (columns // 2),
+                               rows * (columns // 2 + 1))
+        assert not any(other.shape == vector.shape and
+                       np.allclose(vector, other)
+                       for other, _ in directions[:i])
+        left = vector.copy()
+        for _ in range(2):
+            left -= (basis @ left) @ basis
+        assert np.linalg.norm(left) > 1e-8 * np.linalg.norm(vector)
+
+
+@pytest.mark.parametrize("columns", [109, 111, 177, 179])
+def test_fibonacci_half_width_returns_the_modes_of_another_start(
+        columns, monkeypatch):
+    # the start's coefficients in row r + 1 are those of row r shifted by
+    # frac(N a), N the half's columns and a the golden step, which is near
+    # 0 or 1 where N is a Fibonacci number: 55 or 89 columns in one half
+    rows, pitch = 24, 100.0
+    index = np.full((rows, columns), 1.0)
+    index[:8] = 1.44
+    index[8:10] = 2.21
+    index[10:14, columns // 2 - 7:columns // 2 + 8] = 2.21
+    map_ = IndexMap(index=index, x_nm=np.arange(columns) * pitch,
+                    y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=1.44)
+    fixed = solve_modes(map_, 4)
+    real = modes.eigsh
+
+    def from_random_start(apply, start, *, k):
+        other = np.random.default_rng(1).uniform(-1.0, 1.0, start.shape)
+        return real(apply, other, k=k)
+
+    monkeypatch.setattr(modes, "eigsh", from_random_start)
+    other = solve_modes(map_, 4)
+    assert len(fixed) == len(other) == 4
+    for a, b in zip(fixed, other):
+        assert a.parity == b.parity
+        assert a.n_eff == pytest.approx(b.n_eff, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(a.field, b.field, rtol=0.0,
+                                   atol=1e-7 * np.abs(a.field).max())

@@ -49,6 +49,25 @@ def test_scenarios_run_where_scipy_cannot_be_imported(tmp_path):
         assert (tmp_path / f"{scenario}-out" / "report.txt").is_file()
 
 
+def test_solver_run_loads_no_random_numbers(tmp_path):
+    # a fresh process: scipy, which this one has loaded, loads numpy.random,
+    # and so does numpy's own import before numpy 2, so the run must add it
+    # to sys.modules only where numpy's import had
+    config = Path(__file__).resolve().parents[1] / "configs" / "supermodes.cfg"
+    code = ("import sys\n"
+            "import numpy\n"
+            "by_numpy = 'numpy.random' in sys.modules\n"
+            "from lnhom.cli import main\n"
+            f"code = main(['modes', '--config', {str(config)!r},\n"
+            "             '--out', 'modes-out'])\n"
+            "print(code, by_numpy, 'numpy.random' in sys.modules)\n")
+    result = _run_python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    code, by_numpy, after_run = result.stdout.split()[-3:]
+    assert code == "0"
+    assert after_run == by_numpy
+
+
 def test_library_imports_only_at_module_level():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
