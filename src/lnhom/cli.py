@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ MAX_SCAN_POINTS = 100_000
 @dataclass(frozen=True)
 class ConfigKey:
     name: str
-    kind: str  # float | int | str | bool
+    kind: type  # float, int, str or bool
     default: object = _REQUIRED
     help: str = ""
     choices: tuple = None
@@ -67,7 +67,7 @@ def _schema(*keys):
 
 # keys named after a dataclass field default to that field's default
 _GEOMETRY_KEYS = tuple(
-    ConfigKey(name, "float", getattr(WaveguideGeometry, name), help_text)
+    ConfigKey(name, float, getattr(WaveguideGeometry, name), help_text)
     for name, help_text in (
         ("film_thickness_nm", "LN film thickness"),
         ("etch_depth_nm", "rib etch depth"),
@@ -78,106 +78,108 @@ _GEOMETRY_KEYS = tuple(
     ))
 
 _DEVICE_KEYS = (
-    ConfigKey("coupling_length_um", "float", ref.COUPLING_LENGTH_UM,
+    ConfigKey("coupling_length_um", float, ref.COUPLING_LENGTH_UM,
               "beat length at the reference wavelength"),
-    ConfigKey("reference_wavelength_nm", "float",
+    ConfigKey("reference_wavelength_nm", float,
               ref.CHARACTERIZATION_WAVELENGTH_NM, "calibration wavelength"),
-    ConfigKey("delta_n_slope_per_nm", "float",
+    ConfigKey("delta_n_slope_per_nm", float,
               CouplerDevice.delta_n_slope_per_nm,
               "linear slope of the supermode index splitting"),
-    ConfigKey("bend_offset_um", "float", CouplerDevice.bend_offset_um,
+    ConfigKey("bend_offset_um", float, CouplerDevice.bend_offset_um,
               "effective bend length"),
 )
 
 SCENARIO_SCHEMAS = {
     "modes": _schema(
         *_GEOMETRY_KEYS,
-        ConfigKey("wavelength_nm", "float", 1550.0, "vacuum wavelength"),
-        ConfigKey("grid_pitch_nm", "float", DEFAULT_GRID_PITCH_NM, "cell size"),
-        ConfigKey("padding_um", "float", DEFAULT_PADDING_UM,
+        ConfigKey("wavelength_nm", float, 1550.0, "vacuum wavelength"),
+        ConfigKey("grid_pitch_nm", float, DEFAULT_GRID_PITCH_NM, "cell size"),
+        ConfigKey("padding_um", float, DEFAULT_PADDING_UM,
                   "cladding padding on each side"),
-        ConfigKey("polarization", "str", DEFAULT_POLARIZATION, "mode family",
+        ConfigKey("polarization", str, DEFAULT_POLARIZATION, "mode family",
                   POLARIZATIONS),
-        ConfigKey("n_modes", "int", 2, "guided modes requested"),
-        ConfigKey("write_fields", "bool", True, "dump mode fields as CSV"),
-        ConfigKey("write_index_map", "bool", False, "dump the index map"),
+        ConfigKey("n_modes", int, 2, "guided modes requested"),
+        ConfigKey("write_fields", bool, True, "dump mode fields as CSV"),
+        ConfigKey("write_index_map", bool, False, "dump the index map"),
     ),
     "coupler-sweep": _schema(
         *_DEVICE_KEYS,
-        ConfigKey("wavelength_nm", "float", ref.CHARACTERIZATION_WAVELENGTH_NM,
+        ConfigKey("wavelength_nm", float, ref.CHARACTERIZATION_WAVELENGTH_NM,
                   "evaluation wavelength"),
-        ConfigKey("length_min_um", "float", 30.0, "first interaction length"),
-        ConfigKey("length_max_um", "float", 580.0, "last interaction length"),
-        ConfigKey("length_step_um", "float", 10.0, "length step"),
+        ConfigKey("length_min_um", float, ref.INTERACTION_LENGTH_SERIES_UM[0],
+                  "first interaction length"),
+        ConfigKey("length_max_um", float, ref.INTERACTION_LENGTH_SERIES_UM[1],
+                  "last interaction length"),
+        ConfigKey("length_step_um", float, 10.0, "length step"),
     ),
     "bandwidth": _schema(
         *_DEVICE_KEYS,
-        ConfigKey("interaction_length_um", "float", None,
+        ConfigKey("interaction_length_um", float, None,
                   "fixed interaction length; omit to use a 50:50 design"),
-        ConfigKey("design_order", "int", 0,
+        ConfigKey("design_order", int, 0,
                   "half-period branch of the 50:50 design"),
-        ConfigKey("wavelength_min_nm", "float", 1540.0, "scan start"),
-        ConfigKey("wavelength_max_nm", "float", 1560.0, "scan end"),
-        ConfigKey("step_nm", "float", 0.25, "scan step"),
+        ConfigKey("wavelength_min_nm", float, 1540.0, "scan start"),
+        ConfigKey("wavelength_max_nm", float, 1560.0, "scan end"),
+        ConfigKey("step_nm", float, 0.25, "scan step"),
     ),
     "hom-dip": _schema(
-        ConfigKey("center_wavelength_nm", "float", ref.PHOTON_WAVELENGTH_NM),
-        ConfigKey("bandwidth_fwhm_nm", "float", ref.PHOTON_BANDWIDTH_FWHM_NM),
-        ConfigKey("source_visibility", "float",
+        ConfigKey("center_wavelength_nm", float, ref.PHOTON_WAVELENGTH_NM),
+        ConfigKey("bandwidth_fwhm_nm", float, ref.PHOTON_BANDWIDTH_FWHM_NM),
+        ConfigKey("source_visibility", float,
                   TwoPhotonState.source_visibility, "zero-delay overlap I(0)"),
-        ConfigKey("eta", "float", 0.5, "splitter cross fraction"),
-        ConfigKey("delay_min_ps", "float", ref.DELAY_RANGE_PS[0]),
-        ConfigKey("delay_max_ps", "float", ref.DELAY_RANGE_PS[1]),
-        ConfigKey("delay_points", "int", 81),
-        ConfigKey("normalized", "bool", True, "divide by the far-delay baseline"),
+        ConfigKey("eta", float, 0.5, "splitter cross fraction"),
+        ConfigKey("delay_min_ps", float, ref.DELAY_RANGE_PS[0]),
+        ConfigKey("delay_max_ps", float, ref.DELAY_RANGE_PS[1]),
+        ConfigKey("delay_points", int, 81),
+        ConfigKey("normalized", bool, True, "divide by the far-delay baseline"),
     ),
     "simulate-counts": _schema(
-        ConfigKey("center_wavelength_nm", "float", ref.PHOTON_WAVELENGTH_NM),
-        ConfigKey("bandwidth_fwhm_nm", "float", ref.PHOTON_BANDWIDTH_FWHM_NM),
-        ConfigKey("source_visibility", "float", ref.SOURCE_VISIBILITY,
+        ConfigKey("center_wavelength_nm", float, ref.PHOTON_WAVELENGTH_NM),
+        ConfigKey("bandwidth_fwhm_nm", float, ref.PHOTON_BANDWIDTH_FWHM_NM),
+        ConfigKey("source_visibility", float, ref.SOURCE_VISIBILITY,
                   "zero-delay overlap I(0)"),
-        ConfigKey("eta", "float", ref.SPLITTING_RATIO),
-        ConfigKey("mean_pairs_per_pulse", "float",
+        ConfigKey("eta", float, ref.SPLITTING_RATIO),
+        ConfigKey("mean_pairs_per_pulse", float,
                   ref.REPRODUCTION_MEAN_PAIRS_PER_PULSE),
-        ConfigKey("statistics", "str", SourceModel.statistics,
+        ConfigKey("statistics", str, SourceModel.statistics,
                   "pair statistics", PAIR_STATISTICS),
-        ConfigKey("repetition_period_ns", "float",
+        ConfigKey("repetition_period_ns", float,
                   SourceModel.repetition_period_ns),
-        ConfigKey("efficiency", "float", ref.DETECTOR_EFFICIENCY),
-        ConfigKey("dead_time_ns", "float", ref.DETECTOR_DEAD_TIME_NS),
-        ConfigKey("dark_count_probability", "float",
+        ConfigKey("efficiency", float, ref.DETECTOR_EFFICIENCY),
+        ConfigKey("dead_time_ns", float, ref.DETECTOR_DEAD_TIME_NS),
+        ConfigKey("dark_count_probability", float,
                   DetectorModel.dark_count_probability),
-        ConfigKey("delay_min_ps", "float", ref.DELAY_RANGE_PS[0]),
-        ConfigKey("delay_max_ps", "float", ref.DELAY_RANGE_PS[1]),
-        ConfigKey("delay_points", "int", 50),
-        ConfigKey("pulses_per_point", "int", SourceModel.pulses_per_run),
-        ConfigKey("stage_conversion", "str", "double-pass",
+        ConfigKey("delay_min_ps", float, ref.DELAY_RANGE_PS[0]),
+        ConfigKey("delay_max_ps", float, ref.DELAY_RANGE_PS[1]),
+        ConfigKey("delay_points", int, 50),
+        ConfigKey("pulses_per_point", int, SourceModel.pulses_per_run),
+        ConfigKey("stage_conversion", str, "double-pass",
                   "stage position to delay conversion",
                   ("single-pass", "double-pass")),
-        ConfigKey("seed", "int", 12345, "random seed"),
+        ConfigKey("seed", int, 12345, "random seed"),
     ),
     "fit-coupling": _schema(
-        ConfigKey("input_csv", "str", help="CSV with header length_um,ratio"),
+        ConfigKey("input_csv", str, help="CSV with header length_um,ratio"),
     ),
     "fit-dip": _schema(
-        ConfigKey("input_csv", "str",
+        ConfigKey("input_csv", str,
                   help="CSV with header delay_ps,stage_um,coincidences"),
-        ConfigKey("write_normalized", "bool", True,
+        ConfigKey("write_normalized", bool, True,
                   "also write the baseline-normalized scan"),
     ),
     "fp-loss": _schema(
-        ConfigKey("contrast", "float", help="fringe contrast (Imax-Imin)/(Imax+Imin)"),
-        ConfigKey("length_cm", "float", help="waveguide length"),
-        ConfigKey("facet_reflectivity", "float", None,
+        ConfigKey("contrast", float, help="fringe contrast (Imax-Imin)/(Imax+Imin)"),
+        ConfigKey("length_cm", float, help="waveguide length"),
+        ConfigKey("facet_reflectivity", float, None,
                   "facet power reflectivity; omit to derive from n_eff"),
-        ConfigKey("n_eff", "float", None,
+        ConfigKey("n_eff", float, None,
                   "effective index for the Fresnel facet reflectivity"),
     ),
     "reproduce-paper": _schema(
-        ConfigKey("seed", "int", 12345, "seed for the counting simulation"),
-        ConfigKey("pulses_per_point", "int", SourceModel.pulses_per_run),
-        ConfigKey("delay_points", "int", 50),
-        ConfigKey("grid_pitch_nm", "float", 20.0, "solver pitch for the checks"),
+        ConfigKey("seed", int, 12345, "seed for the counting simulation"),
+        ConfigKey("pulses_per_point", int, SourceModel.pulses_per_run),
+        ConfigKey("delay_points", int, 50),
+        ConfigKey("grid_pitch_nm", float, 20.0, "solver pitch for the checks"),
     ),
 }
 
@@ -211,20 +213,17 @@ def parse_config_text(text, schema, source="<config>"):
 
 def _convert(literal, key, lineno, source):
     try:
-        if key.kind == "float":
-            value = float(literal)
-        elif key.kind == "int":
-            value = int(literal)
-        elif key.kind == "bool":
+        if key.kind is bool:
             if literal.lower() not in ("true", "false"):
                 raise ValueError
             value = literal.lower() == "true"
         else:
-            value = literal
+            value = key.kind(literal)
     except ValueError:
         raise ConfigError(
-            f"{source}:{lineno}: key {key.name!r} expects {key.kind}, "
-            f"got {literal!r}", line=lineno, key=key.name) from None
+            f"{source}:{lineno}: key {key.name!r} expects "
+            f"{key.kind.__name__}, got {literal!r}", line=lineno,
+            key=key.name) from None
     if key.choices is not None and value not in key.choices:
         raise ConfigError(
             f"{source}:{lineno}: key {key.name!r} must be one of "
@@ -240,19 +239,21 @@ def format_schema(scenario):
             default = "required"
         elif key.default is None:
             default = "optional"
-        elif key.kind == "bool":
+        elif key.kind is bool:
             default = f"default {'true' if key.default else 'false'}"
         else:
             default = f"default {key.default!r}"
         choice = f" one of {', '.join(key.choices)};" if key.choices else ""
         help_text = f"  # {key.help}" if key.help else ""
-        lines.append(f"{key.name}  ({key.kind}; {default};{choice}){help_text}")
+        lines.append(f"{key.name}  ({key.kind.__name__}; {default};{choice})"
+                     f"{help_text}")
     return "\n".join(lines)
 
 
-def _build(cls, keys, params):
-    """``cls`` built from the config values of its key tuple."""
-    return cls(**{key.name: params[key.name] for key in keys})
+def _build(cls, params):
+    """Dataclass ``cls`` built from the config values named after its
+    fields; a field with no config key raises ``KeyError``."""
+    return cls(**{field.name: params[field.name] for field in fields(cls)})
 
 
 def _check_delay_points(params, minimum):
@@ -291,7 +292,7 @@ def _delay_axis(params, minimum):
 
 
 def _run_modes(params, out):
-    geometry = _build(WaveguideGeometry, _GEOMETRY_KEYS, params)
+    geometry = _build(WaveguideGeometry, params)
     index_map = build_cross_section(geometry, params["wavelength_nm"],
                                     grid_pitch_nm=params["grid_pitch_nm"],
                                     padding_um=params["padding_um"],
@@ -317,7 +318,7 @@ def _run_coupler_sweep(params, out):
                          "length_step_um", "length sweep")
     if lengths.size < 2:
         raise ConfigError("length sweep needs at least two points")
-    device = _build(CouplerDevice, _DEVICE_KEYS, params)
+    device = _build(CouplerDevice, params)
     ratios = splitting_ratio(device, params["wavelength_nm"], lengths)
     lio.write_power_ratio_csv(out / "power_ratio.csv",
                               PowerRatioSeries(lengths, ratios))
@@ -328,7 +329,7 @@ def _run_coupler_sweep(params, out):
 def _run_bandwidth(params, out):
     wavelengths = _scan_axis(params, "wavelength_min_nm", "wavelength_max_nm",
                              "step_nm", "wavelength scan")
-    device = _build(CouplerDevice, _DEVICE_KEYS, params)
+    device = _build(CouplerDevice, params)
     length = params["interaction_length_um"]
     if length is None:
         length = length_for_ratio(device, 0.5, params["design_order"])
@@ -341,9 +342,7 @@ def _run_bandwidth(params, out):
 
 
 def _run_hom_dip(params, out):
-    state = TwoPhotonState(params["center_wavelength_nm"],
-                           params["bandwidth_fwhm_nm"],
-                           params["source_visibility"])
+    state = _build(TwoPhotonState, params)
     delays = _delay_axis(params, 2)
     scan = coincidence_curve(state, params["eta"], delays,
                              normalized=params["normalized"])
@@ -354,15 +353,12 @@ def _run_hom_dip(params, out):
 
 
 def _run_simulate_counts(params, out):
-    state = TwoPhotonState(params["center_wavelength_nm"],
-                           params["bandwidth_fwhm_nm"],
-                           params["source_visibility"])
+    state = _build(TwoPhotonState, params)
     source = SourceModel(params["mean_pairs_per_pulse"],
                          pulses_per_run=params["pulses_per_point"],
                          statistics=params["statistics"],
                          repetition_period_ns=params["repetition_period_ns"])
-    detectors = DetectorModel(params["efficiency"], params["dead_time_ns"],
-                              params["dark_count_probability"])
+    detectors = _build(DetectorModel, params)
     check_eta(params["eta"])
     # the scan is fitted below, so too few points fail before it is run
     delays = _delay_axis(params, MIN_DIP_POINTS)
@@ -434,10 +430,7 @@ class _ChecksFailed(RuntimeError):
 
 def _run_reproduce(params, out):
     _check_delay_points(params, MIN_DIP_POINTS)
-    results = run_reproduction(seed=params["seed"],
-                               pulses_per_point=params["pulses_per_point"],
-                               delay_points=params["delay_points"],
-                               grid_pitch_nm=params["grid_pitch_nm"])
+    results = run_reproduction(**params)
     report = format_report(results).splitlines()
     if not all(r.passed for r in results):
         raise _ChecksFailed(report)

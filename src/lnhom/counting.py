@@ -367,17 +367,15 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
 
     Every delay point runs the source's ``pulses_per_run`` pulses.
     ``seed`` is mandatory: identical inputs and seed give identical counts.
-    ``delays_ps`` must be a non-empty, strictly increasing 1D axis without
-    NaN; it is checked before any point is simulated.
+    ``delays_ps`` must be a delay axis that ``DelayScan`` accepts; the
+    scan is built, and so checked, before any point is simulated.
     """
     if seed is None:
         raise ValueError("seed is required for reproducible simulation")
     check_eta(eta)
-    delays = np.asarray(delays_ps, dtype=float)
-    if np.isnan(delays).any():
-        raise ValueError("delays_ps must not hold NaN")
-    scan = DelayScan(delay_ps=delays,
-                     values=np.zeros(delays.shape, dtype=np.int64))
+    scan = DelayScan(delay_ps=delays_ps,
+                     values=np.zeros(np.shape(delays_ps), dtype=np.int64))
+    delays = scan.delay_ps
     n_pulses = source.pulses_per_run
 
     # a window past the last pulse counts as the whole run, which also

@@ -120,7 +120,9 @@ def length_for_ratio(device, target_eta, order=0):
     """
     if not 0.0 <= target_eta <= 1.0:
         raise ValueError("target_eta must lie in [0, 1]")
-    if order < 0 or order != int(order):
+    # True equals 1, and would design branch 1
+    if isinstance(order, (bool, np.bool_)) or not 0 <= order < math.inf \
+            or order != int(order):
         raise ValueError("order must be a non-negative integer")
     kappa0 = device.coupling_rate_per_um(device.reference_wavelength_nm)
     length = _branch_phase(target_eta, int(order)) / kappa0 - device.bend_offset_um

@@ -251,15 +251,13 @@ def fit_gaussian_dip(scan):
     center_ps, width_ps and baseline.
 
     Integer-valued scans are treated as raw counts and get Poisson weights.
+    Its delays and values are finite, as every ``DelayScan``'s are.
     Raises UnidentifiableDataError when the fitted width falls below a
     quarter of the smallest delay step or grows beyond the span of the
     scan, or the centre leaves it by three widths, as on a scan with no dip.
     """
     delays = scan.delay_ps
     values = np.asarray(scan.values, dtype=float)
-    for name, data in (("delays", delays), ("coincidence values", values)):
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"{name} must be finite")
     if delays.size < MIN_DIP_POINTS:
         raise ValueError(f"need at least {MIN_DIP_POINTS} points to fit the dip")
     names = ("visibility", "center_ps", "width_ps", "baseline")

@@ -48,8 +48,8 @@ def pair_number_probabilities(mu, statistics="poissonian-pairs", max_pairs=2):
     The returned entries deliberately do not sum to 1; the tail mass sits in
     n > max_pairs.
     """
-    if mu < 0:
-        raise ValueError("mean pair number must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mean pair number must be finite and non-negative")
     if statistics == "poissonian-pairs":
         probs = np.zeros(max_pairs + 1)
         probs[0] = math.exp(-mu)

@@ -107,7 +107,9 @@ class DelayScan:
 
     ``values`` holds probabilities (normalized or not) or integer counts;
     integer values are raw counts.  ``stage_um`` holds the optical-stage
-    positions, one per delay, when the scan has them.
+    positions, one per delay, when the scan has them.  Its delays are a
+    non-empty, finite, strictly increasing 1D axis; its values are finite
+    and non-negative, its stage positions finite, and both of that shape.
     """
 
     delay_ps: np.ndarray
@@ -119,6 +121,8 @@ class DelayScan:
         self.values = np.asarray(self.values)
         if self.delay_ps.ndim != 1 or self.delay_ps.size < 1:
             raise ValueError("delay axis must be a non-empty 1D array")
+        if not np.all(np.isfinite(self.delay_ps)):
+            raise ValueError("delays must be finite")
         if np.any(np.diff(self.delay_ps) <= 0):
             raise ValueError("delays must be strictly increasing")
         if self.values.shape != self.delay_ps.shape:
@@ -127,6 +131,10 @@ class DelayScan:
             self.stage_um = np.asarray(self.stage_um, dtype=float)
             if self.stage_um.shape != self.delay_ps.shape:
                 raise ValueError("stage positions and delays must have matching shape")
+            if not np.all(np.isfinite(self.stage_um)):
+                raise ValueError("stage positions must be finite")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("coincidence values must be finite")
         if np.any(self.values < 0):
             raise ValueError("coincidence values must be non-negative")
 

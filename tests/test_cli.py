@@ -12,9 +12,12 @@ from lnhom.cli import SCENARIO_SCHEMAS, format_schema, main, parse_config_text
 from lnhom.coupler import splitting_ratio
 from lnhom.errors import ConfigError, UnidentifiableDataError
 from lnhom.fitting import MIN_DIP_POINTS
-from lnhom.hom import STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM
+from lnhom.hom import (STAGE_DOUBLE_PASS_PS_PER_UM,
+                       STAGE_SINGLE_PASS_PS_PER_UM, TwoPhotonState)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the --print-schema text of every scenario, one file each, frozen
+SCHEMAS = Path(__file__).resolve().parent / "data" / "schemas"
 # a shipped config is named after its scenario, except the coupled-rib one
 CONFIG_SCENARIOS = {"supermodes": "modes"}
 
@@ -40,15 +43,21 @@ def _report(out):
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_SCHEMAS))
 def test_print_schema_succeeds_for_every_scenario(scenario, capsys):
     assert main([scenario, "--print-schema"]) == 0
-    shown = capsys.readouterr().out
-    for key in SCENARIO_SCHEMAS[scenario]:
-        assert key in shown
+    assert capsys.readouterr().out \
+        == (SCHEMAS / f"{scenario}.txt").read_text(encoding="utf-8")
 
 
 def test_schema_marks_required_and_optional_keys():
     text = format_schema("fp-loss")
     assert "contrast  (float; required;)" in text
     assert "facet_reflectivity  (float; optional;)" in text
+
+
+def test_a_field_without_a_config_key_is_an_error():
+    # a renamed field must not silently take its default
+    with pytest.raises(KeyError, match="source_visibility"):
+        cli._build(TwoPhotonState, {"center_wavelength_nm": 1550.0,
+                                    "bandwidth_fwhm_nm": 1.8})
 
 
 # --- config parsing --------------------------------------------------------

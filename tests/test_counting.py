@@ -165,8 +165,8 @@ def test_traced_public_functions_run_on_the_calling_thread(monkeypatch):
     (0.0, "non-empty 1D"),
     ([], "non-empty 1D"),
     ([[0.0, 1.0], [2.0, 3.0]], "non-empty 1D"),
-    ([np.nan], "delays_ps"),
-    ([-1.0, np.nan, 1.0], "delays_ps"),
+    ([np.nan], "finite"),
+    ([-1.0, np.nan, 1.0], "finite"),
     ([1.0, 0.0], "strictly increasing"),
     ([0.0, 0.0], "strictly increasing"),
 ], ids=["scalar", "empty", "2D", "NaN", "NaN inside", "decreasing",

@@ -167,6 +167,23 @@ def test_unreachable_branch_raises():
         length_for_ratio(_device(offset_um=200.0), 0.5, 0)
 
 
+@pytest.mark.parametrize("order", [True, False, np.True_, np.False_, 0.5,
+                                   -1, math.nan, math.inf],
+                         ids=["True", "False", "np.True_", "np.False_", "0.5",
+                              "-1", "nan", "inf"])
+def test_design_order_refuses_a_bool_or_non_integer(order):
+    # True compares equal to 1, and used to design branch 1
+    with pytest.raises(ValueError, match="order must be a non-negative "
+                                         "integer"):
+        length_for_ratio(_device(), 0.5, order)
+
+
+def test_design_order_takes_integers_of_any_type():
+    lengths = [length_for_ratio(_device(), 0.5, order)
+               for order in (1, np.int64(1), np.uint8(1), 1.0)]
+    assert lengths == [length_for_ratio(_device(), 0.5, 1)] * 4
+
+
 def test_offset_for_ratio_matches_brute_force():
     # the reference device reconstructs its bend offset from the ratio
     device = ref.reference_device()

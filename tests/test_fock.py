@@ -4,6 +4,7 @@ hand-derived coincidence values, and the emission-statistics
 distributions."""
 
 import itertools
+import math
 
 import pytest
 import scipy.stats
@@ -11,7 +12,8 @@ import scipy.stats
 import _oracles as oracle
 from lnhom import reference as ref
 from lnhom.counting import DetectorModel, SourceModel, model_visibility
-from lnhom.fock import arm_occupation_distribution, pair_number_probabilities
+from lnhom.fock import (PAIR_STATISTICS, arm_occupation_distribution,
+                        pair_number_probabilities)
 from lnhom.hom import TwoPhotonState, combined_visibility, spectral_overlap
 
 # 1 - P_cc(0) / P_cc(inf) from oracle.pulse_coincidence_probability at
@@ -170,6 +172,15 @@ def test_pair_numbers_reject_bad_arguments():
         pair_number_probabilities(-0.01)
     with pytest.raises(ValueError):
         pair_number_probabilities(0.01, statistics="chaotic")
+
+
+@pytest.mark.parametrize("statistics", PAIR_STATISTICS)
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_pair_numbers_refuse_a_non_finite_mean(mu, statistics):
+    with pytest.raises(ValueError, match="mean pair number must be finite "
+                                         "and non-negative"):
+        pair_number_probabilities(mu, statistics)
 
 
 # --- mixture visibility behavior ------------------------------------------

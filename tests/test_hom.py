@@ -238,6 +238,27 @@ def test_delay_scan_requires_one_stage_position_per_delay():
     assert scan.stage_um.dtype == float
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, message", [
+    ("delay_ps", "delays must be finite"),
+    ("values", "coincidence values must be finite"),
+    ("stage_um", "stage positions must be finite"),
+])
+def test_delay_scan_refuses_non_finite_entries(field, message, bad):
+    columns = {"delay_ps": [0.0, 1.0, 2.0], "values": [5.0, 6.0, 7.0],
+               "stage_um": [0.0, 150.0, 300.0]}
+    columns[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DelayScan(**columns)
+
+
+def test_coincidence_curve_refuses_a_nan_delay():
+    state = TwoPhotonState(1550.0, 6.0)
+    with pytest.raises(ValueError, match="delays must be finite"):
+        coincidence_curve(state, 0.5, [0.0, math.nan])
+
+
 def test_stage_conversion_constants_follow_from_light_speed():
     # bit-exact, so stage positions written to counts.csv never move
     assert STAGE_SINGLE_PASS_PS_PER_UM == 1.0 / 299.792458

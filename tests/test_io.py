@@ -165,6 +165,14 @@ def test_partially_blank_stage_column_is_refused(tmp_path):
             == f"{path}:3: stage_um must be given on every row or on none"
 
 
+def test_delay_scan_with_an_inf_delay_is_refused_when_read(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("delay_ps,stage_um,coincidences\n-1.0,,4\ninf,,2\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="delays must be finite"):
+        read_delay_scan_csv(path)
+
+
 def test_field_csv_layout_and_validation(tmp_path):
     x = [0.0, 20.0, 40.0]
     y = [0.0, 20.0]
