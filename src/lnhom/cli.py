@@ -15,7 +15,6 @@ except in the scenarios that read a data file (``fit-coupling``,
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -39,8 +38,6 @@ from .hom import (STAGE_DOUBLE_PASS_PS_PER_UM, STAGE_SINGLE_PASS_PS_PER_UM,
 from .materials import DEFAULT_POLARIZATION, POLARIZATIONS
 from .modes import solve_modes
 from .reproduce import format_report, run_reproduction
-
-log = logging.getLogger("lnhom")
 
 _REQUIRED = object()
 # most points a delay, length or wavelength scan may ask for, checked before
@@ -467,8 +464,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(message)s")
     if args.print_schema:
         print(format_schema(args.scenario))
         return 0
@@ -492,7 +487,8 @@ def main(argv=None):
     status = 0
     try:
         out.mkdir(parents=True, exist_ok=True)
-        log.info("running %s -> %s", args.scenario, out)
+        if args.verbose:
+            print(f"running {args.scenario} -> {out}", file=sys.stderr)
         report = _RUNNERS[args.scenario](params, out)
     except _ChecksFailed as exc:
         # the report of a failed check is written and printed all the same
@@ -512,7 +508,8 @@ def main(argv=None):
         handle.write("\n".join(report) + "\n")
     for line in report:
         print(line)
-    log.info("report written to %s", report_path)
+    if args.verbose:
+        print(f"report written to {report_path}", file=sys.stderr)
     return status
 
 

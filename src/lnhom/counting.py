@@ -41,7 +41,7 @@ import concurrent.futures
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -367,8 +367,8 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
 
     Every delay point runs the source's ``pulses_per_run`` pulses.
     ``seed`` is mandatory: identical inputs and seed give identical counts.
-    ``delays_ps`` must be a delay axis that ``DelayScan`` accepts; the
-    scan is built, and so checked, before any point is simulated.
+    ``delays_ps`` must be a delay axis that ``DelayScan`` accepts; a
+    zero-valued scan is built, and so checked, before any point runs.
     """
     if seed is None:
         raise ValueError("seed is required for reproducible simulation")
@@ -397,11 +397,11 @@ def simulate_counts(state, eta, source, detectors, delays_ps, seed=None):
 
     clicks = n_pulses * np.mean([edges[-1] for edges in tables])
     if clicks < POOL_MIN_CLICKS:
-        scan.values[:] = list(map(count, streams, tables))
+        counts = list(map(count, streams, tables))
     else:
         # concurrent.futures loads its thread module here, on first use,
         # so a CLI start that counts no bright scan never imports it
         with concurrent.futures.ThreadPoolExecutor(
                 _worker_count(delays.size)) as pool:
-            scan.values[:] = list(pool.map(count, streams, tables))
-    return scan
+            counts = list(pool.map(count, streams, tables))
+    return replace(scan, values=np.array(counts, dtype=np.int64))

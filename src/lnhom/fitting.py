@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NegativeLossWarning, UnidentifiableDataError
-from .hom import DelayScan
+from .hom import _FWHM_TO_SIGMA, DelayScan, _read_only
 
 MAX_ITERATIONS = 500
 STEP_TOLERANCE = 1e-10
@@ -61,15 +61,16 @@ _MIN_DIP_WIDTH_PER_STEP = 0.25
 
 @dataclass(frozen=True)
 class PowerRatioSeries:
-    """Measured cross-port power fraction versus coupler interaction length."""
+    """Measured cross-port power fraction versus coupler interaction length,
+    held as read-only copies of the arrays it is given."""
 
     interaction_length_um: np.ndarray
     ratio: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "interaction_length_um",
-                           np.asarray(self.interaction_length_um, dtype=float))
-        object.__setattr__(self, "ratio", np.asarray(self.ratio, dtype=float))
+                           _read_only(self.interaction_length_um, float))
+        object.__setattr__(self, "ratio", _read_only(self.ratio, float))
         if self.interaction_length_um.ndim != 1 \
                 or self.interaction_length_um.shape != self.ratio.shape:
             raise ValueError("lengths and ratios must be matching 1D arrays")
@@ -242,7 +243,7 @@ def _dip_guess(delays, values):
         fwhm = float(delays[below[-1]] - delays[below[0]])
     else:
         fwhm = float(delays[-1] - delays[0]) / 4.0
-    width = max(fwhm, float(delays[1] - delays[0])) / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    width = max(fwhm, float(delays[1] - delays[0])) / _FWHM_TO_SIGMA
     return [visibility, center, width, baseline]
 
 
@@ -315,7 +316,7 @@ def normalized_scan(scan, fit_result):
     """Scan divided by the fitted baseline, so the wings sit at 1."""
     baseline = fit_result.parameters["baseline"]
     return DelayScan(delay_ps=scan.delay_ps,
-                     values=np.asarray(scan.values, dtype=float) / baseline,
+                     values=scan.values / baseline,
                      stage_um=scan.stage_um)
 
 

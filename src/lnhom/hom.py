@@ -101,15 +101,24 @@ def combined_visibility(source_visibility, eta):
     return source_visibility * hom_visibility_max(eta)
 
 
-@dataclass
+def _read_only(values, dtype=None):
+    """A read-only copy of ``values``, cast to ``dtype`` when given."""
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True)
 class DelayScan:
     """Coincidence data over a delay axis.
 
     ``values`` holds probabilities (normalized or not) or integer counts;
-    integer values are raw counts.  ``stage_um`` holds the optical-stage
-    positions, one per delay, when the scan has them.  Its delays are a
-    non-empty, finite, strictly increasing 1D axis; its values are finite
-    and non-negative, its stage positions finite, and both of that shape.
+    integer values are raw counts and keep their dtype, any others become
+    float64.  ``stage_um`` holds the optical-stage positions, one per
+    delay, when the scan has them.  Its delays are a non-empty, finite,
+    strictly increasing 1D axis; its values are finite and non-negative,
+    its stage positions finite, and both of that shape.  It holds
+    read-only copies of its arrays, so these rules hold for life.
     """
 
     delay_ps: np.ndarray
@@ -117,8 +126,10 @@ class DelayScan:
     stage_um: np.ndarray | None = None
 
     def __post_init__(self):
-        self.delay_ps = np.asarray(self.delay_ps, dtype=float)
-        self.values = np.asarray(self.values)
+        values = np.asarray(self.values)
+        object.__setattr__(self, "delay_ps", _read_only(self.delay_ps, float))
+        object.__setattr__(self, "values", _read_only(
+            values, None if values.dtype.kind in "iu" else float))
         if self.delay_ps.ndim != 1 or self.delay_ps.size < 1:
             raise ValueError("delay axis must be a non-empty 1D array")
         if not np.all(np.isfinite(self.delay_ps)):
@@ -128,7 +139,7 @@ class DelayScan:
         if self.values.shape != self.delay_ps.shape:
             raise ValueError("values and delays must have matching shape")
         if self.stage_um is not None:
-            self.stage_um = np.asarray(self.stage_um, dtype=float)
+            object.__setattr__(self, "stage_um", _read_only(self.stage_um, float))
             if self.stage_um.shape != self.delay_ps.shape:
                 raise ValueError("stage positions and delays must have matching shape")
             if not np.all(np.isfinite(self.stage_um)):

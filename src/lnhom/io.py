@@ -115,12 +115,9 @@ def write_splitting_curve_csv(path, wavelength_nm, eta):
 
 
 def write_delay_scan_csv(path, scan):
-    counts = np.asarray(scan.values)
-    if not np.issubdtype(counts.dtype, np.integer):
-        counts = counts.astype(float)
     stage = [""] * len(scan.delay_ps) if scan.stage_um is None else scan.stage_um
     _write_columns(path, ["delay_ps", "stage_um", "coincidences"],
-                   np.asarray(scan.delay_ps, dtype=float), stage, counts)
+                   scan.delay_ps, stage, scan.values)
 
 
 def read_delay_scan_csv(path):
@@ -143,8 +140,7 @@ def read_delay_scan_csv(path):
 
 def write_power_ratio_csv(path, series):
     _write_columns(path, ["length_um", "ratio"],
-                   np.asarray(series.interaction_length_um, dtype=float),
-                   np.asarray(series.ratio, dtype=float))
+                   series.interaction_length_um, series.ratio)
 
 
 def read_power_ratio_csv(path):

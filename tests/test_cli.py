@@ -151,6 +151,19 @@ def test_hom_dip_writes_curve_and_report(tmp_path, capsys):
     assert "splitter_limited_visibility" in capsys.readouterr().out
 
 
+def test_verbose_reports_on_stderr_in_every_call_of_a_process(tmp_path,
+                                                              capsys):
+    # a quiet run first: --verbose must report even after an earlier call
+    # in the same process
+    out = tmp_path / "out"
+    assert main(["hom-dip", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["hom-dip", "--out", str(out), "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"running hom-dip -> {out}",
+        f"report written to {out / 'report.txt'}"]
+
+
 def test_invalid_geometry_is_a_config_error(tmp_path, capsys):
     config = _write(tmp_path, "c.cfg", "gap_um = 0.5\n")
     assert main(["modes", "--config", config,

@@ -126,6 +126,9 @@ def test_pooled_and_looped_points_count_alike(monkeypatch, workers):
         monkeypatch.setattr(counting, "_worker_count", lambda points: workers)
     scan = _pooled_scan()
     assert scan.values.tolist() == POOLED_COUNTS
+    # either way the counts come back as a read-only int64 scan
+    assert scan.values.dtype == np.int64
+    assert not scan.values.flags.writeable
     # the loop runs every point on the calling thread, the pool none, so
     # the scan is above the floor
     assert threads == [workers is None] * POOLED_DELAYS.size

@@ -1,6 +1,7 @@
 """Curve fitting and loss extraction: synthetic roundtrips, uncertainty
 calibration, and the facet-cavity contrast inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,6 +110,18 @@ def test_power_series_validation():
         PowerRatioSeries([0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         PowerRatioSeries([0.0, 1.0], [0.5])
+    # nor does a built series take a refused ratio: not written into its
+    # arrays, not by rebinding a field, and not through the caller's array
+    ratios = np.array([0.5, 0.6, 0.7])
+    series = PowerRatioSeries([0.0, 1.0, 2.0], ratios)
+    with pytest.raises(ValueError, match="read-only"):
+        series.ratio[2] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        series.interaction_length_um[2] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.ratio = np.full(3, 7.0)
+    ratios[2] = 7.0
+    assert series.ratio.tolist() == [0.5, 0.6, 0.7]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -233,6 +246,10 @@ def test_dip_fit_needs_enough_points():
 def test_dip_fit_rejects_non_finite_data(bad):
     delays = np.linspace(-8.0, 8.0, 41)
     values = _dip(delays, 0.9, 0.0, 1.0, 100.0)
+    # nor can a built scan take one: a NaN written into a built scan once
+    # ran the fit to ConvergenceError
+    with pytest.raises(ValueError, match="read-only"):
+        DelayScan(delays, values).values[20] = bad
     values[20] = bad
     with pytest.raises(ValueError, match="coincidence values must be finite"):
         fit_gaussian_dip(DelayScan(delays, values))

@@ -2,6 +2,7 @@
 dip geometry, pattern probabilities, and the splitting-ratio visibility
 ceiling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,11 @@ def test_delay_scan_requires_matching_shapes_and_nonnegative_values():
         DelayScan(delay_ps=[0.0, 1.0], values=[1.0, -0.2])
     with pytest.raises(ValueError):
         DelayScan(delay_ps=[], values=[])
+    # nor does a negative count reach a built scan through the caller's array
+    counts = np.array([5, 6])
+    scan = DelayScan(delay_ps=[0.0, 1.0], values=counts)
+    counts[1] = -5
+    assert scan.values.tolist() == [5, 6]
 
 
 def test_delay_scan_requires_one_stage_position_per_delay():
@@ -246,9 +252,18 @@ def test_delay_scan_requires_one_stage_position_per_delay():
     ("stage_um", "stage positions must be finite"),
 ])
 def test_delay_scan_refuses_non_finite_entries(field, message, bad):
-    columns = {"delay_ps": [0.0, 1.0, 2.0], "values": [5.0, 6.0, 7.0],
-               "stage_um": [0.0, 150.0, 300.0]}
+    columns = {"delay_ps": np.array([0.0, 1.0, 2.0]),
+               "values": np.array([5.0, 6.0, 7.0]),
+               "stage_um": np.array([0.0, 150.0, 300.0])}
+    # nor does a built scan take one: not written into its arrays, not by
+    # rebinding a field, and not through the caller's arrays
+    scan = DelayScan(**columns)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(scan, field)[1] = bad
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(scan, field, np.full(3, bad))
     columns[field][1] = bad
+    assert np.all(np.isfinite(getattr(scan, field)))
     with pytest.raises(ValueError, match=f"^{message}$"):
         DelayScan(**columns)
 

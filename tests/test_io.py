@@ -49,6 +49,27 @@ def test_delay_scan_roundtrip_preserves_counts_dtype(tmp_path):
     assert back.stage_um is None
 
 
+@pytest.mark.parametrize("dtype, kept", [
+    (np.float32, False), (np.bool_, False), (np.float64, True),
+    (np.int8, True), (np.int64, True), (np.uint16, True), (np.uint64, True),
+])
+def test_delay_scan_keeps_integer_counts_and_makes_the_rest_float64(
+        tmp_path, dtype, kept):
+    values = np.array([0.1, 0.0, 1.0, 3.0]).astype(dtype)
+    scan = DelayScan([-1.0, 0.0, 1.0, 2.0], values)
+    assert scan.values.dtype == (values.dtype if kept else np.float64)
+    path = tmp_path / "scan.csv"
+    write_delay_scan_csv(path, scan)
+    # integer counts are written as digits, anything else as the repr of
+    # its float64 value (float32 0.1 as 0.10000000149011612)
+    cells = values.tolist() if values.dtype.kind in "iu" \
+        else values.astype(float).tolist()
+    expected = "delay_ps,stage_um,coincidences\n" + "".join(
+        f"{delay!r},,{cell!r}\n" for delay, cell in
+        zip([-1.0, 0.0, 1.0, 2.0], cells))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_delay_scan_roundtrip_preserves_probabilities(tmp_path):
     scan = DelayScan(np.linspace(-2.0, 2.0, 5),
                      np.array([0.41, 0.12, 0.02, 0.1, 0.4]))
