@@ -62,15 +62,17 @@ _MIN_DIP_WIDTH_PER_STEP = 0.25
 @dataclass(frozen=True)
 class PowerRatioSeries:
     """Measured cross-port power fraction versus coupler interaction length,
-    held as read-only copies of the arrays it is given."""
+    held as read-only float copies of the bool, integer or float arrays it
+    is given."""
 
     interaction_length_um: np.ndarray
     ratio: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "interaction_length_um",
-                           _read_only(self.interaction_length_um, float))
-        object.__setattr__(self, "ratio", _read_only(self.ratio, float))
+        object.__setattr__(self, "interaction_length_um", _read_only(
+            self.interaction_length_um, "interaction_length_um", float))
+        object.__setattr__(self, "ratio",
+                           _read_only(self.ratio, "ratio", float))
         if self.interaction_length_um.ndim != 1 \
                 or self.interaction_length_um.shape != self.ratio.shape:
             raise ValueError("lengths and ratios must be matching 1D arrays")

@@ -101,8 +101,14 @@ def combined_visibility(source_visibility, eta):
     return source_visibility * hom_visibility_max(eta)
 
 
-def _read_only(values, dtype=None):
-    """A read-only copy of ``values``, cast to ``dtype`` when given."""
+def _read_only(values, name, dtype=None):
+    """A read-only copy of ``values``, cast to ``dtype`` when given.  Raises
+    ``ValueError``, naming the column ``name``, unless they are bool,
+    integer or float: a cast would drop an imaginary part or parse a
+    string."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, not {values.dtype}")
     values = np.array(values, dtype=dtype)
     values.flags.writeable = False
     return values
@@ -117,8 +123,9 @@ class DelayScan:
     float64.  ``stage_um`` holds the optical-stage positions, one per
     delay, when the scan has them.  Its delays are a non-empty, finite,
     strictly increasing 1D axis; its values are finite and non-negative,
-    its stage positions finite, and both of that shape.  It holds
-    read-only copies of its arrays, so these rules hold for life.
+    its stage positions finite, and both of that shape.  Each column must
+    be bool, integer or float: a complex, string or object one is refused.
+    It holds read-only copies of its arrays, so these rules hold for life.
     """
 
     delay_ps: np.ndarray
@@ -127,9 +134,10 @@ class DelayScan:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        object.__setattr__(self, "delay_ps", _read_only(self.delay_ps, float))
+        object.__setattr__(self, "delay_ps",
+                           _read_only(self.delay_ps, "delay_ps", float))
         object.__setattr__(self, "values", _read_only(
-            values, None if values.dtype.kind in "iu" else float))
+            values, "values", None if values.dtype.kind in "iu" else float))
         if self.delay_ps.ndim != 1 or self.delay_ps.size < 1:
             raise ValueError("delay axis must be a non-empty 1D array")
         if not np.all(np.isfinite(self.delay_ps)):
@@ -139,7 +147,8 @@ class DelayScan:
         if self.values.shape != self.delay_ps.shape:
             raise ValueError("values and delays must have matching shape")
         if self.stage_um is not None:
-            object.__setattr__(self, "stage_um", _read_only(self.stage_um, float))
+            object.__setattr__(self, "stage_um",
+                               _read_only(self.stage_um, "stage_um", float))
             if self.stage_um.shape != self.delay_ps.shape:
                 raise ValueError("stage positions and delays must have matching shape")
             if not np.all(np.isfinite(self.stage_um)):

@@ -8,16 +8,19 @@ the scalar Helmholtz equation
 is discretised with the standard 5-point stencil on the square cells (one
 pitch h for x and y) of an :class:`~lnhom.geometry.IndexMap` and solved as a
 symmetric eigenproblem, on numpy alone, by a Lanczos iteration
-(:func:`eigsh`) on the inverse of (operator - shift), the shift just above
-the top effective index of the 1D profile of row maxima, which bounds every
-mode (:func:`_mode_shift`).  Every map is solved on half its width: it
-must be mirror-symmetric about an odd centre column, and its right half is
-solved twice, with a reflecting centre for symmetric modes and a
-zero-field centre for antisymmetric ones, so the boundary condition fixes
-the parity (once, symmetric, when only the fundamental mode is asked
-for).  Each half is asked for the number of modes wanted, no more, and
-for one, its top mode, by the beat length.  Outer boundaries are
-zero-field: guided modes decay into the padding.
+(:func:`eigsh`) on the inverse of (operator - shift).  Every map is solved
+on half its width: it must be mirror-symmetric about an odd centre column,
+and its right half is solved twice, with a reflecting centre for symmetric
+modes and a zero-field centre for antisymmetric ones, so the boundary
+condition fixes the parity (once, symmetric, when only the fundamental
+mode is asked for).  The symmetric half is solved first, shifted just
+above the top effective index of the 1D profile of row maxima, which
+bounds every mode (:func:`_mode_shift`).  Its top eigenvalue is the whole
+operator's (Perron-Frobenius), so the antisymmetric half is shifted just
+above that, far nearer its own top, and its iteration takes fewer steps.
+Each half is asked for the number of modes wanted, no more, and for one,
+its top mode, by the beat length.  Outer boundaries are zero-field: guided
+modes decay into the padding.
 
 The cross-section is a stack of full-width layers, and only the etched rib
 rows change across x, so each half is solved layer by layer.  Its 1D x
@@ -27,7 +30,9 @@ with off-diagonal blocks I / h^2, and the diagonal block of a row whose
 index does not change across x is the diagonal Lambda - 2 / h^2 + k0^2
 n(y)^2, as in the fast direct solvers of separable problems (Buzbee, Golub
 & Nielson, SIAM J. Numer. Anal. 7, 627 (1970)).  Only the x-varying rows
-get dense blocks, V^T diag(k0^2 n^2) V + ....  One block LDL^T of
+get dense blocks, V^T diag(k0^2 n^2) V + ..., each built from the last
+varying row's over the columns whose index changed since it: two per row
+on a sloped rib sidewall, none on a vertical one.  One block LDL^T of
 (operator - shift) per half eliminates the rows in one order: the uniform
 rows above the first x-varying one downward and those below the last
 upward, whose pivots stay vectors given by the continued fractions p_y =
@@ -35,7 +40,8 @@ d_y - h^-4 / p_(y -+ 1) of the row diagonals d_y, then the rows from the
 first x-varying one to the last, whose pivots are dense.  With the shift
 above the spectrum every pivot is negative definite, and each is inverted
 by the same elimination on halves of it, whose Cholesky leaves prove it
-so (:func:`_definite_inverse`).  The Lanczos iteration runs on the rows'
+so (:func:`_definite_inverse`); a half whose sweep counts a positive pivot
+is not iterated on.  The Lanczos iteration runs on the rows'
 coefficients in V, each step one forward and one back pass over that
 order; its start is built in V, so V only maps the eigenvectors out.  For
 N columns in the half each dense row costs the factorisation N^3 time and
@@ -78,6 +84,12 @@ MAX_MODES = 32
 # its eigenvalue, at which an eigenpair has converged
 MAX_ITERATIONS = 10_000
 EIGEN_TOLERANCE = 1e-10
+# the residual rule puts a top Ritz value theta, found at shift sigma,
+# within EIGEN_TOLERANCE (sigma - theta) of the top eigenvalue; the
+# antisymmetric half is shifted to theta plus this share of (sigma - theta),
+# a hundredfold, which keeps it 1000 rounding units of the operator's norm
+# clear of the top for the coupler at 10 nm, even where the two tops meet
+_TOP_MARGIN = 100 * EIGEN_TOLERANCE
 # step of the Weyl sequence (_weyl) that a solve starts and restarts from
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # order at which _definite_inverse stops halving a block: inverting a
@@ -214,7 +226,12 @@ def _half_sweep(half, pitch, k0, parity, shift):
     """The x-eigenbasis V of the N-column half map ``half`` right of the
     mirror plane, and the :class:`_Sweep` of (operator - shift) in it, one
     block per grid row: a vector for a row uniform across x, V^T diag(k0^2
-    n^2) V + ... for one that varies.  T_x = V Lambda V^T in closed form:
+    n^2) V + ... for one that varies.  The first varying row's V^T
+    diag(excess) V, excess its k0^2 n^2 less its outer cell's, is built
+    over the columns where the excess is not zero; each later one's is the
+    last one's plus V^T diag(change) V over the columns where it changed,
+    so it costs N^2 per changed column instead of N^2 per rib column.
+    T_x = V Lambda V^T in closed form:
     V[k, j] ~ cos(theta_j k), row 0 / sqrt(2), theta_j = (j + 1/2) pi / N,
     for symmetric modes (centre column first); V[k, j] ~ sin(theta_j (k +
     1)), theta_j = (j + 1) pi / (N + 1), for antisymmetric ones; unit
@@ -232,15 +249,22 @@ def _half_sweep(half, pitch, k0, parity, shift):
         basis = np.sin(np.pi / q * (np.outer(j + 1, p) % (2 * q)))
     basis /= np.linalg.norm(basis, axis=0)
     eigenvalues = -4.0 * coupling * np.sin(np.pi * p / (2 * q)) ** 2
-    index2 = k0**2 * half**2  # the operator's diagonal term, per cell
-    outer = index2[:, -1:]
+    # the operator's diagonal term per cell, less its row's outer cell
+    excess = k0**2 * half**2
+    outer = excess[:, -1:].copy()
+    excess -= outer
     blocks = list(eigenvalues + (outer - 2.0 * coupling - shift))
-    for y in np.flatnonzero(np.any(index2 != outer, axis=1)):
+    # V^T diag(excess) V of the last x-varying row, and that row's excess
+    dense, previous = np.zeros((len(j), len(j))), np.zeros(len(j))
+    for y in np.flatnonzero(np.any(excess != 0.0, axis=1)):
         # V^T diag(row) V: the vector block holds its outer-column part,
-        # the rest comes from the columns that differ from the outer one
-        columns = np.flatnonzero(index2[y] != outer[y])
+        # and the rest is the last varying row's plus the columns that
+        # changed since it, two per row on a sloped sidewall
+        columns = np.flatnonzero(excess[y] != previous)
         rows = basis[columns]
-        block = (rows.T * (index2[y, columns] - outer[y])) @ rows
+        dense += (rows.T * (excess[y, columns] - previous[columns])) @ rows
+        previous = excess[y]
+        block = dense.copy()
         block[np.diag_indices(len(block))] += blocks[y]
         blocks[y] = block
     return basis, _Sweep(blocks, coupling, shift)
@@ -357,16 +381,28 @@ def _top_modes(index_map, halves, n_modes):
     """(n_eff, parity, eigenvector as a grid shaped like its half) of the
     top ``n_modes`` eigenpairs of each (parity, half map) in ``halves``
     that lie above the map's ``substrate_index``.  Each half takes one
-    sweep of (operator - sigma), sigma the map's :func:`_mode_shift`:
-    :func:`eigsh` finds the inverse's largest-magnitude eigenvalues nu, at
-    sigma + 1 / nu, iterating on rows' coefficients in the orthogonal
-    x-eigenbasis V, where one step is one sweep solve."""
+    sweep of (operator - shift): :func:`eigsh` finds the inverse's
+    largest-magnitude eigenvalues nu, at shift + 1 / nu, iterating on rows'
+    coefficients in the orthogonal x-eigenbasis V, where one step is one
+    sweep solve.  The first half, the symmetric one, is shifted to sigma,
+    the map's :func:`_mode_shift`.  Its top Ritz value theta lies within
+    ``EIGEN_TOLERANCE`` (sigma - theta) below its top eigenvalue, the
+    whole operator's (Perron-Frobenius), so the next half, the
+    antisymmetric one, is shifted to theta + ``_TOP_MARGIN`` (sigma -
+    theta), above its own spectrum and nearer its top than sigma.  A
+    sweep's inertia proves its shift: raises :class:`ConvergenceError`,
+    naming the shift, before any Lanczos step on a half whose sweep counts
+    a positive pivot."""
     wavelength, pitch = index_map.wavelength_nm, index_map.pitch_nm
     k0 = 2.0 * np.pi / wavelength
-    sigma = _mode_shift(index_map.index, pitch, wavelength)
+    shift = _mode_shift(index_map.index, pitch, wavelength)
     candidates = []
     for parity, half in halves:
-        basis, sweep = _half_sweep(half, pitch, k0, parity, sigma)
+        basis, sweep = _half_sweep(half, pitch, k0, parity, shift)
+        if sweep.positives:
+            raise ConvergenceError(f"shift {shift!r} lies below "
+                                   f"{sweep.positives} of the {parity} "
+                                   "half's eigenvalues")
         # a fixed start, the half's coefficients in V drawn from the golden
         # Weyl sequence, makes every solve bit-reproducible
         start = _weyl(half.size, _GOLDEN).reshape(half.shape)
@@ -375,7 +411,10 @@ def _top_modes(index_map, halves, n_modes):
         # the next half is factorised with this one's sweep, basis and
         # start vector freed, so one half is resident at a time
         del basis, sweep, start
-        for val, vec in zip(sigma + 1.0 / values, vectors):
+        values = shift + 1.0 / values
+        # the next half lies below this one's top
+        shift = float(values[0] + _TOP_MARGIN * (shift - values[0]))
+        for val, vec in zip(values, vectors):
             n_eff = float(np.sqrt(max(val, 0.0)) / k0)
             if n_eff > index_map.substrate_index:
                 candidates.append((n_eff, parity, vec))
@@ -448,8 +487,9 @@ def solve_modes(index_map, n_modes=1):
     number of columns, at least 3, and is mirror-symmetric about the centre
     one (:class:`InvalidGeometryError` if an index is not finite); raises
     :class:`ConvergenceError` if the Lanczos basis needs more than
-    ``MAX_ITERATIONS`` restarts to reach ``EIGEN_TOLERANCE``, or the sweep
-    meets a zero or non-finite pivot.
+    ``MAX_ITERATIONS`` restarts to reach ``EIGEN_TOLERANCE``, the sweep
+    meets a zero or non-finite pivot, or the antisymmetric half's shift
+    lies below one of its eigenvalues.
     """
     # a bool is an Integral; a float, even 2.0, would fail in the slicing
     if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral):

@@ -103,6 +103,25 @@ def test_sinusoid_fit_needs_enough_points():
         fit_coupling_sinusoid(PowerRatioSeries(lengths, np.linspace(0, 1, 5)))
 
 
+@pytest.mark.parametrize("kind", ["complex", "str", "object"])
+@pytest.mark.parametrize("field", ["interaction_length_um", "ratio"])
+def test_power_series_refuses_non_real_columns(field, kind):
+    # refused before the float cast, which would drop the imaginary part or
+    # parse the strings, with the column named
+    columns = {"interaction_length_um": np.array([0.0, 10.0, 20.0]),
+               "ratio": np.array([0.1, 0.5, 0.9])}
+    columns[field] = {"complex": columns[field] + 0.5j,
+                      "str": columns[field].astype(str),
+                      "object": columns[field].astype(object)}[kind]
+    with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+        PowerRatioSeries(**columns)
+    # bool and integer columns are cast to float
+    series = PowerRatioSeries(np.array([0, 10, 20]),
+                              np.array([False, True, True]))
+    assert series.interaction_length_um.dtype == series.ratio.dtype \
+        == np.float64
+
+
 def test_power_series_validation():
     with pytest.raises(ValueError):
         PowerRatioSeries([0.0, 1.0], [0.5, 1.2])

@@ -268,6 +268,33 @@ def test_delay_scan_refuses_non_finite_entries(field, message, bad):
         DelayScan(**columns)
 
 
+@pytest.mark.parametrize("kind", ["complex", "str", "object"])
+@pytest.mark.parametrize("field", ["delay_ps", "values", "stage_um"])
+def test_delay_scan_refuses_non_real_columns(field, kind):
+    # refused before any cast, which would drop the imaginary part or
+    # parse the strings, with the column named
+    columns = {"delay_ps": np.array([0.0, 1.0, 2.0]),
+               "values": np.array([5.0, 6.0, 7.0]),
+               "stage_um": np.array([0.0, 150.0, 300.0])}
+    columns[field] = {"complex": columns[field] + 0.5j,
+                      "str": columns[field].astype(str),
+                      "object": columns[field].astype(object)}[kind]
+    with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+        DelayScan(**columns)
+
+
+def test_delay_scan_keeps_bool_integer_and_float_columns():
+    # integer values are counts and keep their dtype; the rest is float64
+    scan = DelayScan(delay_ps=np.array([0, 1, 2], dtype=np.int32),
+                     values=np.array([5, 6, 7], dtype=np.uint16),
+                     stage_um=np.array([False, True, True]))
+    assert scan.values.dtype == np.uint16
+    assert scan.delay_ps.dtype == scan.stage_um.dtype == np.float64
+    flags = DelayScan(delay_ps=[0.0, 1.0], values=np.array([True, False]))
+    assert flags.values.dtype == np.float64
+    assert flags.values.tolist() == [1.0, 0.0]
+
+
 def test_coincidence_curve_refuses_a_nan_delay():
     state = TwoPhotonState(1550.0, 6.0)
     with pytest.raises(ValueError, match="delays must be finite"):

@@ -565,6 +565,156 @@ def test_banded_maps_match_full_grid_oracle(rows):
         assert modes._modes_above(map_, tau) == np.count_nonzero(values > tau)
 
 
+def _box_map(rows, columns, pitch):
+    # a uniform index box with zero-field edges
+    return IndexMap(index=np.full((rows, columns), 2.0),
+                    x_nm=np.arange(columns) * pitch,
+                    y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
+                    wavelength_nm=1550.0, substrate_index=0.0)
+
+
+@pytest.mark.parametrize("parity", [PARITY_SYMMETRIC, PARITY_ANTISYMMETRIC])
+@pytest.mark.parametrize("case", ["coupler", "vertical sidewalls", "banded"])
+def test_neighbour_built_blocks_match_direct_products(case, parity,
+                                                      monkeypatch):
+    # each x-varying row's dense block is the last varying row's plus the
+    # columns that changed since it; it must be V^T diag(excess) V, the
+    # row's index term less its outer cell's moved to the basis, plus the
+    # diagonal of a uniform row
+    if case == "banded":
+        map_ = _banded_map(slice(None))
+    else:
+        angle = 90.0 if case == "vertical sidewalls" else 60.0
+        map_ = build_cross_section(
+            replace(reference_geometry(gap_um=2.3), sidewall_angle_deg=angle),
+            1550.0, grid_pitch_nm=40.0)
+    (half,) = [half for p, half in modes._mirror_halves(map_.index)
+               if p == parity]
+    built = []
+    real = modes._Sweep
+
+    def recording(blocks, coupling, at):
+        # the sweep overwrites its blocks with its pivots' inverses
+        built.append({y: block.copy() for y, block in enumerate(blocks)
+                      if block.ndim == 2})
+        return real(blocks, coupling, at)
+
+    monkeypatch.setattr(modes, "_Sweep", recording)
+    pitch, k0 = map_.pitch_nm, 2.0 * np.pi / 1550.0
+    sigma = _mode_shift(map_.index, pitch, 1550.0)
+    basis, _ = modes._half_sweep(half, pitch, k0, parity, sigma)
+    (blocks,) = built
+    varying = np.flatnonzero(np.any(half != half[:, -1:], axis=1))
+    assert sorted(blocks) == list(varying)
+    columns = half.shape[1]
+    j = np.arange(columns)
+    theta = ((j + 0.5) * np.pi / columns if parity == PARITY_SYMMETRIC
+             else (j + 1) * np.pi / (columns + 1))
+    along_x = -4.0 / pitch**2 * np.sin(theta / 2.0) ** 2
+    for y in varying:
+        outer = k0**2 * half[y, -1] ** 2
+        direct = basis.T @ np.diag(k0**2 * half[y] ** 2 - outer) @ basis
+        excess = blocks[y] - np.diag(along_x + outer - 2.0 / pitch**2
+                                     - sigma)
+        assert np.abs(excess - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("case, n_modes", [
+    ("slab", 4), ("single rib", 4), ("coupler", 2), ("coupler", 4),
+    ("banded", 4), ("uniform box", 4)])
+def test_each_half_is_shifted_above_its_spectrum(case, n_modes, monkeypatch):
+    # the symmetric half at the profile shift, the antisymmetric half just
+    # above the symmetric top: neither sweep has a positive pivot, and the
+    # modes are those of a solve with both halves at the profile shift
+    if case == "slab":
+        map_ = _slab_map()
+    elif case == "banded":
+        map_ = replace(_banded_map(slice(None)), substrate_index=1.0)
+    elif case == "uniform box":
+        map_ = _box_map(29, 9, 200.0)
+    else:
+        gap = None if case == "single rib" else 2.3
+        map_ = replace(build_cross_section(reference_geometry(gap_um=gap),
+                                           1550.0, grid_pitch_nm=40.0),
+                       substrate_index=1.0)
+    sweeps = []
+    real = modes._half_sweep
+
+    def spy(half, pitch, k0, parity, shift):
+        basis, sweep = real(half, pitch, k0, parity, shift)
+        sweeps.append((parity, shift, sweep.positives))
+        return basis, sweep
+
+    monkeypatch.setattr(modes, "_half_sweep", spy)
+    solutions = solve_modes(map_, n_modes)
+    sigma = _mode_shift(map_.index, map_.pitch_nm, 1550.0)
+    assert [(parity, positives) for parity, _, positives in sweeps] == \
+        [(PARITY_SYMMETRIC, 0), (PARITY_ANTISYMMETRIC, 0)]
+    (_, first, _), (_, second, _) = sweeps
+    assert first == sigma and second < sigma
+    # a margin of the whole of (sigma - theta) puts the antisymmetric
+    # half back at the profile shift
+    monkeypatch.setattr(modes, "_TOP_MARGIN", 1.0)
+    sweeps.clear()
+    reference = solve_modes(map_, n_modes)
+    assert [shift for _, shift, _ in sweeps] == [sigma, sigma]
+    assert len(solutions) == len(reference) > 0
+    for mode, other in zip(solutions, reference):
+        assert mode.parity == other.parity
+        assert mode.n_eff == pytest.approx(other.n_eff, rel=1e-13, abs=0.0)
+        # each field lies about EIGEN_TOLERANCE of its peak from the
+        # eigenvector, so two solves agree to twice that: on the banded map
+        # the antisymmetric field is 0.99e-10 off at the new shift and
+        # 1.41e-10 at the profile shift, against a dense eigh
+        np.testing.assert_allclose(mode.field, other.field, rtol=0.0,
+                                   atol=2e-10 * np.abs(other.field).max())
+
+
+def test_beat_length_antisymmetric_half_takes_fewer_steps(monkeypatch):
+    # shift-invert Lanczos converges faster the nearer its shift lies to
+    # the wanted eigenvalue, and the symmetric top lies nearer the
+    # antisymmetric top than the profile bound does
+    steps = []
+    real = modes.eigsh
+
+    def counted(apply, start, *, k):
+        steps.append(0)
+
+        def step(rows):
+            steps[-1] += 1
+            return apply(rows)
+
+        return real(step, start, k=k)
+
+    monkeypatch.setattr(modes, "eigsh", counted)
+    supermode_coupling_length(reference_geometry(gap_um=2.3), 1550.0,
+                              grid_pitch_nm=40.0)
+    symmetric, antisymmetric = steps
+    assert antisymmetric < symmetric
+
+
+def test_symmetric_top_below_the_antisymmetric_one_raises(coupler_40nm,
+                                                          monkeypatch):
+    # a symmetric top ten times further below the profile shift than it
+    # is lies below the antisymmetric top: the antisymmetric half's sweep
+    # counts a positive pivot, and no Lanczos step runs on it
+    map_, _ = coupler_40nm
+    calls = []
+    real = modes.eigsh
+
+    def low_top(apply, start, *, k):
+        calls.append(k)
+        values, vectors = real(apply, start, k=k)
+        return values / 10.0, vectors
+
+    monkeypatch.setattr(modes, "eigsh", low_top)
+    with pytest.raises(ConvergenceError,
+                       match=r"shift \d\.\d+e-05 lies below \d+ of "
+                             r"the antisymmetric half's eigenvalues"):
+        solve_modes(map_, 2)
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("whole_row", [False, True], ids=["cell", "row"])
 def test_unusable_maps_raise(whole_row):
     # an infinite or NaN index, in a cell on the mirror plane or across a
@@ -765,21 +915,21 @@ def test_repeated_modes_draw_no_random_numbers(shape, pitch,
                                                no_random_numbers):
     # at 32 modes the Lanczos basis holds a whole half of each map, and
     # spans an invariant space before it is full, so eigsh takes new
-    # directions: once on the 28-cell symmetric half of the 7 x 7 map, twice
-    # on the 55-cell antisymmetric one of 11 x 11, four times on the 49-cell
-    # antisymmetric one of 7 x 15
+    # directions: once on each of the 28- and 21-cell halves of the 7 x 7
+    # map, twice on the 55-cell antisymmetric one of 11 x 11, four times on
+    # the 49-cell antisymmetric one of 7 x 15
     test_uniform_map_repeats_no_mode_more_than_it_repeats(shape, pitch, 32)
 
 
-@pytest.mark.parametrize("shape", [(7, 7), (7, 15), (11, 11)])
+@pytest.mark.parametrize("shape", [(9, 9), (7, 15), (11, 11)])
 def test_restart_directions_are_new_and_leave_the_basis(shape, monkeypatch):
     # each direction eigsh goes on from must differ from the ones before
     # it, and must keep a share of its length after the two passes that
     # orthogonalise it against the basis, or it adds no direction.  The
-    # directions come from the 28- and 21-cell halves of 7 x 7, the 49-cell
-    # one of 7 x 15 and the 55-cell one of 11 x 11; the start's sequence
-    # advanced by 21 or 55 terms, Fibonacci numbers, lay in the basis of
-    # those halves
+    # directions come from the 45- and 36-cell halves of 9 x 9 (two and
+    # one), the 49-cell one of 7 x 15 and the 55-cell one of 11 x 11; the
+    # start's sequence advanced by 21 or 55 terms, Fibonacci numbers, lay
+    # in the basis of the 21-cell half of 7 x 7 and of the 55-cell one
     directions = []
     real = modes._weyl
 
