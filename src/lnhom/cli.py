@@ -356,6 +356,7 @@ def _run_simulate_counts(params, out):
                          statistics=params["statistics"],
                          repetition_period_ns=params["repetition_period_ns"])
     detectors = _build(DetectorModel, params)
+    # checked here too, so a bad eta is named before a too-short delay axis
     check_eta(params["eta"])
     # the scan is fitted below, so too few points fail before it is run
     delays = _delay_axis(params, MIN_DIP_POINTS)

@@ -62,26 +62,19 @@ _MIN_DIP_WIDTH_PER_STEP = 0.25
 @dataclass(frozen=True)
 class PowerRatioSeries:
     """Measured cross-port power fraction versus coupler interaction length,
-    held as read-only float copies of the bool, integer or float arrays it
-    is given."""
+    held as read-only float copies of the arrays it is given.  Each column
+    is checked by the one rule ``DelayScan`` applies, under one label
+    ("interaction lengths", "power ratios"): the lengths are its axis, so
+    an empty series is refused.  Ratios must also lie in [0, 1]."""
 
     interaction_length_um: np.ndarray
     ratio: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "interaction_length_um", _read_only(
-            self.interaction_length_um, "interaction_length_um", float))
+        lengths = _read_only(self.interaction_length_um, "interaction lengths")
+        object.__setattr__(self, "interaction_length_um", lengths)
         object.__setattr__(self, "ratio",
-                           _read_only(self.ratio, "ratio", float))
-        if self.interaction_length_um.ndim != 1 \
-                or self.interaction_length_um.shape != self.ratio.shape:
-            raise ValueError("lengths and ratios must be matching 1D arrays")
-        for name, values in (("interaction lengths", self.interaction_length_um),
-                             ("power ratios", self.ratio)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.diff(self.interaction_length_um) <= 0):
-            raise ValueError("interaction lengths must be strictly increasing")
+                           _read_only(self.ratio, "power ratios", lengths))
         if np.any((self.ratio < 0) | (self.ratio > 1)):
             raise ValueError("power ratios must lie in [0, 1]")
 

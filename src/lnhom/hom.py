@@ -18,6 +18,8 @@ whose normalized dip depth, the visibility, is
 2 eta (1-eta) I(0) / (eta^2 + (1-eta)^2).
 All delays are picoseconds; optical-stage positions convert through an
 explicit single- or double-pass factor.
+Coincidence data travel as a ``DelayScan``.  One rule checks each column
+of it and of ``fitting.PowerRatioSeries``, and names it by one label.
 """
 
 from __future__ import annotations
@@ -101,16 +103,28 @@ def combined_visibility(source_visibility, eta):
     return source_visibility * hom_visibility_max(eta)
 
 
-def _read_only(values, name, dtype=None):
-    """A read-only copy of ``values``, cast to ``dtype`` when given.  Raises
-    ``ValueError``, naming the column ``name``, unless they are bool,
-    integer or float: a cast would drop an imaginary part or parse a
-    string."""
+def _read_only(values, label, axis=None, counts=False):
+    """A read-only copy of the column ``values``: integer ``counts`` keep
+    their dtype, the rest becomes float64.  Raises ``ValueError``, naming
+    the column by ``label``, unless it is bool, integer or float (a cast
+    would drop an imaginary part or parse a string), finite, and of the
+    shape of ``axis`` or, without one, itself a non-empty, strictly
+    increasing 1D axis."""
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real numbers, not {values.dtype}")
-    values = np.array(values, dtype=dtype)
+        raise ValueError(f"{label} must be real numbers, not {values.dtype}")
+    values = np.array(values, dtype=values.dtype
+                      if counts and values.dtype.kind in "iu" else float)
     values.flags.writeable = False
+    if axis is None and (values.ndim != 1 or values.size < 1):
+        raise ValueError(f"{label} must be a non-empty 1D axis")
+    if axis is not None and values.shape != axis.shape:
+        raise ValueError(f"{label} must have the axis shape {axis.shape}, "
+                         f"not {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} must be finite")
+    if axis is None and np.any(np.diff(values) <= 0):
+        raise ValueError(f"{label} must be strictly increasing")
     return values
 
 
@@ -121,11 +135,10 @@ class DelayScan:
     ``values`` holds probabilities (normalized or not) or integer counts;
     integer values are raw counts and keep their dtype, any others become
     float64.  ``stage_um`` holds the optical-stage positions, one per
-    delay, when the scan has them.  Its delays are a non-empty, finite,
-    strictly increasing 1D axis; its values are finite and non-negative,
-    its stage positions finite, and both of that shape.  Each column must
-    be bool, integer or float: a complex, string or object one is refused.
-    It holds read-only copies of its arrays, so these rules hold for life.
+    delay, when the scan has them.  ``_read_only`` checks each column
+    under one label ("delays", "coincidence values", "stage positions"),
+    the delays as the axis; values must also be non-negative.  It holds
+    read-only copies of its arrays, so these rules hold for life.
     """
 
     delay_ps: np.ndarray
@@ -133,28 +146,13 @@ class DelayScan:
     stage_um: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        object.__setattr__(self, "delay_ps",
-                           _read_only(self.delay_ps, "delay_ps", float))
+        delays = _read_only(self.delay_ps, "delays")
+        object.__setattr__(self, "delay_ps", delays)
         object.__setattr__(self, "values", _read_only(
-            values, "values", None if values.dtype.kind in "iu" else float))
-        if self.delay_ps.ndim != 1 or self.delay_ps.size < 1:
-            raise ValueError("delay axis must be a non-empty 1D array")
-        if not np.all(np.isfinite(self.delay_ps)):
-            raise ValueError("delays must be finite")
-        if np.any(np.diff(self.delay_ps) <= 0):
-            raise ValueError("delays must be strictly increasing")
-        if self.values.shape != self.delay_ps.shape:
-            raise ValueError("values and delays must have matching shape")
+            self.values, "coincidence values", delays, counts=True))
         if self.stage_um is not None:
-            object.__setattr__(self, "stage_um",
-                               _read_only(self.stage_um, "stage_um", float))
-            if self.stage_um.shape != self.delay_ps.shape:
-                raise ValueError("stage positions and delays must have matching shape")
-            if not np.all(np.isfinite(self.stage_um)):
-                raise ValueError("stage positions must be finite")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coincidence values must be finite")
+            object.__setattr__(self, "stage_um", _read_only(
+                self.stage_um, "stage positions", delays))
         if np.any(self.values < 0):
             raise ValueError("coincidence values must be non-negative")
 
@@ -164,10 +162,12 @@ def coincidence_curve(state, eta, delays_ps, normalized=True):
 
     Normalized scans divide by the far-delay baseline eta^2 + (1-eta)^2 so
     the wings sit at 1 and the dip depth equals
-    combined_visibility(I(0) at zero relative delay, eta).
+    combined_visibility(I(0) at zero relative delay, eta).  The delays are
+    checked as ``DelayScan`` checks them, before any cast: strings and
+    complex numbers are refused.
     """
     check_eta(eta)
-    delays = np.asarray(delays_ps, dtype=float)
+    delays = _read_only(delays_ps, "delays")
     overlap = spectral_overlap(state, delays)
     baseline = eta**2 + (1.0 - eta) ** 2
     values = baseline - 2.0 * eta * (1.0 - eta) * overlap

@@ -2,9 +2,10 @@
 
 One dialect everywhere: comma separator, ``.`` decimal point, mandatory
 header row, UTF-8, LF line endings, floats as their shortest round-trip
-``repr`` and integers as plain digits.  Field and index maps are written in
-blocks of ``ROW_BLOCK`` grid rows, so only one block's cell text is held at
-a time; every other CSV is written by a single column writer.  Formats:
+``repr`` and integers as plain digits, each distinct value (a float's
+magnitude) formatted once.  Field and index maps are written in blocks of
+``ROW_BLOCK`` grid rows, so only one block's cell text is held at a time;
+every other CSV is written by a single column writer.  Formats:
 
   * field / index maps:   x_nm,y_nm,value
   * splitting curves:     wavelength_nm,eta
@@ -44,25 +45,22 @@ def _cell_text(column):
     ``str`` of a Python float is its shortest round-trip ``repr``, so floats
     read back exactly.  A numeric column formats each distinct value once
     (an index map holds a handful of distinct values over hundreds of
-    thousands of cells, a symmetric field each value twice); values are
-    told apart by bit pattern, so ``-0.0`` and NaN keep their own text.  A
-    negative float's text is its magnitude's with a leading ``-`` (NaN's
-    text has no sign), so an antisymmetric field formats each magnitude
-    once too.
+    thousands of cells, a field each magnitude twice or more): floats by
+    magnitude, with a leading ``-`` wherever the sign bit is set and the
+    value is not NaN, so ``-0.0`` keeps its sign and NaN's text has none.
     """
     values = np.asarray(column)
     if values.dtype.kind not in "biuf":
         return [str(value) for value in values.tolist()]
-    if values.dtype.kind == "f" and np.signbit(values).any():
+    signed = values.dtype.kind == "f"
+    distinct, inverse = np.unique(np.abs(values) if signed else values,
+                                  return_inverse=True)
+    text = np.array([str(value) for value in distinct.tolist()],
+                    dtype=object)[inverse]
+    if signed:
         negative = np.signbit(values) & ~np.isnan(values)
-        text = np.array(_cell_text(np.abs(values)), dtype=object)
         text[negative] = "-" + text[negative]
-        return text.tolist()
-    bits = np.ascontiguousarray(values).view(f"u{values.dtype.itemsize}")
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    text = np.array([str(value) for value in values[first].tolist()],
-                    dtype=object)
-    return text[inverse].tolist()
+    return text.tolist()
 
 
 def _write_columns(path, header, *columns):

@@ -92,9 +92,10 @@ EIGEN_TOLERANCE = 1e-10
 _TOP_MARGIN = 100 * EIGEN_TOLERANCE
 # step of the Weyl sequence (_weyl) that a solve starts and restarts from
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# order at which _definite_inverse stops halving a block: inverting a
-# 375 x 375 pivot took 14.8 ms with LAPACK's inv, 3.2 ms halved down to 64
-# (3.1 and 3.6 ms down to 32 and 128; numpy 2.4, one BLAS thread, x86_64)
+# order at which _definite_inverse stops halving a block: a 375 x 375
+# pivot took 2.3 ms halved down to 64 (2.2 and 2.7 ms down to 32 and 128),
+# 8.3 ms with LAPACK's inv (medians of 15 calls, numpy 2.4, one BLAS
+# thread, shared x86_64 Xeon host; under load up to 5.4 and 14.0 ms)
 DEFINITE_ORDER = 64
 # supermode index splitting below which two ribs count as decoupled
 DEGENERACY_TOLERANCE = 1e-9
@@ -516,8 +517,9 @@ def solve_modes(index_map, n_modes=1):
 def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):
     """Beat length (um) for full power transfer, from the supermode splitting."""
     delta_n = n_symmetric - n_antisymmetric
-    if delta_n <= 0:
-        raise ValueError("symmetric supermode index must exceed the antisymmetric one")
+    if not 0 < delta_n < np.inf:  # refuses a NaN splitting too
+        raise ValueError("symmetric supermode index must exceed the "
+                         "antisymmetric one, by a finite amount")
     return (wavelength_nm / 1000.0) / (2.0 * delta_n)
 
 

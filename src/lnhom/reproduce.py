@@ -107,10 +107,10 @@ def _bandwidth_checks():
     yield _close("order-0 flatness over 1540-1560 nm (max |eta - 0.5|)",
                  float(np.max(np.abs(eta0 - 0.5))), 0.0, 0.01)
 
-    wide = np.linspace(1460.0, 1640.0, 721)
+    wide, step = np.linspace(1460.0, 1640.0, 721, retstep=True)
     inside = [np.abs(splitting_ratio(device, wide, length) - 0.5) < 0.01
               for length in (order0, order1)]
-    widths = [0.25 * int(np.count_nonzero(mask)) for mask in inside]
+    widths = [step * int(np.count_nonzero(mask)) for mask in inside]
     yield CheckResult("higher-order device narrows the 1% bandwidth",
                       f"< {widths[0]:g} nm", f"{widths[1]:g} nm", "strict",
                       widths[1] < widths[0])

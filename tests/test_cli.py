@@ -85,6 +85,15 @@ def test_wrong_type_is_rejected(tmp_path, capsys):
     assert "expects int" in capsys.readouterr().err
 
 
+def test_bool_key_refuses_anything_but_true_or_false(tmp_path, capsys):
+    config = _write(tmp_path, "c.cfg", "write_fields = yes\n")
+    out = tmp_path / "out"
+    assert main(["modes", "--config", config, "--out", str(out)]) == 2
+    assert "key 'write_fields' expects bool, got 'yes'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_key_is_rejected(tmp_path, capsys):
     config = _write(tmp_path, "c.cfg", "eta = 0.5\neta = 0.6\n")
     assert main(["hom-dip", "--config", config,
@@ -454,6 +463,26 @@ def test_negative_sweep_start_names_its_key(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_one_point_sweep_is_a_config_error(tmp_path, capsys):
+    config = _write(tmp_path, "c.cfg",
+                    "length_min_um = 100\nlength_max_um = 100\n")
+    out = tmp_path / "out"
+    assert main(["coupler-sweep", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: length sweep needs at least two points\n")
+    assert not any(out.iterdir())
+
+
+def test_missing_input_csv_is_a_config_error(tmp_path, capsys):
+    csv = tmp_path / "absent.csv"
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    out = tmp_path / "out"
+    assert main(["fit-dip", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: input_csv does not exist: {csv}\n")
+    assert not any(out.iterdir())
+
+
 def test_bandwidth_at_an_explicit_interaction_length(tmp_path):
     # the reference device at its measured 257 um section
     device = ref.reference_device()
@@ -487,6 +516,16 @@ def test_non_finite_data_cell_is_a_data_error(tmp_path, capsys, scenario,
     assert main([scenario, "--config", config,
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_header_only_power_ratio_csv_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "ratios.csv"
+    csv.write_text("length_um,ratio\n", encoding="utf-8")
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    assert main(["fit-coupling", "--config", config,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: interaction lengths must be a non-empty 1D axis\n")
 
 
 # a row the reader cannot take: ragged, or with a cell that is not a number

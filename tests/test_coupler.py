@@ -161,6 +161,13 @@ def test_length_for_ratio_roundtrips():
             assert closed == pytest.approx(target, abs=1e-9)
 
 
+@pytest.mark.parametrize("target", [1.5, -0.1, math.nan],
+                         ids=["1.5", "-0.1", "nan"])
+def test_length_for_ratio_refuses_a_target_outside_the_unit_interval(target):
+    with pytest.raises(ValueError, match="^target_eta must lie in \\[0, 1\\]$"):
+        length_for_ratio(_device(), target, 0)
+
+
 def test_unreachable_branch_raises():
     # offset already past the whole first branch
     with pytest.raises(UnreachableTargetError):

@@ -25,6 +25,10 @@ from lnhom.hom import DelayScan
 
 from _oracles import dip_fit_reference, fp_contrast, sinusoid_fit_reference
 
+# the one label each PowerRatioSeries field is refused under
+SERIES_LABELS = {"interaction_length_um": "interaction lengths",
+                 "ratio": "power ratios"}
+
 
 def _sinusoid(lengths, coupling_length, offset, amplitude, baseline):
     theta = 0.5 * math.pi * (lengths + offset) / coupling_length
@@ -107,13 +111,14 @@ def test_sinusoid_fit_needs_enough_points():
 @pytest.mark.parametrize("field", ["interaction_length_um", "ratio"])
 def test_power_series_refuses_non_real_columns(field, kind):
     # refused before the float cast, which would drop the imaginary part or
-    # parse the strings, with the column named
+    # parse the strings, with the column named by its one label
     columns = {"interaction_length_um": np.array([0.0, 10.0, 20.0]),
                "ratio": np.array([0.1, 0.5, 0.9])}
     columns[field] = {"complex": columns[field] + 0.5j,
                       "str": columns[field].astype(str),
                       "object": columns[field].astype(object)}[kind]
-    with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+    with pytest.raises(ValueError,
+                       match=f"^{SERIES_LABELS[field]} must be real numbers"):
         PowerRatioSeries(**columns)
     # bool and integer columns are cast to float
     series = PowerRatioSeries(np.array([0, 10, 20]),
@@ -141,6 +146,24 @@ def test_power_series_validation():
         series.ratio = np.full(3, 7.0)
     ratios[2] = 7.0
     assert series.ratio.tolist() == [0.5, 0.6, 0.7]
+
+
+@pytest.mark.parametrize("field, column, rule", [
+    ("interaction_length_um", [], "must be a non-empty 1D axis"),
+    ("interaction_length_um", [[0.0, 1.0, 2.0]], "must be a non-empty 1D axis"),
+    ("interaction_length_um", [0.0, 2.0, 1.0], "must be strictly increasing"),
+    ("interaction_length_um", [0.0, math.nan, 2.0], "must be finite"),
+    ("ratio", [0.5, 0.5], "must have the axis shape"),
+    ("ratio", [0.5, math.nan, 0.5], "must be finite"),
+    ("ratio", [0.5, 1.5, 0.5], "must lie in"),
+    ("ratio", ["0.5", "0.5", "0.5"], "must be real numbers"),
+])
+def test_every_refusal_of_a_series_column_names_its_one_label(field, column,
+                                                              rule):
+    columns = {"interaction_length_um": [0.0, 1.0, 2.0],
+               "ratio": [0.5, 0.6, 0.7], field: column}
+    with pytest.raises(ValueError, match=f"^{SERIES_LABELS[field]} {rule}"):
+        PowerRatioSeries(**columns)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -405,6 +428,15 @@ def test_impossible_contrast_warns_of_gain():
     with pytest.warns(NegativeLossWarning):
         alpha = fabry_perot_loss(bound + 0.02, reflectivity, 1.0)
     assert alpha < 0.0
+
+
+@pytest.mark.parametrize("reflectivity", [0.0, 1.0, math.nan],
+                         ids=["0", "1", "nan"])
+def test_fringes_refuse_a_reflectivity_outside_the_open_interval(
+        reflectivity):
+    with pytest.raises(ValueError, match="^facet reflectivity must lie "
+                                         "strictly between 0 and 1$"):
+        fabry_perot_fringes(0.0, 4.85, 1.0, reflectivity)
 
 
 def test_loss_inputs_are_validated():

@@ -24,6 +24,9 @@ from _oracles import overlap_quadrature, visibility_eq
 
 # visibility_eq(0.546), frozen before wiring up the package route
 V_MAX_AT_REFERENCE_SPLITTING = 0.9832140760602261
+# the one label each DelayScan field is refused under
+SCAN_LABELS = {"delay_ps": "delays", "values": "coincidence values",
+               "stage_um": "stage positions"}
 
 
 # --- spectral overlap vs quadrature oracle --------------------------------
@@ -272,14 +275,15 @@ def test_delay_scan_refuses_non_finite_entries(field, message, bad):
 @pytest.mark.parametrize("field", ["delay_ps", "values", "stage_um"])
 def test_delay_scan_refuses_non_real_columns(field, kind):
     # refused before any cast, which would drop the imaginary part or
-    # parse the strings, with the column named
+    # parse the strings, with the column named by its one label
     columns = {"delay_ps": np.array([0.0, 1.0, 2.0]),
                "values": np.array([5.0, 6.0, 7.0]),
                "stage_um": np.array([0.0, 150.0, 300.0])}
     columns[field] = {"complex": columns[field] + 0.5j,
                       "str": columns[field].astype(str),
                       "object": columns[field].astype(object)}[kind]
-    with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+    with pytest.raises(ValueError,
+                       match=f"^{SCAN_LABELS[field]} must be real numbers"):
         DelayScan(**columns)
 
 
@@ -299,6 +303,45 @@ def test_coincidence_curve_refuses_a_nan_delay():
     state = TwoPhotonState(1550.0, 6.0)
     with pytest.raises(ValueError, match="delays must be finite"):
         coincidence_curve(state, 0.5, [0.0, math.nan])
+
+
+@pytest.mark.parametrize("delays", [
+    np.array(["-1", "0", "1"]),
+    np.array([-1.0, 0.0, 1.0]) + 0.5j,
+], ids=["str", "complex"])
+def test_coincidence_curve_refuses_non_real_delays(delays, recwarn):
+    # a float cast would parse the strings, or drop the imaginary part with
+    # only a ComplexWarning
+    state = TwoPhotonState(1550.0, 6.0)
+    with pytest.raises(ValueError, match="^delays must be real numbers"):
+        coincidence_curve(state, 0.5, delays)
+    assert not recwarn.list
+
+
+# every way a column can break the one column rule; the others stay valid
+@pytest.mark.parametrize("field, column, rule", [
+    ("delay_ps", 0.0, "must be a non-empty 1D axis"),
+    ("delay_ps", [], "must be a non-empty 1D axis"),
+    ("delay_ps", [[0.0, 1.0, 2.0]], "must be a non-empty 1D axis"),
+    ("delay_ps", [0.0, 2.0, 1.0], "must be strictly increasing"),
+    ("delay_ps", [0.0, 0.0, 1.0], "must be strictly increasing"),
+    ("delay_ps", [0.0, math.nan, 2.0], "must be finite"),
+    ("delay_ps", ["0", "1", "2"], "must be real numbers"),
+    ("values", [5.0, 6.0], "must have the axis shape"),
+    ("values", [[5.0, 6.0, 7.0]], "must have the axis shape"),
+    ("values", [5.0, math.inf, 7.0], "must be finite"),
+    ("values", [5.0, 6.0, -7.0], "must be non-negative"),
+    ("values", [5j, 6j, 7j], "must be real numbers"),
+    ("stage_um", [0.0, 150.0], "must have the axis shape"),
+    ("stage_um", [0.0, -math.inf, 300.0], "must be finite"),
+    ("stage_um", [None, None, None], "must be real numbers"),
+])
+def test_every_refusal_of_a_scan_column_names_its_one_label(field, column,
+                                                            rule):
+    columns = {"delay_ps": [0.0, 1.0, 2.0], "values": [5, 6, 7],
+               "stage_um": [0.0, 150.0, 300.0], field: column}
+    with pytest.raises(ValueError, match=f"^{SCAN_LABELS[field]} {rule}"):
+        DelayScan(**columns)
 
 
 def test_stage_conversion_constants_follow_from_light_speed():

@@ -102,11 +102,13 @@ def test_power_ratio_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.ratio, series.ratio)
 
 
-def test_header_only_power_ratio_csv_reads_as_an_empty_series(tmp_path):
+def test_header_only_power_ratio_csv_is_refused(tmp_path):
+    # the lengths are the series' axis, and an axis is non-empty
     path = tmp_path / "ratios.csv"
     path.write_text("length_um,ratio\n", encoding="utf-8")
-    back = read_power_ratio_csv(path)
-    assert back.interaction_length_um.shape == back.ratio.shape == (0,)
+    with pytest.raises(ValueError, match="^interaction lengths must be a "
+                                         "non-empty 1D axis$"):
+        read_power_ratio_csv(path)
 
 
 def test_written_files_are_utf8_with_lf_endings(tmp_path):
@@ -288,8 +290,8 @@ def test_field_csv_matches_repr_oracle(tmp_path, shape, kind):
 
 
 def test_field_csv_formats_a_row_block_at_a_time(tmp_path, monkeypatch):
-    # no more than ROW_BLOCK grid rows of cell text exist at once; the
-    # antisymmetric rows send their magnitudes through _cell_text again
+    # no more than ROW_BLOCK grid rows of cell text exist at once, each
+    # full block in one call
     sizes = []
     cell_text = lio._cell_text
 
@@ -304,7 +306,7 @@ def test_field_csv_formats_a_row_block_at_a_time(tmp_path, monkeypatch):
     x, y = np.arange(nx) * 10.0, np.arange(ny) * 10.0
     write_field_csv(tmp_path / "field.csv", x, y, values)
     assert max(sizes) <= ROW_BLOCK * nx
-    assert sizes.count(ROW_BLOCK * nx) >= 2 * 3
+    assert sizes.count(ROW_BLOCK * nx) == 3
     with open(tmp_path / "field.csv", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     assert [float(row[2]) for row in rows] == values.ravel().tolist()

@@ -748,6 +748,17 @@ def test_coupling_length_synthetic_delta_n():
         coupling_length_from_indices(1.90, 1.91, 1550.0)
 
 
+@pytest.mark.parametrize("n_symmetric, n_antisymmetric", [
+    (np.nan, 1.9), (1.91, np.nan), (np.inf, 1.9), (1.91, -np.inf)],
+    ids=["nan-symmetric", "nan-antisymmetric", "inf-symmetric",
+         "-inf-antisymmetric"])
+def test_coupling_length_refuses_a_non_finite_splitting(n_symmetric,
+                                                        n_antisymmetric):
+    # a NaN splitting compares False with zero, and once returned NaN
+    with pytest.raises(ValueError, match="by a finite amount"):
+        coupling_length_from_indices(n_symmetric, n_antisymmetric, 1550.0)
+
+
 def test_reference_coupling_length_in_band(supermodes_20nm):
     sym, anti = supermodes_20nm["modes"]
     length = coupling_length_from_indices(sym.n_eff, anti.n_eff, 1550.0)
@@ -805,6 +816,22 @@ def test_decoupled_waveguides_error():
     geometry = WaveguideGeometry(etch_depth_nm=600.0, gap_um=6.0)
     with pytest.raises(DecoupledWaveguidesError):
         supermode_coupling_length(geometry, 1550.0, grid_pitch_nm=40.0)
+
+
+def test_a_single_guided_supermode_is_decoupled():
+    # 150 nm wide, fully etched 200 nm ribs: only the symmetric supermode
+    # (n_eff 1.4686) lies above the 1.444 substrate
+    geometry = WaveguideGeometry(film_thickness_nm=200, etch_depth_nm=200,
+                                 top_width_um=0.15, gap_um=0.6)
+    with pytest.raises(DecoupledWaveguidesError,
+                       match="^fewer than two guided supermodes found"):
+        supermode_coupling_length(geometry, 1550.0, grid_pitch_nm=25.0)
+
+
+def test_mode_count_requires_a_single_waveguide():
+    with pytest.raises(ValueError,
+                       match="^single-waveguide geometry required$"):
+        guided_mode_count(reference_geometry(gap_um=2.3), 1550.0)
 
 
 def test_supermode_requires_gap():
