@@ -64,13 +64,25 @@ class TwoPhotonState:
             / self.center_wavelength_nm**2
 
 
+def _real(values, label):
+    """``values`` as an array.  Raises ``ValueError``, naming them by
+    ``label``, unless they are bool, integer or float: a cast would parse a
+    string or drop an imaginary part."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{label} must be real numbers, not {values.dtype}")
+    return values
+
+
 def spectral_overlap(state, delay_ps=0.0):
     """Indistinguishability I(tau) of the pair, in [0, 1], at the relative
     arrival delay ``delay_ps`` of signal and idler.
 
-    Closed form for Gaussians.  Accepts scalar or array delay.
+    Closed form for Gaussians.  Accepts scalar or array delay, of bool,
+    integer or float dtype: raises ``ValueError`` on strings and complex
+    numbers, before any cast.
     """
-    tau = np.asarray(delay_ps, dtype=float)
+    tau = np.asarray(_real(delay_ps, "delays"), dtype=float)
     overlap = state.source_visibility \
         * np.exp(-(state.sigma_omega_rad_per_ps * tau) ** 2)
     return overlap if np.ndim(delay_ps) else float(overlap)
@@ -110,9 +122,7 @@ def _read_only(values, label, axis=None, counts=False):
     would drop an imaginary part or parse a string), finite, and of the
     shape of ``axis`` or, without one, itself a non-empty, strictly
     increasing 1D axis."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
-        raise ValueError(f"{label} must be real numbers, not {values.dtype}")
+    values = _real(values, label)
     values = np.array(values, dtype=values.dtype
                       if counts and values.dtype.kind in "iu" else float)
     values.flags.writeable = False

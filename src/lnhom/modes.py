@@ -48,7 +48,12 @@ N columns in the half each dense row costs the factorisation N^3 time and
 N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm pitch; a
 build_cross_section map has etch_depth / pitch dense rows.  The halves
 are solved one after the other, and each half's sweep and basis are freed
-before the next is factorised, so one half is resident at a time.
+before the next is factorised, so one half is resident at a time.  A half
+peaks at its last Lanczos step, with its sweep and its basis rows, one
+per step, resident: about 18.5 MB and 16 x 1.6 MB for the symmetric half
+of the coupler at 10 nm asked for two modes.  A Ritz vector is kept as its
+coefficients in the basis and formed once, after the sweep is freed, or
+before a thick restart overwrites the basis.
 
 Counting guided modes needs no eigensolve.  By Sylvester's law of inertia
 (Parlett, The Symmetric Eigenvalue Problem, 1980, sec. 3.3) the number of
@@ -298,6 +303,17 @@ def eigsh(apply, start, *, k):
     (2000)).  Raises :class:`ConvergenceError`, with the number of pairs
     converged, if ``MAX_ITERATIONS`` bases do not converge ``k``.
 
+    A kept pair holds its Ritz coefficients, not its vector.  Each vector
+    is formed once, as the product of its coefficients and the basis rows:
+    for the pairs kept when the basis restarts, just before the restart
+    overwrites those rows, and for the rest of the first ``k``, on return,
+    straight into the array returned.  ``start`` is released once it has
+    given the first basis vector, and ``apply`` before the vectors are
+    formed, so a caller that passes the only references to them (on
+    CPython 3.11 and later, where a call hands its arguments over to the
+    callee) has neither resident beside the vectors; the peak, at the last
+    step, holds the basis rows and what ``apply`` holds.
+
     The start vector's Krylov space holds one eigenvector of each
     eigenvalue.  The other eigenvectors of a repeated one enter the basis
     through rounding, or from a new direction once the basis spans an
@@ -314,18 +330,22 @@ def eigsh(apply, start, *, k):
     / 2, distinct for each i and, for the first few, far from 0 and 1
     whatever ``start.size``, so none repeats the start or another.
     """
-    size = start.size
+    shape, size = start.shape, start.size
     ncv = min(max(2 * k + 1, 20), size)
     basis = np.empty((ncv + 1, size))
     basis[0] = start.ravel() / np.linalg.norm(start)
+    del start  # freed here if the caller passed its only reference
     projected = np.zeros((ncv, ncv))  # basis^T apply basis
     restarts = 0  # the new directions taken
-    values, vectors = [], []
+    # each kept pair's Ritz coefficients over the leading basis vectors, as
+    # many as it has entries, except the first `formed`: those pairs' Ritz
+    # vectors, formed before a restart overwrote that basis
+    values, vectors, formed = [], [], 0
     tracked = np.zeros((0, 0))  # the kept pairs' Ritz coefficients
     first = 0  # the basis vectors kept over the restarts
     for _ in range(MAX_ITERATIONS):
         for j in range(first, ncv):
-            vector = apply(basis[j].reshape(start.shape)).ravel()
+            vector = apply(basis[j].reshape(shape)).ravel()
             coefficients = np.zeros(j + 1)
             for _ in range(2):
                 step = basis[:j + 1] @ vector
@@ -345,17 +365,25 @@ def eigsh(apply, start, *, k):
                                   axis=0)) < 0.5
             del values[int(moved.argmax()) if moved.any() else len(values):]
             del vectors[len(values):]
+            formed = min(formed, len(values))
             converged = np.abs(beta * ritz[-1]) <= \
                 EIGEN_TOLERANCE * np.abs(thetas)
             leading = j + 1 if converged.all() else int(converged.argmin())
-            for i in range(len(values), leading):
-                values.append(thetas[i])
-                vectors.append(ritz[:, i] @ basis[:j + 1])
+            values.extend(thetas[len(values):leading])
+            vectors.extend(ritz[:, len(vectors):leading].T)
             # a basis that can hold the whole space first does, so it holds
             # every copy of a repeated eigenvalue
             if len(values) >= k and (ncv < size or j + 1 == size):
-                return (np.array(values[:k]),
-                        np.array(vectors[:k]).reshape((k,) + start.shape))
+                # a sweep that the caller passed alone is freed before the
+                # vectors are formed
+                del apply
+                out = np.empty((k, size))
+                for i, vector in enumerate(vectors[:k]):
+                    if i < formed:
+                        out[i] = vector
+                    else:
+                        np.matmul(vector, basis[:len(vector)], out=out[i])
+                return np.array(values[:k]), out.reshape((k,) + shape)
             tracked = ritz[:, :len(values)]
             if exhausted:  # go on from a new direction
                 # advancing by whole start lengths would move the phase by
@@ -367,6 +395,10 @@ def eigsh(apply, start, *, k):
                     vector -= (basis[:j + 1] @ vector) @ basis[:j + 1]
                 beta = np.linalg.norm(vector)
             basis[j + 1] = vector / beta
+        # the restart overwrites the basis the kept coefficients refer to
+        for i in range(formed, len(values)):
+            vectors[i] = vectors[i] @ basis[:len(vectors[i])]
+        formed = len(values)
         first = (ncv + 1) // 2
         basis[:first] = ritz[:, :first].T @ basis[:ncv]
         basis[first] = basis[ncv]
@@ -393,25 +425,31 @@ def _top_modes(index_map, halves, n_modes):
     theta), above its own spectrum and nearer its top than sigma.  A
     sweep's inertia proves its shift: raises :class:`ConvergenceError`,
     naming the shift, before any Lanczos step on a half whose sweep counts
-    a positive pivot."""
+    a positive pivot.  :func:`eigsh` gets the only references to the sweep
+    and the start, so a half peaks at its last Lanczos step with its basis
+    rows and its sweep resident, and its Ritz vectors are formed after the
+    sweep is freed."""
     wavelength, pitch = index_map.wavelength_nm, index_map.pitch_nm
     k0 = 2.0 * np.pi / wavelength
     shift = _mode_shift(index_map.index, pitch, wavelength)
     candidates = []
     for parity, half in halves:
-        basis, sweep = _half_sweep(half, pitch, k0, parity, shift)
-        if sweep.positives:
+        basis, *sweep = _half_sweep(half, pitch, k0, parity, shift)
+        if sweep[0].positives:
             raise ConvergenceError(f"shift {shift!r} lies below "
-                                   f"{sweep.positives} of the {parity} "
+                                   f"{sweep[0].positives} of the {parity} "
                                    "half's eigenvalues")
-        # a fixed start, the half's coefficients in V drawn from the golden
-        # Weyl sequence, makes every solve bit-reproducible
-        start = _weyl(half.size, _GOLDEN).reshape(half.shape)
-        values, vectors = eigsh(sweep.solve, start, k=min(n_modes, half.size))
+        # eigsh gets the only reference to the sweep, popped from its list,
+        # and to the start, a fixed one: the half's coefficients in V drawn
+        # from the golden Weyl sequence, which makes every solve
+        # bit-reproducible
+        values, vectors = eigsh(sweep.pop().solve,
+                                _weyl(half.size, _GOLDEN).reshape(half.shape),
+                                k=min(n_modes, half.size))
         vectors = vectors @ basis.T  # drops the coefficients before next half
-        # the next half is factorised with this one's sweep, basis and
-        # start vector freed, so one half is resident at a time
-        del basis, sweep, start
+        # the next half is factorised with this one's basis freed too, so
+        # one half is resident at a time
+        del basis
         values = shift + 1.0 / values
         # the next half lies below this one's top
         shift = float(values[0] + _TOP_MARGIN * (shift - values[0]))

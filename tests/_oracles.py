@@ -96,6 +96,19 @@ def full_grid_n_eff(index, pitch_nm, wavelength_nm, count=4):
     return np.sort(np.sqrt(vals) / k0)[::-1]
 
 
+def full_grid_modes(index, pitch_nm, wavelength_nm, count):
+    """Largest effective indices of :func:`full_grid_operator`, descending,
+    and their fields ``[iy, ix]``, each at unit power on the grid (sum f^2
+    h^2 = 1) and up to sign, by the same shift-invert as
+    :func:`full_grid_n_eff`."""
+    k0 = 2.0 * math.pi / wavelength_nm
+    vals, vecs = eigsh(full_grid_operator(index, pitch_nm, wavelength_nm),
+                       k=count, sigma=(k0 * index.max()) ** 2)
+    order = np.argsort(vals)[::-1]
+    fields = vecs[:, order].T.reshape((count,) + index.shape) / pitch_nm
+    return np.sqrt(vals[order]) / k0, fields
+
+
 def half_map_operator(half, pitch_nm, wavelength_nm, symmetric):
     """The 5-point operator on the half map ``half`` right of a mirror plane,
     as a Kronecker sum of 1D second differences.  For symmetric modes the

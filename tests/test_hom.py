@@ -78,6 +78,34 @@ def test_overlap_accepts_array_delays():
     assert values[0] == values[2]  # even in delay for degenerate packets
 
 
+@pytest.mark.parametrize("delays", [
+    "1", np.array(["0", "1"]), 1 + 1j, np.array([0.5j, 1 + 1j]),
+], ids=["str", "str array", "complex", "complex array"])
+def test_overlap_refuses_non_real_delays(delays, recwarn):
+    # a float cast would parse the strings, or drop the imaginary part with
+    # only a ComplexWarning
+    with pytest.raises(ValueError, match="^delays must be real numbers, not "):
+        spectral_overlap(TwoPhotonState(1550.0, 6.0), delays)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("delays", [
+    True, 1, 1.0, np.float32(1.0), np.int8(1),
+    np.array([False, True]), np.array([0, 1]), np.array([0.0, 1.0]),
+    np.array([0.0, 1.0], dtype=np.float32),
+])
+def test_overlap_of_real_delays_is_that_of_their_float_cast(delays):
+    state = TwoPhotonState(1550.0, 6.0)
+    value = spectral_overlap(state, delays)
+    if np.ndim(delays):
+        expected = spectral_overlap(state, np.asarray(delays, dtype=float))
+        assert value.dtype == np.float64
+        assert np.array_equal(value, expected)
+    else:
+        assert type(value) is float
+        assert value == spectral_overlap(state, float(delays))
+
+
 # --- visibility ceiling of an unbalanced splitter -------------------------
 
 def test_visibility_ceiling_is_unity_only_at_balance():
