@@ -218,10 +218,15 @@ def fit_coupling_sinusoid(series):
 
 def coupling_length_statistics(fitted_lengths):
     """Sample mean and sample standard deviation (ddof=1) of per-port
-    coupling-length fits."""
+    coupling-length fits.  Raises ``ValueError`` unless they are a 1D
+    sequence of at least two finite values."""
     values = np.asarray(fitted_lengths, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("fitted values must be a 1D sequence")
     if values.size < 2:
         raise ValueError("need at least two fitted values")
+    if not np.isfinite(values).all():
+        raise ValueError("fitted values must be finite")
     return float(values.mean()), float(values.std(ddof=1))
 
 
@@ -348,7 +353,10 @@ def fabry_perot_loss(contrast, facet_reflectivity, length_cm):
 
 def fabry_perot_fringes(phase_rad, loss_db_per_cm, length_cm, facet_reflectivity):
     """Synthetic facet-cavity transmission versus round-trip phase (Airy
-    function), for closing the contrast-extraction roundtrip."""
+    function), for closing the contrast-extraction roundtrip.  The loss
+    must be finite; a negative one is gain."""
+    if not -math.inf < loss_db_per_cm < math.inf:
+        raise ValueError("loss_db_per_cm must be finite")
     if not 0.0 < facet_reflectivity < 1.0:
         raise ValueError("facet reflectivity must lie strictly between 0 and 1")
     if not 0.0 < length_cm < math.inf:
@@ -361,10 +369,18 @@ def fabry_perot_fringes(phase_rad, loss_db_per_cm, length_cm, facet_reflectivity
 
 
 def fringe_contrast(values):
-    """Michelson contrast (max - min)/(max + min) of a fringe trace."""
+    """Michelson contrast (max - min)/(max + min) of a fringe trace.
+    Raises ``ValueError`` unless the trace is non-empty, finite,
+    non-negative and not all zero."""
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("fringe trace must not be empty")
+    if not np.isfinite(values).all():
+        raise ValueError("fringe trace must be finite")
     top = float(values.max())
     bottom = float(values.min())
+    if bottom < 0:
+        raise ValueError("fringe trace must not be negative")
     if top + bottom <= 0:
         raise ValueError("fringe trace must contain positive values")
     return (top - bottom) / (top + bottom)

@@ -106,10 +106,6 @@ class IndexMap:
     wavelength_nm: float
     substrate_index: float
 
-    @property
-    def shape(self):
-        return self.index.shape
-
 
 def _symmetric_x_grid(half_width_nm, pitch_nm):
     # odd cell count centred on x = 0 so x[k] == -x[n-1-k] exactly

@@ -43,7 +43,7 @@ by the same elimination on halves of it, whose Cholesky leaves prove it
 so (:func:`_definite_inverse`); a half whose sweep counts a positive pivot
 is not iterated on.  The Lanczos iteration runs on the rows'
 coefficients in V, each step one forward and one back pass over that
-order; its start is built in V, so V only maps the eigenvectors out.  For
+order; eigsh draws its start in V, so V only maps the eigenvectors out.  For
 N columns in the half each dense row costs the factorisation N^3 time and
 N^2 x 8 B of memory, about 17 MB in all for a coupler at 10 nm pitch; a
 build_cross_section map has etch_depth / pitch dense rows.  The halves
@@ -67,6 +67,7 @@ by ``eigh`` (:func:`_pivot_inverse`).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -276,21 +277,22 @@ def _half_sweep(half, pitch, k0, parity, shift):
     return basis, _Sweep(blocks, coupling, shift)
 
 
-def _weyl(count, step, skip=0):
+def _weyl(count, skip):
     """The ``count`` terms after the first ``skip`` of the Weyl sequence 2
-    frac(i ``step``) - 1, i = 1, 2, ....  For an irrational ``step`` the
+    frac(i a) - 1, i = 1, 2, ..., a = ``_GOLDEN``.  As a is irrational the
     terms fill (-1, 1) evenly and never repeat (Weyl, Math. Ann. 77, 313
     (1916)), so a solver that starts or restarts from them needs no random
     numbers, and its bits do not hang on a generator's stream."""
-    return 2.0 * np.modf(np.arange(skip + 1, skip + count + 1) * step)[0] - 1.0
+    return 2.0 * np.modf(np.arange(skip + 1, skip + count + 1)
+                         * _GOLDEN)[0] - 1.0
 
 
-def eigsh(apply, start, *, k):
+def eigsh(apply, shape, *, k):
     """The ``k`` largest-magnitude eigenvalues of the symmetric linear map
-    ``apply`` (an array shaped like ``start`` to another), descending in
-    magnitude, and their unit eigenvectors stacked along a new first axis.
+    ``apply`` (an array of ``shape`` to another), or all if fewer, descending
+    in magnitude, and their unit eigenvectors stacked along a new first axis.
 
-    Lanczos iteration from ``start``, with each new vector orthogonalised
+    Lanczos iteration from a fixed start, with each new vector orthogonalised
     against the whole basis twice (Parlett, The Symmetric Eigenvalue
     Problem, 1980, ch. 13).  The Ritz pairs (theta, y) of the basis come
     from the basis' projection of ``apply``; one has converged when its
@@ -307,14 +309,13 @@ def eigsh(apply, start, *, k):
     is formed once, as the product of its coefficients and the basis rows:
     for the pairs kept when the basis restarts, just before the restart
     overwrites those rows, and for the rest of the first ``k``, on return,
-    straight into the array returned.  ``start`` is released once it has
-    given the first basis vector, and ``apply`` before the vectors are
-    formed, so a caller that passes the only references to them (on
-    CPython 3.11 and later, where a call hands its arguments over to the
-    callee) has neither resident beside the vectors; the peak, at the last
-    step, holds the basis rows and what ``apply`` holds.
+    straight into the array returned.  ``apply`` is released before the
+    vectors are formed, so a caller that passes the only reference to it
+    (on CPython 3.11 and later, where a call hands its arguments over to
+    the callee) does not hold it resident beside the vectors; the peak, at
+    the last step, holds the basis rows and what ``apply`` holds.
 
-    The start vector's Krylov space holds one eigenvector of each
+    The Krylov space of the start holds one eigenvector of each
     eigenvalue.  The other eigenvectors of a repeated one enter the basis
     through rounding, or from a new direction once the basis spans an
     invariant space, and may overtake kept pairs: a kept pair whose Ritz
@@ -324,17 +325,20 @@ def eigsh(apply, start, *, k):
     eigenvalue fewer times than it repeats, if its other eigenvectors enter
     after ``k`` pairs have converged.  In a mirror half an eigenvalue
     repeats only under a further symmetry, such as that of a uniform square
-    map.  The i-th new direction is the :func:`_weyl` sequence that
-    :func:`_top_modes` starts from, advanced by i terms, so every call
-    gives the same bits.  Its phase moves by frac(i a), a = (sqrt(5) - 1)
-    / 2, distinct for each i and, for the first few, far from 0 and 1
-    whatever ``start.size``, so none repeats the start or another.
+    map.  Every direction is drawn from :func:`_weyl`, so every call gives
+    the same bits: the start is its first size terms and the i-th new
+    direction those advanced by i, whose phase moves by frac(i a), a =
+    (sqrt(5) - 1) / 2, distinct for each i and, for the first few, far from
+    0 and 1 whatever the size, so none repeats the start or another.
     """
-    shape, size = start.shape, start.size
+    size = math.prod(shape)
+    k = min(k, size)
     ncv = min(max(2 * k + 1, 20), size)
+    # the start, drawn before the basis is allocated (after it, its
+    # temporaries cost 1.5 MB of peak RSS), lives until the first step
+    vector = _weyl(size, 0)
     basis = np.empty((ncv + 1, size))
-    basis[0] = start.ravel() / np.linalg.norm(start)
-    del start  # freed here if the caller passed its only reference
+    basis[0] = vector / np.linalg.norm(vector)
     projected = np.zeros((ncv, ncv))  # basis^T apply basis
     restarts = 0  # the new directions taken
     # each kept pair's Ritz coefficients over the leading basis vectors, as
@@ -383,14 +387,14 @@ def eigsh(apply, start, *, k):
                         out[i] = vector
                     else:
                         np.matmul(vector, basis[:len(vector)], out=out[i])
-                return np.array(values[:k]), out.reshape((k,) + shape)
+                return np.array(values[:k]), out.reshape((k, *shape))
             tracked = ritz[:, :len(values)]
             if exhausted:  # go on from a new direction
                 # advancing by whole start lengths would move the phase by
                 # frac(i size a), near 0 where size is a Fibonacci number:
                 # at 21 and 55 cells that direction lay in the basis
                 restarts += 1
-                vector = _weyl(size, _GOLDEN, restarts)
+                vector = _weyl(size, restarts)
                 for _ in range(2):
                     vector -= (basis[:j + 1] @ vector) @ basis[:j + 1]
                 beta = np.linalg.norm(vector)
@@ -425,10 +429,10 @@ def _top_modes(index_map, halves, n_modes):
     theta), above its own spectrum and nearer its top than sigma.  A
     sweep's inertia proves its shift: raises :class:`ConvergenceError`,
     naming the shift, before any Lanczos step on a half whose sweep counts
-    a positive pivot.  :func:`eigsh` gets the only references to the sweep
-    and the start, so a half peaks at its last Lanczos step with its basis
-    rows and its sweep resident, and its Ritz vectors are formed after the
-    sweep is freed."""
+    a positive pivot.  :func:`eigsh` draws its own start, caps ``n_modes``
+    at the half's size and gets the only reference to the sweep, so a half
+    peaks at its last Lanczos step with its basis rows and its sweep
+    resident, and its Ritz vectors are formed after the sweep is freed."""
     wavelength, pitch = index_map.wavelength_nm, index_map.pitch_nm
     k0 = 2.0 * np.pi / wavelength
     shift = _mode_shift(index_map.index, pitch, wavelength)
@@ -439,13 +443,8 @@ def _top_modes(index_map, halves, n_modes):
             raise ConvergenceError(f"shift {shift!r} lies below "
                                    f"{sweep[0].positives} of the {parity} "
                                    "half's eigenvalues")
-        # eigsh gets the only reference to the sweep, popped from its list,
-        # and to the start, a fixed one: the half's coefficients in V drawn
-        # from the golden Weyl sequence, which makes every solve
-        # bit-reproducible
-        values, vectors = eigsh(sweep.pop().solve,
-                                _weyl(half.size, _GOLDEN).reshape(half.shape),
-                                k=min(n_modes, half.size))
+        # eigsh gets the only reference to the sweep, popped from its list
+        values, vectors = eigsh(sweep.pop().solve, half.shape, k=n_modes)
         vectors = vectors @ basis.T  # drops the coefficients before next half
         # the next half is factorised with this one's basis freed too, so
         # one half is resident at a time
@@ -553,7 +552,11 @@ def solve_modes(index_map, n_modes=1):
 
 
 def coupling_length_from_indices(n_symmetric, n_antisymmetric, wavelength_nm):
-    """Beat length (um) for full power transfer, from the supermode splitting."""
+    """Beat length (um) for full power transfer, from the supermode
+    splitting.  Raises ``ValueError`` unless the symmetric index exceeds the
+    antisymmetric one by a finite amount and 0 < ``wavelength_nm`` < inf."""
+    if not 0 < wavelength_nm < np.inf:  # refuses a NaN wavelength too
+        raise ValueError("wavelength_nm must be finite and positive")
     delta_n = n_symmetric - n_antisymmetric
     if not 0 < delta_n < np.inf:  # refuses a NaN splitting too
         raise ValueError("symmetric supermode index must exceed the "

@@ -455,6 +455,40 @@ def test_loss_inputs_are_validated():
             fresnel_reflectivity(n_eff)
 
 
+def test_fringe_contrast_refuses_an_empty_trace():
+    # numpy would fail on the zero-size reduction, naming no input
+    with pytest.raises(ValueError, match="^fringe trace must not be empty$"):
+        fringe_contrast([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_fringe_contrast_refuses_a_non_finite_trace(bad):
+    # a NaN sample would give a NaN contrast
+    with pytest.raises(ValueError, match="^fringe trace must be finite$"):
+        fringe_contrast([1.0, bad])
+
+
+def test_fringe_contrast_refuses_a_negative_trace():
+    # a transmission below zero would give a contrast of 2.0
+    with pytest.raises(ValueError, match="^fringe trace must not be "
+                                         "negative$"):
+        fringe_contrast([-1.0, 3.0])
+
+
+@pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_fringes_refuse_a_non_finite_loss(loss):
+    # a NaN loss would give a NaN trace
+    with pytest.raises(ValueError, match="^loss_db_per_cm must be finite$"):
+        fabry_perot_fringes([0.0], loss, 1.0, 0.1)
+
+
+def test_fringes_allow_a_negative_loss_as_gain():
+    reflectivity = 0.1
+    lossless = fabry_perot_fringes(0.0, 0.0, 1.0, reflectivity)
+    assert fabry_perot_fringes(0.0, -1.0, 1.0, reflectivity) > lossless
+
+
 def test_fresnel_reflectivity_hand_value():
     assert fresnel_reflectivity(1.9) == pytest.approx((0.9 / 2.9) ** 2, rel=1e-12)
 
@@ -470,3 +504,17 @@ def test_coupling_length_statistics_two_ports():
 def test_coupling_length_statistics_needs_two_values():
     with pytest.raises(ValueError):
         coupling_length_statistics([112.86])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_coupling_length_statistics_refuses_a_non_finite_value(bad):
+    # numpy would give (nan, nan), or (inf, nan) with a RuntimeWarning
+    with pytest.raises(ValueError, match="^fitted values must be finite$"):
+        coupling_length_statistics([1.0, bad])
+
+
+def test_coupling_length_statistics_refuses_a_2d_input():
+    # numpy would flatten a 2 x 2 input to four ports: (2.5, 1.29)
+    with pytest.raises(ValueError, match="^fitted values must be a 1D "
+                                         "sequence$"):
+        coupling_length_statistics([[1.0, 2.0], [3.0, 4.0]])

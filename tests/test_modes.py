@@ -80,7 +80,7 @@ def test_homogeneous_medium_plane_wave_limit():
     n, map_ = 2.0, _uniform_map(2.0)
     k0 = 2.0 * np.pi / 1550.0
     mu = [2.0 / map_.pitch_nm**2 * (1.0 - np.cos(np.pi / (cells + 1)))
-          for cells in map_.shape]
+          for cells in map_.index.shape]
     sols = solve_modes(map_, 1)
     assert len(sols) == 1
     assert sols[0].n_eff == pytest.approx(np.sqrt(n**2 - sum(mu) / k0**2),
@@ -125,8 +125,8 @@ def test_slab_matches_transcendental_oracle(slab_modes):
     # sine between the zero-field edges) plus one y eigenvalue, and the y
     # part carries the slab dispersion
     map_, sols = slab_modes
-    along_x, along_y = oracle.layered_spectrum(map_.index[:, 0], map_.shape[1],
-                                               map_.pitch_nm, 1550.0)
+    along_x, along_y = oracle.layered_spectrum(
+        map_.index[:, 0], map_.index.shape[1], map_.pitch_nm, 1550.0)
     total = along_x[:, None] + along_y[None, :]
     k0 = 2.0 * np.pi / 1550.0
     assert len(sols) == 4
@@ -222,9 +222,9 @@ def test_half_domain_fields_mirror_exactly(coupler_40nm):
     map_, (sym, anti) = coupler_40nm
     assert np.array_equal(sym.field, sym.field[:, ::-1])
     assert np.array_equal(anti.field, -anti.field[:, ::-1])
-    assert not np.any(anti.field[:, map_.shape[1] // 2])
+    assert not np.any(anti.field[:, map_.index.shape[1] // 2])
     for solution in (sym, anti):
-        assert solution.field.shape == map_.shape
+        assert solution.field.shape == map_.index.shape
         power = float(np.sum(solution.field**2)) * map_.pitch_nm**2
         assert power == pytest.approx(1.0, abs=1e-12)
 
@@ -366,7 +366,7 @@ def test_ritz_vectors_are_formed_once_with_the_sweep_freed(coupler_40nm):
     # of a half's size, and 33.5 with the sweep, the start and a second
     # copy of the vectors resident at the return
     map_, _ = coupler_40nm
-    half = map_.index[:, map_.shape[1] // 2:].nbytes
+    half = map_.index[:, map_.index.shape[1] // 2:].nbytes
     tracemalloc.start()
     try:
         solve_modes(map_, 2)
@@ -434,7 +434,7 @@ def test_inertia_count_matches_separable_oracle():
     for n_squared in (4.5, 3.6, 3.4, 3.0, 1.0, 0.0, -2.0):
         tau = k0**2 * n_squared
         expected.append(oracle.layered_count_above(
-            profile, map_.shape[1], map_.pitch_nm, 1550.0, tau))
+            profile, map_.index.shape[1], map_.pitch_nm, 1550.0, tau))
         assert modes._modes_above(map_, tau) == expected[-1]
     assert expected[0] == 0 and expected[-1] > 30
     assert expected == sorted(expected)
@@ -729,14 +729,14 @@ def test_beat_length_antisymmetric_half_takes_fewer_steps(monkeypatch):
     steps = []
     real = modes.eigsh
 
-    def counted(apply, start, *, k):
+    def counted(apply, shape, *, k):
         steps.append(0)
 
         def step(rows):
             steps[-1] += 1
             return apply(rows)
 
-        return real(step, start, k=k)
+        return real(step, shape, k=k)
 
     monkeypatch.setattr(modes, "eigsh", counted)
     supermode_coupling_length(reference_geometry(gap_um=2.3), 1550.0,
@@ -754,9 +754,9 @@ def test_symmetric_top_below_the_antisymmetric_one_raises(coupler_40nm,
     calls = []
     real = modes.eigsh
 
-    def low_top(apply, start, *, k):
+    def low_top(apply, shape, *, k):
         calls.append(k)
-        values, vectors = real(apply, start, k=k)
+        values, vectors = real(apply, shape, k=k)
         return values / 10.0, vectors
 
     monkeypatch.setattr(modes, "eigsh", low_top)
@@ -776,7 +776,8 @@ def test_unusable_maps_raise(whole_row):
                                grid_pitch_nm=40.0)
     for value in (np.inf, np.nan):
         index = map_.index.copy()
-        index[5, slice(None) if whole_row else map_.shape[1] // 2] = value
+        index[5, slice(None) if whole_row
+              else map_.index.shape[1] // 2] = value
         unusable = replace(map_, index=index)
         with pytest.raises(InvalidGeometryError, match="non-finite"):
             modes._modes_above(unusable, 1e-5)
@@ -809,6 +810,15 @@ def test_coupling_length_refuses_a_non_finite_splitting(n_symmetric,
     # a NaN splitting compares False with zero, and once returned NaN
     with pytest.raises(ValueError, match="by a finite amount"):
         coupling_length_from_indices(n_symmetric, n_antisymmetric, 1550.0)
+
+
+@pytest.mark.parametrize("wavelength_nm", [np.nan, 0.0, -1550.0, np.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_coupling_length_refuses_a_bad_wavelength(wavelength_nm):
+    # a NaN wavelength would give NaN, and -1550 nm a length of -7.75 um
+    with pytest.raises(ValueError, match="^wavelength_nm must be finite and "
+                                         "positive$"):
+        coupling_length_from_indices(1.9, 1.8, wavelength_nm)
 
 
 def test_reference_coupling_length_in_band(supermodes_20nm):
@@ -1012,10 +1022,11 @@ def test_restart_directions_are_new_and_leave_the_basis(shape, monkeypatch):
     directions = []
     real = modes._weyl
 
-    def spy(count, step, skip=0):
-        vector = real(count, step, skip)
+    def spy(count, skip):
+        vector = real(count, skip)
         caller = sys._getframe(1)
-        if caller.f_code.co_name == "eigsh":
+        # the start (skip 0) comes before there is a basis to leave
+        if caller.f_code.co_name == "eigsh" and skip:
             basis = caller.f_locals["basis"][:caller.f_locals["j"] + 1]
             # eigsh orthogonalises the vector in place
             directions.append((vector.copy(), basis.copy()))
@@ -1057,13 +1068,14 @@ def test_fibonacci_half_width_returns_the_modes_of_another_start(
                     y_nm=np.arange(rows) * pitch, pitch_nm=pitch,
                     wavelength_nm=1550.0, substrate_index=1.44)
     fixed = solve_modes(map_, 4)
-    real = modes.eigsh
+    real = modes._weyl
 
-    def from_random_start(apply, start, *, k):
-        other = np.random.default_rng(1).uniform(-1.0, 1.0, start.shape)
-        return real(apply, other, k=k)
+    def random_start(count, skip):
+        if skip:
+            return real(count, skip)
+        return np.random.default_rng(1).uniform(-1.0, 1.0, count)
 
-    monkeypatch.setattr(modes, "eigsh", from_random_start)
+    monkeypatch.setattr(modes, "_weyl", random_start)
     other = solve_modes(map_, 4)
     assert len(fixed) == len(other) == 4
     for a, b in zip(fixed, other):
