@@ -14,9 +14,11 @@ data is weighted uniformly, with the covariance rescaled by the reduced
 chi-square.  Fits are deterministic: fixed iteration schedule, no random
 restarts.
 
-The two curve fits share one Levenberg-Marquardt loop in numpy on their
-analytic Jacobians (More, LNM 630, 1978; Madsen, Nielsen and Tingleff,
-"Methods for non-linear least squares problems", 2004).  Each step solves
+Each curve fit hands one model, which returns its residuals and their
+analytic Jacobian together, to one Levenberg-Marquardt routine in numpy
+(More, LNM 630, 1978; Madsen, Nielsen and Tingleff, "Methods for
+non-linear least squares problems", 2004), which returns the FitResult
+with the covariance from its last Gram matrix J^T J.  Each step solves
 (J^T J + mu D) h = -J^T r, where the diagonal scaling D is the running
 maximum of diag(J^T J), so the damping acts alike on parameters of any
 unit.  A step is accepted when the actual reduction of |r|^2 / 2 is
@@ -24,8 +26,11 @@ positive against the reduction the linear model predicts; the ratio rho
 of the two then scales mu by max(1/3, 1 - (2 rho - 1)^3) (Nielsen's
 rule), while a rejected step multiplies mu by 2, 4, 8, ... in turn.  The
 fit stops after a step with |h| <= STEP_TOLERANCE (STEP_TOLERANCE + |x|),
-taken if it lowers the residual, and raises ConvergenceError once
-MAX_ITERATIONS residual evaluations are spent.
+taken if it lowers the residual.  It raises ConvergenceError once
+MAX_ITERATIONS model evaluations are spent, or when the step system is
+singular: the damping, cut at each accepted step, no longer lifts
+Jacobian columns that have become parallel, as when a sinusoid's period
+runs off far beyond the scan.
 
 A scan without a dip may have no finite dip fit: the chi-square can keep
 falling towards a one-sample spike (the width shrinks at fixed visibility
@@ -95,20 +100,26 @@ class FitResult:
         return dict(zip(self.parameters, (float(s) for s in sigmas)))
 
 
-def _levenberg_marquardt(residual_fn, jacobian_fn, x0, check=None):
-    """Least-squares minimiser of |residual_fn(x)|; returns x with the
-    residuals and Jacobian there.  ``check``, when given, sees every
-    accepted x and may raise to end the fit."""
+def _least_squares(model, x0, names, rescale_by_chi_square, check=None):
+    """Least-squares fit from x0 of ``model(x) -> (residuals, jacobian)``;
+    returns its FitResult, the covariance taken from the last Gram matrix
+    J^T J.  ``check``, when given, sees every accepted x and may raise to
+    end the fit."""
     x = np.asarray(x0, dtype=float)
-    residual = residual_fn(x)
+    residual, jac = model(x)
     evaluations = 1
-    jac = jacobian_fn(x)
     gram = jac.T @ jac
     scale = np.diag(gram)
     damping, growth = _INITIAL_DAMPING, 2.0
     while True:
         gradient = jac.T @ residual
-        step = np.linalg.solve(gram + np.diag(damping * scale), -gradient)
+        try:
+            step = np.linalg.solve(gram + np.diag(damping * scale), -gradient)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"fit met a singular step system after {evaluations} "
+                "evaluations", residual_norm=float(np.linalg.norm(residual)),
+            ) from None
         if evaluations >= MAX_ITERATIONS:
             raise ConvergenceError(
                 f"fit did not converge within {MAX_ITERATIONS} evaluations",
@@ -117,16 +128,15 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, x0, check=None):
         converged = np.linalg.norm(step) \
             <= STEP_TOLERANCE * (STEP_TOLERANCE + np.linalg.norm(x))
         trial = x + step
-        trial_residual = residual_fn(trial)
+        trial_residual, trial_jac = model(trial)
         evaluations += 1
         actual = 0.5 * (residual @ residual - trial_residual @ trial_residual)
         if actual > 0.0:  # False for a non-finite trial residual
             predicted = 0.5 * step @ (damping * scale * step - gradient)
             rho = actual / predicted
-            x, residual = trial, trial_residual
+            x, residual, jac = trial, trial_residual, trial_jac
             if check is not None:
                 check(x)
-            jac = jacobian_fn(x)
             gram = jac.T @ jac
             scale = np.maximum(scale, np.diag(gram))
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
@@ -135,27 +145,17 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, x0, check=None):
             damping *= growth
             growth *= 2.0
         if converged:
-            return x, residual, jac
-
-
-def _run_fit(residual_fn, jacobian_fn, x0, names, rescale_by_chi_square,
-             check=None):
-    x, residuals, jac = _levenberg_marquardt(residual_fn, jacobian_fn, x0,
-                                             check)
-    n_points = residuals.size
-    dof = max(n_points - len(x0), 1)
-    chi_square = float(residuals @ residuals)
-    gram_inv = np.linalg.pinv(jac.T @ jac)
+            break
+    chi_square = float(residual @ residual)
+    gram_inv = np.linalg.pinv(gram)
     if rescale_by_chi_square:
         # unknown uniform noise level: scale by reduced chi-square
-        gram_inv = gram_inv * (chi_square / dof)
-    covariance = 0.5 * (gram_inv + gram_inv.T)
-    weighted_rms = math.sqrt(chi_square / n_points)
+        gram_inv = gram_inv * (chi_square / max(residual.size - x.size, 1))
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in x))),
-        covariance=covariance,
-        residual_rms=weighted_rms,
-        residuals=residuals,
+        covariance=0.5 * (gram_inv + gram_inv.T),
+        residual_rms=math.sqrt(chi_square / residual.size),
+        residuals=residual,
     )
 
 
@@ -194,26 +194,18 @@ def fit_coupling_sinusoid(series):
     names = ("coupling_length_um", "offset_um", "amplitude", "baseline")
     x0 = _sinusoid_guess(lengths, ratios)
 
-    def phase(params):
-        coupling_length, offset, _, _ = params
-        return 0.5 * math.pi * (lengths + offset) / coupling_length
-
-    def residual_fn(params):
-        _, _, amplitude, baseline = params
-        return baseline + amplitude * np.sin(phase(params)) ** 2 - ratios
-
-    def jacobian_fn(params):
-        coupling_length, _, amplitude, _ = params
-        theta = phase(params)
+    def model(params):
+        coupling_length, offset, amplitude, baseline = params
+        theta = 0.5 * math.pi * (lengths + offset) / coupling_length
         swing = amplitude * np.sin(2.0 * theta)
         jac = np.empty((lengths.size, 4))
         jac[:, 0] = -swing * theta / coupling_length
         jac[:, 1] = swing * 0.5 * math.pi / coupling_length
         jac[:, 2] = np.sin(theta) ** 2
         jac[:, 3] = 1.0
-        return jac
+        return baseline + amplitude * jac[:, 2] - ratios, jac
 
-    return _run_fit(residual_fn, jacobian_fn, x0, names, True)
+    return _least_squares(model, x0, names, True)
 
 
 def coupling_length_statistics(fitted_lengths):
@@ -266,25 +258,16 @@ def fit_gaussian_dip(scan):
     poisson = np.issubdtype(scan.values.dtype, np.integer)
     sigma = np.sqrt(np.maximum(values, 1.0)) if poisson else np.ones_like(values)
 
-    def envelope(params):
-        _, center, width, _ = params
+    def model(params):
+        visibility, center, width, baseline = params
         pulled = delays - center
-        return pulled, np.exp(-(pulled**2) / (2.0 * width**2))
-
-    def residual_fn(params):
-        visibility, _, _, baseline = params
-        _, shape = envelope(params)
-        return (baseline * (1.0 - visibility * shape) - values) / sigma
-
-    def jacobian_fn(params):
-        visibility, _, width, baseline = params
-        pulled, shape = envelope(params)
+        shape = np.exp(-(pulled**2) / (2.0 * width**2))
         jac = np.empty((delays.size, 4))
         jac[:, 0] = -baseline * shape
         jac[:, 1] = -baseline * visibility * shape * pulled / width**2
         jac[:, 2] = -baseline * visibility * shape * pulled**2 / width**3
         jac[:, 3] = 1.0 - visibility * shape
-        return (jac.T / sigma).T
+        return (baseline * jac[:, 3] - values) / sigma, (jac.T / sigma).T
 
     step = float(np.min(np.diff(delays)))
     span = float(delays[-1] - delays[0])
@@ -309,7 +292,7 @@ def fit_gaussian_dip(scan):
                 f"the dip fit moved its centre to {center:.3g} ps, over three "
                 "widths outside the scan: the scan resolves no dip")
 
-    return _run_fit(residual_fn, jacobian_fn, x0, names, not poisson, check)
+    return _least_squares(model, x0, names, not poisson, check)
 
 
 def normalized_scan(scan, fit_result):

@@ -300,6 +300,18 @@ def test_runtime_fit_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_singular_fit_exits_one_without_a_report(tmp_path, capsys):
+    # the step system of this series turns singular; numpy's LinAlgError
+    # once escaped as "error: Singular matrix"
+    csv = Path(__file__).resolve().parent / "data" / "singular-sinusoid.csv"
+    config = _write(tmp_path, "c.cfg", f"input_csv = {csv}\n")
+    out = tmp_path / "out"
+    assert main(["fit-coupling", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: fit met a singular step system after")
+    assert not (out / "fit_report.txt").exists()
+
+
 def test_dip_verdict_on_simulated_counts_is_no_config_error(tmp_path, capsys,
                                                             monkeypatch):
     # a fit that finds no dip in the simulated scan judges the data, which

@@ -3,11 +3,13 @@ calibration, and the facet-cavity contrast inversion."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lnhom import fitting
+from lnhom import io as lio
 from lnhom.errors import (ConvergenceError, NegativeLossWarning,
                           UnidentifiableDataError)
 from lnhom.fitting import (
@@ -25,6 +27,10 @@ from lnhom.hom import DelayScan
 
 from _oracles import dip_fit_reference, fp_contrast, sinusoid_fit_reference
 
+# 18 noisy ratios on which the sinusoid's period runs off far beyond the
+# scan, until the amplitude and baseline columns of J coincide
+SINGULAR_SERIES = Path(__file__).resolve().parent / "data" \
+    / "singular-sinusoid.csv"
 # the one label each PowerRatioSeries field is refused under
 SERIES_LABELS = {"interaction_length_um": "interaction lengths",
                  "ratio": "power ratios"}
@@ -375,6 +381,50 @@ def test_fit_failure_raises_with_the_residual_norm(monkeypatch):
             fit()
         assert math.isfinite(failure.value.residual_norm)
         assert failure.value.residual_norm > 0.0
+
+
+def test_singular_step_system_raises_convergence_error():
+    # numpy's LinAlgError, a ValueError, once escaped from the step solve
+    with pytest.raises(ConvergenceError, match="singular step system") \
+            as failure:
+        fit_coupling_sinusoid(lio.read_power_ratio_csv(SINGULAR_SERIES))
+    assert math.isfinite(failure.value.residual_norm)
+    assert failure.value.residual_norm > 0.0
+
+
+def _model_and_points(monkeypatch, fit, data):
+    """The model a fit hands the solver, with its start and its optimum."""
+    captured = {}
+    least_squares = fitting._least_squares
+
+    def spy(model, x0, *args):
+        captured.update(model=model, x0=x0)
+        return least_squares(model, x0, *args)
+
+    monkeypatch.setattr(fitting, "_least_squares", spy)
+    optimum = list(fit(data).parameters.values())
+    return captured["model"], [captured["x0"], optimum]
+
+
+@pytest.mark.parametrize("fit, data", [
+    (fit_coupling_sinusoid, PowerRatioSeries(*_noisy_sinusoid(1))),
+    (fit_gaussian_dip, _poisson_dip()),
+    (fit_gaussian_dip, _float_dip()),
+], ids=["sinusoid", "poisson-dip", "float-dip"])
+def test_model_jacobian_matches_central_differences(monkeypatch, fit, data):
+    model, points = _model_and_points(monkeypatch, fit, data)
+    for point in points:
+        x = np.asarray(point, dtype=float)
+        _, jac = model(x)
+        numeric = np.empty_like(jac)
+        for j in range(x.size):
+            h = 1e-6 * max(abs(x[j]), 1.0)
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            numeric[:, j] = (model(up)[0] - model(down)[0]) / (2.0 * h)
+        np.testing.assert_allclose(jac, numeric, rtol=1e-6,
+                                   atol=1e-8 * np.abs(jac).max())
 
 
 def test_normalized_scan_puts_wings_at_unity():
